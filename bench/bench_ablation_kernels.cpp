@@ -36,6 +36,31 @@ void BM_SmithWatermanFull(benchmark::State& state) {
 }
 BENCHMARK(BM_SmithWatermanFull)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
+// The inter-pair lane kernel on one full group of kLanePairs equal-length
+// pairs (the shape align_tasks' length ordering produces). CUPS counts
+// the group's cells, so it compares directly with BM_SmithWatermanFull.
+void BM_SmithWatermanLanes(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto seqs = random_proteins(2 * align::kLanePairs, len, 42);
+  const std::vector<std::string_view> queries(seqs.begin(),
+                                              seqs.begin() + align::kLanePairs);
+  const std::vector<std::string_view> references(
+      seqs.begin() + align::kLanePairs, seqs.end());
+  const auto scoring = align::Scoring::pastis_default();
+  std::vector<align::AlignResult> out(align::kLanePairs);
+  for (auto _ : state) {
+    align::smith_waterman_lanes(queries, references, scoring, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["CUPS"] = benchmark::Counter(
+      static_cast<double>(len) * static_cast<double>(len) *
+          static_cast<double>(align::kLanePairs) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SmithWatermanLanes)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+
 void BM_SmithWatermanScoreOnly(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   const auto seqs = random_proteins(2, len, 43);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -140,6 +142,62 @@ BatchStats BatchAligner::stats_with(
   return stats;
 }
 
+void BatchAligner::align_tasks(const SeqAccessor& seq_of,
+                               std::span<const AlignTask> tasks,
+                               std::span<AlignResult> results,
+                               util::ThreadPool* pool) const {
+  if (results.size() != tasks.size()) {
+    throw std::invalid_argument("align_tasks: results and tasks differ in size");
+  }
+  auto run = [&](std::size_t n, const std::function<void(std::size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->parallel_for(n, fn);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+    }
+  };
+  if (config_.kind != AlignKind::kFullSW) {
+    run(tasks.size(), [&](std::size_t t) {
+      results[t] = align_one_task(seq_of, tasks[t]);
+    });
+    return;
+  }
+
+  // Neighbours in (|r|, |q|) order pad each other least in a lane group.
+  struct Key {
+    std::uint32_t r_len, q_len, task;
+  };
+  std::vector<Key> order(tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    order[t] = {static_cast<std::uint32_t>(seq_of(tasks[t].r_id).size()),
+                static_cast<std::uint32_t>(seq_of(tasks[t].q_id).size()),
+                static_cast<std::uint32_t>(t)};
+  }
+  std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+    return std::tie(a.r_len, a.q_len, a.task) <
+           std::tie(b.r_len, b.q_len, b.task);
+  });
+  // Groups run largest first, so the pool's last chunks are the cheapest.
+  const std::size_t groups = (tasks.size() + kLanePairs - 1) / kLanePairs;
+  run(groups, [&](std::size_t g) {
+    const std::size_t first = (groups - 1 - g) * kLanePairs;
+    const std::size_t count = std::min(kLanePairs, tasks.size() - first);
+    std::array<std::string_view, kLanePairs> qs, rs;
+    std::array<AlignResult, kLanePairs> out;
+    for (std::size_t k = 0; k < count; ++k) {
+      const AlignTask& task = tasks[order[first + k].task];
+      qs[k] = seq_of(task.q_id);
+      rs[k] = seq_of(task.r_id);
+    }
+    smith_waterman_lanes(std::span(qs.data(), count),
+                         std::span(rs.data(), count), scoring_,
+                         std::span(out.data(), count));
+    for (std::size_t k = 0; k < count; ++k) {
+      results[order[first + k].task] = out[k];
+    }
+  });
+}
+
 std::span<const AlignResult> BatchAligner::align_batch(
     const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
     AlignWorkspace& ws, BatchStats* stats, util::ThreadPool* pool) const {
@@ -156,13 +214,19 @@ std::span<const AlignResult> BatchAligner::align_batch(
     // balances per-GPU batches by DP size (see assign_lanes).
     const auto t0 = telem.metrics != nullptr ? std::chrono::steady_clock::now()
                                              : std::chrono::steady_clock::time_point{};
-    std::uint64_t lane_cells = 0;
+    std::vector<std::uint32_t> index;
+    std::vector<AlignTask> slice;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       if (lanes[t] != lane) continue;
-      const AlignTask& task = tasks[t];
-      ws.results[t] =
-          align_pair(seq_of(task.q_id), seq_of(task.r_id), task, config_.kind);
-      lane_cells += ws.results[t].cells;
+      index.push_back(static_cast<std::uint32_t>(t));
+      slice.push_back(tasks[t]);
+    }
+    std::vector<AlignResult> out(slice.size());
+    align_tasks(seq_of, slice, out, nullptr);
+    std::uint64_t lane_cells = 0;
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      ws.results[index[k]] = out[k];
+      lane_cells += out[k].cells;
     }
     if (telem.metrics != nullptr && lane_cells > 0) {
       const double s = std::chrono::duration<double>(

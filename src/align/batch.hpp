@@ -5,9 +5,12 @@
 // across them, and runs one host thread per device for packing and
 // transfers. We reproduce that architecture: `devices` logical accelerators,
 // each fed a slice of the batch by a driver thread. Alignment *results* are
-// computed exactly (CPU kernels from this module's siblings); alignment
-// *time* is charged to the device model (cells / GCUPS), which is how every
-// paper-facing number stays hardware-independent.
+// computed exactly on the host by align_tasks: full Smith-Waterman runs
+// through the 8-lane inter-pair kernel (smith_waterman_lanes: AVX2, pairs
+// grouped by length, bit-identical to the scalar smith_waterman, which
+// takes every pair the lanes cannot); banded and x-drop run per pair.
+// Alignment *time* is charged to the device model (cells / GCUPS), which is
+// how every paper-facing number stays hardware-independent.
 #pragma once
 
 #include <cstdint>
@@ -119,9 +122,17 @@ class BatchAligner {
                                            BatchStats* stats = nullptr,
                                            util::ThreadPool* pool = nullptr) const;
 
-  /// Aligns a single task (element-wise identical to align_batch). The
-  /// simulated runtime uses this to flatten many ranks' batches onto one
-  /// host pool while keeping per-rank accounting exact.
+  /// Aligns every task with config().kind into `results` (same size,
+  /// positionally parallel) — the one host execution path every batch
+  /// caller shares. Full SW runs through smith_waterman_lanes: tasks are
+  /// ordered by (|r|, |q|, index), cut into groups of kLanePairs, and the
+  /// groups run on `pool` (inline when null). Other kinds run one pair per
+  /// iteration. Element-wise identical to align_one_task.
+  void align_tasks(const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
+                   std::span<AlignResult> results,
+                   util::ThreadPool* pool) const;
+
+  /// Aligns a single task (element-wise identical to align_batch).
   [[nodiscard]] AlignResult align_one_task(const SeqAccessor& seq_of,
                                            const AlignTask& task) const {
     return align_pair(seq_of(task.q_id), seq_of(task.r_id), task,

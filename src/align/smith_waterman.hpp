@@ -8,7 +8,9 @@
 // (ANI) and coverage can be thresholded without a traceback matrix.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "align/scoring.hpp"
@@ -53,13 +55,29 @@ struct AlignResult {
 
 /// Full Smith-Waterman/Gotoh. Sequences are ASCII amino-acid strings.
 /// Deterministic tie-breaking (diagonal > up > left > restart) makes results
-/// identical across any parallel decomposition.
+/// identical across any parallel decomposition. This scalar kernel is the
+/// portable path and the oracle the lane kernel below is tested against.
 [[nodiscard]] AlignResult smith_waterman(std::string_view query,
                                          std::string_view reference,
                                          const Scoring& scoring);
 
-/// Score-only variant (no path statistics); ~2x faster, used by the
-/// substitute-k-mer neighbour generator and by benchmarks.
+/// Pairs aligned together by smith_waterman_lanes.
+inline constexpr std::size_t kLanePairs = 8;
+
+/// Full Smith-Waterman on up to kLanePairs pairs at once, one pair per
+/// 32-bit lane of an AVX2 vector (inter-pair SIMD, Nguyen & Lavenier).
+/// out[k] equals smith_waterman(queries[k], references[k], scoring) in every
+/// field. A pair runs in the lane kernel when the host supports AVX2 and
+/// |q| + |r| < 65536 (path counters are packed two per 32-bit lane);
+/// every other pair runs through smith_waterman. Lanes are padded to the
+/// largest |q| x |r| of the call, so pairs of similar shape waste least.
+/// Requires queries.size() == references.size() == out.size() <= kLanePairs.
+void smith_waterman_lanes(std::span<const std::string_view> queries,
+                          std::span<const std::string_view> references,
+                          const Scoring& scoring, std::span<AlignResult> out);
+
+/// Score-only variant (no path statistics). Kept as the score-only
+/// reference for tests and the kernel ablation bench.
 [[nodiscard]] int smith_waterman_score(std::string_view query,
                                        std::string_view reference,
                                        const Scoring& scoring);

@@ -362,9 +362,7 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
           s.flat_tasks.insert(s.flat_tasks.end(), v.begin(), v.end());
         }
         s.ws.results.assign(s.flat_tasks.size(), align::AlignResult{});
-        pool_->parallel_for(s.flat_tasks.size(), [&](std::size_t t) {
-          s.ws.results[t] = aligner.align_one_task(seq_of, s.flat_tasks[t]);
-        });
+        aligner.align_tasks(seq_of, s.flat_tasks, s.ws.results, pool_);
 
         // Per-rank filtering + device-model charging.
         rt.spmd([&](int rank) {

@@ -834,14 +834,7 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
   st.aligned_pairs = slot.flat_tasks.size();
 
   slot.ws.results.assign(slot.flat_tasks.size(), AlignResult{});
-  auto align_one = [&](std::size_t t) {
-    slot.ws.results[t] = aligner_.align_one_task(seq_of, slot.flat_tasks[t]);
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(slot.flat_tasks.size(), align_one);
-  } else {
-    for (std::size_t t = 0; t < slot.flat_tasks.size(); ++t) align_one(t);
-  }
+  aligner_.align_tasks(seq_of, slot.flat_tasks, slot.ws.results, pool_);
 
   // ---- filter + per-rank device accounting ---------------------------------
   auto& hits = slot.hits;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,54 @@ std::string random_protein(pastis::util::Xoshiro256& rng, std::size_t len) {
   std::string s(len, 'A');
   for (auto& c : s) c = aas[rng.below(aas.size())];
   return s;
+}
+
+/// A homolog of `s`: ~15% substitutions plus short insertions and
+/// deletions, so alignments exercise every DP state's path statistics.
+std::string mutated(pastis::util::Xoshiro256& rng, const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (rng.chance(0.03)) continue;                        // deletion
+    if (rng.chance(0.03)) out += random_protein(rng, 1 + rng.below(4));
+    out += rng.chance(0.15) ? random_protein(rng, 1)[0] : c;
+  }
+  return out;
+}
+
+void expect_same_result(const pa::AlignResult& got, const pa::AlignResult& want,
+                        std::size_t pair) {
+  EXPECT_EQ(got.score, want.score) << "pair " << pair;
+  EXPECT_EQ(got.beg_q, want.beg_q) << "pair " << pair;
+  EXPECT_EQ(got.end_q, want.end_q) << "pair " << pair;
+  EXPECT_EQ(got.beg_r, want.beg_r) << "pair " << pair;
+  EXPECT_EQ(got.end_r, want.end_r) << "pair " << pair;
+  EXPECT_EQ(got.matches, want.matches) << "pair " << pair;
+  EXPECT_EQ(got.align_len, want.align_len) << "pair " << pair;
+  EXPECT_EQ(got.cells, want.cells) << "pair " << pair;
+}
+
+/// Aligns seqs[2k] against seqs[2k + 1] for every k through
+/// BatchAligner::align_tasks (full SW, so the lane kernel) and checks every
+/// field against the scalar smith_waterman, inline and on a pool.
+void expect_lanes_match_scalar(const std::vector<std::string>& seqs) {
+  std::vector<pa::AlignTask> tasks;
+  for (std::uint32_t i = 0; i + 1 < seqs.size(); i += 2) {
+    tasks.push_back({i, i + 1, 0, 0});
+  }
+  auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
+  const pa::BatchAligner aligner(scoring(), {});
+  pastis::util::ThreadPool pool(3);
+  const std::array<pastis::util::ThreadPool*, 2> pools = {nullptr, &pool};
+  for (pastis::util::ThreadPool* p : pools) {
+    std::vector<pa::AlignResult> results(tasks.size());
+    aligner.align_tasks(seq_of, tasks, results, p);
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      expect_same_result(results[t],
+                         pa::smith_waterman(seqs[tasks[t].q_id],
+                                            seqs[tasks[t].r_id], scoring()),
+                         t);
+    }
+  }
 }
 
 }  // namespace
@@ -259,8 +308,7 @@ TEST(Batch, ResultsMatchIndividualCalls) {
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const auto ref =
         pa::smith_waterman(seqs[tasks[t].q_id], seqs[tasks[t].r_id], scoring());
-    EXPECT_EQ(results[t].score, ref.score);
-    EXPECT_EQ(results[t].matches, ref.matches);
+    expect_same_result(results[t], ref, t);
     cells += ref.cells;
   }
   EXPECT_EQ(stats.cells, cells);
@@ -303,6 +351,82 @@ TEST(Batch, PoolExecutionMatchesInline) {
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     EXPECT_EQ(inline_res[t].score, pooled_res[t].score);
   }
+}
+
+TEST(LaneKernel, EmptySequences) {
+  pastis::util::Xoshiro256 rng(67);
+  const auto a = random_protein(rng, 30);
+  // Empty query, empty reference, both empty, beside ordinary pairs.
+  expect_lanes_match_scalar({"", a, a, "", "", "", a, mutated(rng, a)});
+  expect_lanes_match_scalar({"", ""});
+}
+
+TEST(LaneKernel, PartialGroupsAndMixedLengths) {
+  pastis::util::Xoshiro256 rng(71);
+  // Every partial group size 1-7, then groups mixing lengths 5-400.
+  for (std::size_t pairs = 1; pairs < pa::kLanePairs; ++pairs) {
+    std::vector<std::string> seqs;
+    for (std::size_t k = 0; k < pairs; ++k) {
+      const auto q = random_protein(rng, 5 + rng.below(120));
+      seqs.push_back(q);
+      seqs.push_back(rng.chance(0.5) ? mutated(rng, q)
+                                     : random_protein(rng, 5 + rng.below(120)));
+    }
+    expect_lanes_match_scalar(seqs);
+  }
+  std::vector<std::string> seqs;
+  for (int k = 0; k < 45; ++k) {
+    const auto q = random_protein(rng, 5 + rng.below(396));
+    seqs.push_back(q);
+    seqs.push_back(k % 3 == 0 ? random_protein(rng, 5 + rng.below(396))
+                              : mutated(rng, q));
+  }
+  expect_lanes_match_scalar(seqs);
+}
+
+TEST(LaneKernel, TieHeavyLowComplexity) {
+  // Homopolymers and periodic repeats score many cells equally, so the
+  // diag > up > left > restart order and the strict row-major best decide
+  // every path statistic.
+  const std::string poly(120, 'A');
+  std::string periodic, shifted;
+  for (int k = 0; k < 40; ++k) periodic += "ACG";
+  for (int k = 0; k < 33; ++k) shifted += "CGA";
+  expect_lanes_match_scalar({
+      poly, poly,
+      poly, std::string(50, 'A') + "WW" + std::string(70, 'A'),
+      std::string(60, 'A') + std::string(60, 'A'), std::string(90, 'A'),
+      periodic, shifted,
+      periodic, periodic.substr(0, 40) + "GGG" + periodic.substr(40),
+      "ACACACACACACACACACAC", "CACACACACACA",
+      std::string(7, 'W'), std::string(7, 'W'),
+      "AAAAAAAAAAWWWAAAAAAAAAA", "AAAAAAAAAAAAAAAAAAAAA",
+      poly.substr(0, 5), poly,
+  });
+}
+
+TEST(LaneKernel, ZeroScorePairs) {
+  // BLOSUM62 scores P/W and D/W negative: no cell is ever positive.
+  expect_lanes_match_scalar({"PPPPPPPP", "WWWWWWWWWWWW", "DDDD", "WWW",
+                             "W", "P", "PDPDPD", "WWWWW"});
+  const auto res = pa::smith_waterman("PPPPPPPP", "WWWWWWWWWWWW", scoring());
+  EXPECT_EQ(res.score, 0);
+  EXPECT_EQ(res.align_len, 0u);
+}
+
+TEST(LaneKernel, LongPairTakesScalarPath) {
+  // |q| + |r| >= 65536 overflows the lane kernel's 16-bit path counters:
+  // here the optimum ends at query position 65540. The pair beside it sits
+  // exactly at the limit (|q| + |r| = 65535) and stays in the lane group.
+  pastis::util::Xoshiro256 rng(73);
+  const auto long_q = random_protein(rng, 65540);
+  const auto edge_q = random_protein(rng, 65529);
+  expect_lanes_match_scalar({long_q, long_q.substr(65540 - 6),
+                             edge_q, edge_q.substr(65529 - 6),
+                             "MKVLAETGWT", "MKVLAETGWT"});
+  const auto res = pa::smith_waterman(long_q, long_q.substr(65540 - 6),
+                                      scoring());
+  EXPECT_EQ(res.end_q, 65540u);
 }
 
 TEST(Batch, BandedModeUsesSeeds) {
