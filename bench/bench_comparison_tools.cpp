@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   core::PastisConfig cfg;
   cfg.block_rows = cfg.block_cols = 4;
   cfg.load_balance = core::LoadBalanceScheme::kTriangularity;
-  cfg.preblocking = true;
+  cfg.pipeline_depth = 2;
 
   const sim::MachineModel model = scaled_model(50e6, n_seqs);
   const auto pastis_result = run_search(data.seqs, cfg, nprocs, model);

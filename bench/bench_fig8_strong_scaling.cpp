@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       core::PastisConfig cfg;
       cfg.block_rows = cfg.block_cols = 8;
       cfg.load_balance = scheme;
-      cfg.preblocking = true;
+      cfg.pipeline_depth = 2;
       pts.push_back(
           {p, run_search(data.seqs, cfg, p, scaled_model(50e6, n_seqs)).stats});
     }

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     core::PastisConfig cfg;
     cfg.block_rows = cfg.block_cols = 8;
     cfg.load_balance = core::LoadBalanceScheme::kIndexBased;
-    cfg.preblocking = true;
+    cfg.pipeline_depth = 2;
     pts.push_back({p, n,
                    run_search(data.seqs, cfg, p,
                               scaled_model(20e6, base_seqs)).stats});

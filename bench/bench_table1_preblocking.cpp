@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
       cfg.load_balance = scheme;
 
       const auto model = scaled_model(20e6, n_seqs);
-      cfg.preblocking = false;
+      cfg.pipeline_depth = 1;
       const auto without = run_search(data.seqs, cfg, nprocs, model).stats;
-      cfg.preblocking = true;
+      cfg.pipeline_depth = 2;
       const auto with = run_search(data.seqs, cfg, nprocs, model).stats;
 
       // "sum" = the block loop as the process timers see it (discovery +

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       core::PastisConfig cfg;
       cfg.block_rows = cfg.block_cols = 8;
       cfg.load_balance = scheme;
-      cfg.preblocking = true;
+      cfg.pipeline_depth = 2;
       const auto st =
           run_search(data.seqs, cfg, p, scaled_model(50e6, n_seqs)).stats;
       pct[s][0] = st.t_cwait / st.t_total * 100.0;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   core::PastisConfig cfg;  // paper parameters are the defaults
   cfg.block_rows = cfg.block_cols = 20;
   cfg.load_balance = core::LoadBalanceScheme::kTriangularity;
-  cfg.preblocking = true;
+  cfg.pipeline_depth = 2;
 
   const auto result =
       run_search(data.seqs, cfg, nprocs, scaled_model(405e6, n_seqs));

@@ -52,7 +52,7 @@ int main() {
   core::PastisConfig cfg;
   cfg.block_rows = cfg.block_cols = 4;
   cfg.load_balance = core::LoadBalanceScheme::kTriangularity;
-  cfg.preblocking = true;
+  cfg.pipeline_depth = 2;
   cfg.cluster_method = cluster::Method::kConnectedComponents;
   core::SimilaritySearch search(cfg, sim::MachineModel{}, 16);
   const auto result = search.run_and_cluster(data.seqs);

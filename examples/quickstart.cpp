@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   cfg.block_rows = 4;          // blocked 2D sparse SUMMA: 4x4 = 16 blocks
   cfg.block_cols = 4;
   cfg.load_balance = core::LoadBalanceScheme::kIndexBased;
-  cfg.preblocking = true;      // overlap discovery with alignment
+  cfg.pipeline_depth = 2;      // overlap discovery with alignment
 
   // --- 3. search ------------------------------------------------------------
   // 16 simulated Summit nodes in a 4x4 process grid; swap in your own

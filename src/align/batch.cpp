@@ -63,41 +63,16 @@ void BatchAligner::assign_lanes(const SeqAccessor& seq_of,
   }
 }
 
-std::vector<int> BatchAligner::assign_lanes(
-    const SeqAccessor& seq_of, std::span<const AlignTask> tasks) const {
-  LaneScratch scratch;
-  assign_lanes(seq_of, tasks, scratch);
-  return std::move(scratch.lanes);
-}
-
-BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
-                                   std::span<const AlignTask> tasks,
-                                   std::span<const AlignResult> results) const {
-  LaneScratch scratch;
-  return stats_for(seq_of, tasks, results, scratch);
-}
-
 BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
                                    std::span<const AlignTask> tasks,
                                    std::span<const AlignResult> results,
                                    LaneScratch& scratch) const {
   assign_lanes(seq_of, tasks, scratch);
-  return stats_with(seq_of, tasks, results,
-                    std::span<const int>(scratch.lanes), scratch.device_cells,
+  return stats_with(results, scratch.lanes, scratch.device_cells,
                     scratch.device_pairs);
 }
 
-BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
-                                   std::span<const AlignTask> tasks,
-                                   std::span<const AlignResult> results,
-                                   std::span<const int> lanes) const {
-  std::vector<std::uint64_t> device_cells;
-  std::vector<std::uint64_t> device_pairs;
-  return stats_with(seq_of, tasks, results, lanes, device_cells, device_pairs);
-}
-
 BatchStats BatchAligner::stats_with(
-    const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
     std::span<const AlignResult> results, std::span<const int> lanes,
     std::vector<std::uint64_t>& device_cells,
     std::vector<std::uint64_t>& device_pairs) const {
@@ -110,19 +85,8 @@ BatchStats BatchAligner::stats_with(
     device_cells[lane] += results[t].cells;
     ++device_pairs[lane];
     stats.cells += results[t].cells;
-    stats.h2d_bytes += seq_of(tasks[t].q_id).size() +
-                       seq_of(tasks[t].r_id).size();
-  }
-  std::uint64_t max_cells = 0, max_pairs = 0;
-  for (int d = 0; d < devices; ++d) {
-    max_cells = std::max(max_cells, device_cells[d]);
-    max_pairs = std::max(max_pairs, device_pairs[d]);
   }
   stats.pairs = results.size();
-  stats.kernel_seconds =
-      static_cast<double>(max_cells) / config_.cups_per_device;
-  stats.packing_seconds =
-      static_cast<double>(max_pairs) * config_.pack_seconds_per_pair;
   if (config_.telemetry.metrics != nullptr) {
     auto& m = *config_.telemetry.metrics;
     m.counter("align.pairs_total").add(static_cast<double>(stats.pairs));
@@ -149,15 +113,8 @@ void BatchAligner::align_tasks(const SeqAccessor& seq_of,
   if (results.size() != tasks.size()) {
     throw std::invalid_argument("align_tasks: results and tasks differ in size");
   }
-  auto run = [&](std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (pool != nullptr) {
-      pool->parallel_for(n, fn);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-    }
-  };
   if (config_.kind != AlignKind::kFullSW) {
-    run(tasks.size(), [&](std::size_t t) {
+    util::parallel_for(pool, tasks.size(), [&](std::size_t t) {
       results[t] = align_one_task(seq_of, tasks[t]);
     });
     return;
@@ -179,7 +136,7 @@ void BatchAligner::align_tasks(const SeqAccessor& seq_of,
   });
   // Groups run largest first, so the pool's last chunks are the cheapest.
   const std::size_t groups = (tasks.size() + kLanePairs - 1) / kLanePairs;
-  run(groups, [&](std::size_t g) {
+  util::parallel_for(pool, groups, [&](std::size_t g) {
     const std::size_t first = (groups - 1 - g) * kLanePairs;
     const std::size_t count = std::min(kLanePairs, tasks.size() - first);
     std::array<std::string_view, kLanePairs> qs, rs;
@@ -255,9 +212,8 @@ std::span<const AlignResult> BatchAligner::align_batch(
   }
 
   if (stats != nullptr) {
-    stats->merge(stats_with(seq_of, tasks, ws.results,
-                            std::span<const int>(lanes),
-                            ws.lanes.device_cells, ws.lanes.device_pairs));
+    stats->merge(stats_with(ws.results, lanes, ws.lanes.device_cells,
+                            ws.lanes.device_pairs));
   }
   return ws.results;
 }

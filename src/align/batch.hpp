@@ -9,8 +9,9 @@
 // through the 8-lane inter-pair kernel (smith_waterman_lanes: AVX2, pairs
 // grouped by length, bit-identical to the scalar smith_waterman, which
 // takes every pair the lanes cannot); banded and x-drop run per pair.
-// Alignment *time* is charged to the device model (cells / GCUPS), which is
-// how every paper-facing number stays hardware-independent.
+// Alignment *time* is charged to the device model (cells / GCUPS, priced
+// by core::modeled_align_seconds from the cells and pairs counted here),
+// which is how every paper-facing number stays hardware-independent.
 #pragma once
 
 #include <cstdint>
@@ -38,20 +39,15 @@ struct AlignTask {
   std::uint32_t seed_r = 0;
 };
 
-/// Work/time accounting for one or more batches.
+/// Work accounting for one or more batches. The modeled device time is
+/// priced from these counters in one place (core::modeled_align_seconds).
 struct BatchStats {
   std::uint64_t pairs = 0;
-  std::uint64_t cells = 0;          // DP cells updated
-  double kernel_seconds = 0.0;      // modeled device kernel time (max device)
-  double packing_seconds = 0.0;     // modeled host pack/transfer time
-  std::uint64_t h2d_bytes = 0;      // sequence bytes shipped to devices
+  std::uint64_t cells = 0;  // DP cells updated
 
   void merge(const BatchStats& o) {
     pairs += o.pairs;
     cells += o.cells;
-    kernel_seconds += o.kernel_seconds;
-    packing_seconds += o.packing_seconds;
-    h2d_bytes += o.h2d_bytes;
   }
 };
 
@@ -79,12 +75,6 @@ class BatchAligner {
     AlignKind kind = AlignKind::kFullSW;
     /// Logical accelerators per node (Summit: 6 V100s).
     int devices = 6;
-    /// Sustained cell updates per second per device. Default calibrated so
-    /// a 3364-node run peaks near the paper's 176.3 TCUPS
-    /// (176.3e12 / 3364 nodes / 6 GPUs ≈ 8.7e9).
-    double cups_per_device = 8.7e9;
-    /// Host-side packing/transfer cost per pair (driver threads).
-    double pack_seconds_per_pair = 2.0e-7;
     int band_half_width = 32;
     int xdrop = 25;
     std::uint32_t seed_len = 6;
@@ -138,12 +128,6 @@ class BatchAligner {
     return align_pair(seq_of(task.q_id), seq_of(task.r_id), task,
                       config_.kind);
   }
-  /// Same, with an explicit kernel override.
-  [[nodiscard]] AlignResult align_one_task(const SeqAccessor& seq_of,
-                                           const AlignTask& task,
-                                           AlignKind kind) const {
-    return align_pair(seq_of(task.q_id), seq_of(task.r_id), task, kind);
-  }
 
   /// One pair through the table-driven kernel dispatch with an explicit
   /// kind. This is the cascade tiers' entry point: tier 1 probes with a
@@ -154,32 +138,20 @@ class BatchAligner {
                                        const AlignTask& task,
                                        AlignKind kind) const;
 
-  /// Device-model accounting for a batch whose results are already known.
-  /// The overload without `lanes` reproduces align_batch's greedy lane
-  /// assignment; when the caller already holds the lanes (align_batch
-  /// itself, or a caller aligning + accounting the same task list), pass
-  /// them through to skip the redundant O(tasks × devices) pass.
-  [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
-                                     std::span<const AlignTask> tasks,
-                                     std::span<const AlignResult> results) const;
-  [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
-                                     std::span<const AlignTask> tasks,
-                                     std::span<const AlignResult> results,
-                                     std::span<const int> lanes) const;
-  /// Allocation-free accounting on a reusable scratch (re-entrant stage
-  /// path): assigns lanes into `scratch` and accumulates through its
-  /// per-device buffers. Identical numbers to the allocating overloads.
+  /// Device-model accounting for a batch whose results are already known:
+  /// reproduces align_batch's greedy lane assignment into `scratch` (a
+  /// reusable per-rank or per-slot buffer, so the re-entrant stage path
+  /// allocates nothing) and accumulates per device through it. Identical
+  /// numbers to align_batch's own accounting.
   [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
                                      std::span<const AlignTask> tasks,
                                      std::span<const AlignResult> results,
                                      LaneScratch& scratch) const;
 
-  /// Deterministic device assignment: tasks go to the least-loaded device
-  /// by the DP-size proxy |q|*|r| (the ADEPT driver balances its per-GPU
-  /// batches; plain round-robin quantizes badly when batches are small).
-  [[nodiscard]] std::vector<int> assign_lanes(
-      const SeqAccessor& seq_of, std::span<const AlignTask> tasks) const;
-  /// Scratch variant: fills `scratch.lanes` reusing its capacity.
+  /// Deterministic device assignment into `scratch.lanes`: tasks go to the
+  /// least-loaded device by the DP-size proxy |q|*|r| (the ADEPT driver
+  /// balances its per-GPU batches; plain round-robin quantizes badly when
+  /// batches are small).
   void assign_lanes(const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
                     LaneScratch& scratch) const;
 
@@ -199,12 +171,10 @@ class BatchAligner {
                                        const AlignTask& task) const;
   [[nodiscard]] AlignResult run_xdrop(std::string_view q, std::string_view r,
                                       const AlignTask& task) const;
-  [[nodiscard]] BatchStats stats_with(const SeqAccessor& seq_of,
-                                      std::span<const AlignTask> tasks,
-                                      std::span<const AlignResult> results,
-                                      std::span<const int> lanes,
-                                      std::vector<std::uint64_t>& device_cells,
-                                      std::vector<std::uint64_t>& device_pairs) const;
+  [[nodiscard]] BatchStats stats_with(
+      std::span<const AlignResult> results, std::span<const int> lanes,
+      std::vector<std::uint64_t>& device_cells,
+      std::vector<std::uint64_t>& device_pairs) const;
 
   Scoring scoring_;
   Config config_;

@@ -60,18 +60,14 @@ struct PastisConfig {
   int block_rows = 1;
   int block_cols = 1;
   LoadBalanceScheme load_balance = LoadBalanceScheme::kIndexBased;
-  /// Overlap next-block SpGEMM (CPU) with current-block alignment (GPU).
-  /// Legacy alias for the streaming executor's depth: with `pipeline_depth`
-  /// left at 0, preblocking selects depth 2 (the paper's §VI-C schedule)
-  /// and off selects depth 1 (the serial loop).
-  bool preblocking = false;
   /// Streaming-executor depth: the maximum pre-blocked blocks (or query
-  /// batches) in flight at once through discovery → prune → align. 0 defers
-  /// to `preblocking`; 1 is the serial oracle; >= 2 runs block b+1's SpGEMM
-  /// concurrently with block b's alignment and charges the modeled
-  /// timeline as the pipeline makespan (max, not sum — exec/timeline.hpp).
-  /// Results are bit-identical for any depth.
-  int pipeline_depth = 0;
+  /// batches) in flight at once through discovery → screen → align. 1 (or
+  /// less) is the serial oracle; 2 is the paper's §VI-C pre-blocking, which
+  /// runs block b+1's SpGEMM concurrently with block b's alignment and
+  /// charges the modeled timeline as the pipeline makespan (max, not sum —
+  /// exec/timeline.hpp); deeper depths generalize it. Results are
+  /// bit-identical for any depth.
+  int pipeline_depth = 1;
   /// Admission gate of the streaming executor: while the in-flight items
   /// (pipeline overlap blocks; serving-path task batches) hold more
   /// registered bytes than this, no new item's discovery is admitted
@@ -187,12 +183,6 @@ struct PastisConfig {
   [[nodiscard]] std::uint64_t effective_rank_memory_budget() const {
     return rank_memory_budget_bytes != 0 ? rank_memory_budget_bytes
                                          : effective_mcl_memory_budget();
-  }
-
-  /// The streaming-executor depth after resolving the legacy alias.
-  [[nodiscard]] int effective_pipeline_depth() const {
-    if (pipeline_depth > 0) return pipeline_depth;
-    return preblocking ? 2 : 1;
   }
 
   [[nodiscard]] align::Scoring make_scoring() const {

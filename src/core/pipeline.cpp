@@ -31,35 +31,19 @@ using sparse::Index;
 struct BlockSlot {
   DistSpMat<CommonKmers> C;
   sparse::SpGemmStats spgemm;
-  std::vector<sim::RankClock> frame;                    // per-rank charges
-  std::vector<std::vector<align::AlignTask>> tasks;     // per rank
-  std::vector<std::vector<ScreenCandidate>> cands;      // per rank (cascade)
-  std::vector<align::CascadeStats> cascade;             // per rank
-  std::vector<std::vector<io::SimilarityEdge>> edges;   // per rank
-  std::vector<double> sparse_s, align_s;                // per rank, dilated
-  std::vector<std::uint64_t> local_bytes;               // per rank
-  std::vector<align::LaneScratch> lane_scratch;         // per rank
-  align::AlignWorkspace ws;                             // flattened DP batch
-  std::vector<align::AlignTask> flat_tasks;
-  std::vector<std::size_t> rank_offset;
+  std::vector<sim::RankClock> frame;       // per-rank charges
+  RankWork work;                           // candidates → tasks → edges
+  std::vector<double> sparse_s, align_s;   // per rank, dilated
+  std::vector<std::uint64_t> local_bytes;  // per rank
 
   void reset(int p) {
     const auto np = static_cast<std::size_t>(p);
     spgemm = {};
     frame.assign(np, sim::RankClock{});
-    if (tasks.size() != np) tasks.resize(np);
-    for (auto& t : tasks) t.clear();
-    if (cands.size() != np) cands.resize(np);
-    for (auto& c : cands) c.clear();
-    cascade.assign(np, align::CascadeStats{});
-    if (edges.size() != np) edges.resize(np);
-    for (auto& e : edges) e.clear();
+    work.reset(p);
     sparse_s.assign(np, 0.0);
     align_s.assign(np, 0.0);
     local_bytes.assign(np, 0);
-    if (lane_scratch.size() != np) lane_scratch.resize(np);
-    flat_tasks.clear();
-    rank_offset.assign(np + 1, 0);
   }
 };
 
@@ -82,9 +66,8 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   st.nprocs = p;
   st.block_rows = cfg.block_rows;
   st.block_cols = cfg.block_cols;
-  const int depth = cfg.effective_pipeline_depth();
+  const int depth = std::max(1, cfg.pipeline_depth);
   st.pipeline_depth = depth;
-  st.preblocking = depth >= 2;
 
   DistSeqStore store(std::move(seqs), p);
   const Index n = store.size();
@@ -191,14 +174,16 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   // strictly in block order — results and counters are therefore
   // bit-identical to the depth-1 serial oracle for any depth.
   const align::BatchAligner aligner = make_batch_aligner(cfg, model_);
-  auto seq_of = [&](std::uint32_t id) { return store.seq(id); };
+  const align::BatchAligner::SeqAccessor seq_of = [&](std::uint32_t id) {
+    return store.seq(id);
+  };
 
   // Discovery-compute dilations: the blocked-SUMMA split penalty (§VI-A,
   // always active) and the overlapped CPU-sharing contention (§VI-C).
-  const double ds =
-      model_.split_dilation(br, bc) *
-      (st.preblocking ? model_.preblock_sparse_dilation() : 1.0);
-  const double da = st.preblocking ? model_.preblock_align_dilation : 1.0;
+  const bool overlapped = depth >= 2;
+  const double ds = model_.split_dilation(br, bc) *
+                    (overlapped ? model_.preblock_sparse_dilation() : 1.0);
+  const double da = overlapped ? model_.preblock_align_dilation : 1.0;
 
   const std::size_t n_blocks = plan.blocks().size();
   st.block_sparse_s.assign(n_blocks, 0.0);
@@ -264,8 +249,8 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
           clock.charge(Comp::kSparseOther,
                        model_.sparse_stream_time(local.bytes()) * ds);
 
-          auto& tasks = s.tasks[static_cast<std::size_t>(rank)];
-          auto& cands = s.cands[static_cast<std::size_t>(rank)];
+          auto& tasks = s.work.tasks[static_cast<std::size_t>(rank)];
+          auto& cands = s.work.cands[static_cast<std::size_t>(rank)];
           local.for_each([&](Index li, Index lj, const CommonKmers& ck) {
             const Index i = grow0 + li;
             const Index j = gcol0 + lj;
@@ -287,112 +272,34 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         });
         if (!cascading) return;
 
-        // Tier passes over the staged candidates: each tier compacts every
-        // rank's list in place and runs as its own traced pass, so tier-k
-        // of this block overlaps tier-(k+1) of the previous block through
-        // the streaming executor's stage graph.
-        for (int tier = 0; tier < 2; ++tier) {
-          if (tier == 0 ? !cfg.cascade.tier0_enabled
-                        : !cfg.cascade.tier1_enabled) {
-            continue;
-          }
-          std::size_t in = 0;
-          for (const auto& v : s.cands) in += v.size();
-          obs::Span span(cfg.telemetry.tracer,
-                         tier == 0 ? "cascade.tier0" : "cascade.tier1");
-          rt.spmd([&](int rank) {
-            const auto ri = static_cast<std::size_t>(rank);
-            auto& v = s.cands[ri];
-            auto& cs = s.cascade[ri];
-            std::size_t w = 0;
-            for (auto& c : v) {
-              const std::string_view q = store.seq(c.task.q_id);
-              const std::string_view r = store.seq(c.task.r_id);
-              const bool keep =
-                  tier == 0
-                      ? align::tier0_keep(
-                            q, r, std::span<const align::Seed>(
-                                      c.seeds, static_cast<std::size_t>(
-                                                   c.n_seeds)),
-                            c.count, c.sketch_overlap, aligner, cfg.cascade,
-                            cs.tier0)
-                      : align::tier1_keep(q, r, c.task, aligner, cfg.cascade,
-                                          cs.tier1);
-              if (keep) v[w++] = c;
-            }
-            v.resize(w);
-          });
-          std::size_t out = 0;
-          for (const auto& v : s.cands) out += v.size();
-          span.arg("pairs_in", static_cast<double>(in));
-          span.arg("pairs_out", static_cast<double>(out));
-        }
-
-        // Survivors become the block's alignment tasks; the screens' own
-        // modeled cost lands on the rank clocks (tier 0 beside the sparse
-        // extraction passes, tier 1 as device DP work) and on the block's
-        // sparse timeline slot — the screen stage is what overlaps the
-        // previous block's alignment.
-        rt.spmd([&](int rank) {
-          const auto ri = static_cast<std::size_t>(rank);
+        // The tier passes turn the staged candidates into the block's
+        // alignment tasks. Their modeled cost lands on the rank clocks
+        // (tier 0 beside the sparse extraction passes, tier 1 as device DP
+        // work) and on the block's sparse timeline slot — the screen stage
+        // is what overlaps the previous block's alignment.
+        screen_candidates(s.work, seq_of, aligner, cfg, pool_);
+        for (int r = 0; r < p; ++r) {
+          const auto ri = static_cast<std::size_t>(r);
           auto& clock = s.frame[ri];
-          for (const auto& c : s.cands[ri]) s.tasks[ri].push_back(c.task);
-          const auto [t0s, t1s] = modeled_screen_seconds(model_, s.cascade[ri]);
+          const auto [t0s, t1s] =
+              modeled_screen_seconds(model_, s.work.cascade[ri]);
           if (t0s > 0.0) clock.charge(Comp::kSparseOther, t0s * ds);
           if (t1s > 0.0) clock.charge(Comp::kAlign, t1s * da);
           s.sparse_s[ri] += t0s * ds + t1s * da;
-        });
+        }
       }};
 
   exec::Stage align_stage{
       "align", [&](std::size_t bi, std::size_t si) {
         BlockSlot& s = slots[si];
-        // Flattened DP execution: the kernels of ALL ranks run on the host
-        // pool (the per-rank device accounting is computed from each
-        // rank's own slice afterwards, so the flattening is invisible to
-        // the modeled timings — it only stops a skewed rank from idling
-        // host cores).
+        align_and_filter(s.work, seq_of, aligner, cfg, pool_);
+        // Device-model charging, with the overlap contention dilation.
         for (int r = 0; r < p; ++r) {
-          s.rank_offset[static_cast<std::size_t>(r) + 1] =
-              s.rank_offset[static_cast<std::size_t>(r)] +
-              s.tasks[static_cast<std::size_t>(r)].size();
+          const auto ri = static_cast<std::size_t>(r);
+          s.frame[ri].similar_pairs += s.work.edges[ri].size();
+          s.align_s[ri] =
+              charge_alignment(s.frame[ri], model_, s.work.align[ri], da);
         }
-        s.flat_tasks.reserve(s.rank_offset.back());
-        for (const auto& v : s.tasks) {
-          s.flat_tasks.insert(s.flat_tasks.end(), v.begin(), v.end());
-        }
-        s.ws.results.assign(s.flat_tasks.size(), align::AlignResult{});
-        aligner.align_tasks(seq_of, s.flat_tasks, s.ws.results, pool_);
-
-        // Per-rank filtering + device-model charging.
-        rt.spmd([&](int rank) {
-          const auto ri = static_cast<std::size_t>(rank);
-          auto& clock = s.frame[ri];
-          const auto& tasks = s.tasks[ri];
-          const std::span<const align::AlignResult> results(
-              s.ws.results.data() + s.rank_offset[ri], tasks.size());
-
-          for (std::size_t t = 0; t < tasks.size(); ++t) {
-            if (auto edge = edge_if_similar(
-                    tasks[t], results[t], store.seq(tasks[t].q_id).size(),
-                    store.seq(tasks[t].r_id).size(), cfg)) {
-              s.edges[ri].push_back(*edge);
-              ++clock.similar_pairs;
-            }
-          }
-
-          // Charge the device model (with overlap contention dilation).
-          const align::BatchStats bstats =
-              aligner.stats_for(seq_of, tasks, results, s.lane_scratch[ri]);
-          const double kernel = balanced_kernel_seconds(model_, bstats.cells);
-          const double align_s =
-              modeled_align_seconds(model_, bstats, tasks.size(), da);
-          clock.charge(Comp::kAlign, align_s);
-          clock.align_kernel_seconds += kernel;
-          clock.align_cells += bstats.cells;
-          clock.pairs_aligned += tasks.size();
-          s.align_s[ri] = align_s;
-        });
 
         // ---- retirement (the executor runs this stage in block order) ----
         st.spgemm.merge(s.spgemm);
@@ -400,14 +307,15 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         rt.merge_frame(s.frame);
         {
           align::CascadeStats block_cascade;
-          for (const auto& cs : s.cascade) block_cascade.merge(cs);
+          for (const auto& cs : s.work.cascade) block_cascade.merge(cs);
           st.cascade.merge(block_cascade);
           add_cascade_counters(cfg.telemetry, block_cascade);
         }
         for (int r = 0; r < p; ++r) {
           const auto ri = static_cast<std::size_t>(r);
-          rank_edges[ri].insert(rank_edges[ri].end(), s.edges[ri].begin(),
-                                s.edges[ri].end());
+          rank_edges[ri].insert(rank_edges[ri].end(),
+                                s.work.edges[ri].begin(),
+                                s.work.edges[ri].end());
         }
         timeline.add(s.sparse_s, s.align_s);
         resident.add(s.local_bytes);

@@ -12,15 +12,15 @@
 //
 // Streaming execution (§VI-C generalized): the block loop runs on the
 // streaming executor (exec/stream_pipeline.hpp) as a software pipeline of
-// {discover, screen, align} stages with cfg.effective_pipeline_depth()
-// blocks in flight — depth 1 is the serial loop, depth 2 the paper's
-// pre-blocking (cfg.preblocking maps here), deeper depths its
-// generalization under the bounded-memory admission gate. Results are
-// identical for ANY depth (the schedule changes, not the data); the
-// modeled timeline charges the overlapped phases as the pipeline makespan
-// (for depth 2, exactly max(align_b, sparse_{b+1}) summed — the accounting
-// behind the paper's Table I) with the contention dilations of the
-// MachineModel.
+// {discover, screen, align} stages with cfg.pipeline_depth blocks in
+// flight — depth 1 is the serial loop, depth 2 the paper's pre-blocking,
+// deeper depths its generalization under the bounded-memory admission
+// gate. The screen and align stages run core/stages' shared data plane.
+// Results are identical for ANY depth (the schedule changes, not the
+// data); the modeled timeline charges the overlapped phases as the
+// pipeline makespan (for depth 2, exactly max(align_b, sparse_{b+1})
+// summed — the accounting behind the paper's Table I) with the contention
+// dilations of the MachineModel.
 //
 // Determinism: for a fixed input and configuration, the returned edge set is
 // bit-identical for ANY process count, blocking factor and scheme — the

@@ -5,6 +5,7 @@
 
 #include "kmer/extract.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace pastis::core {
 
@@ -46,8 +47,6 @@ align::BatchAligner make_batch_aligner(const PastisConfig& cfg,
   align::BatchAligner::Config bcfg;
   bcfg.kind = cfg.align_kind;
   bcfg.devices = model.gpus_per_node;
-  bcfg.cups_per_device = model.cups_per_gpu;
-  bcfg.pack_seconds_per_pair = model.pack_s_per_pair;
   bcfg.band_half_width = cfg.band_half_width;
   bcfg.xdrop = cfg.xdrop;
   bcfg.seed_len = static_cast<std::uint32_t>(cfg.k);
@@ -63,6 +62,100 @@ std::optional<io::SimilarityEdge> edge_if_similar(
   if (ani < cfg.ani_threshold || cov < cfg.cov_threshold) return std::nullopt;
   return io::SimilarityEdge{task.q_id, task.r_id, static_cast<float>(ani),
                             static_cast<float>(cov), result.score};
+}
+
+void RankWork::reset(int p) {
+  const auto np = static_cast<std::size_t>(p);
+  if (cands.size() != np) cands.resize(np);
+  for (auto& c : cands) c.clear();
+  cascade.assign(np, align::CascadeStats{});
+  if (tasks.size() != np) tasks.resize(np);
+  for (auto& t : tasks) t.clear();
+  flat_tasks.clear();
+  rank_offset.assign(np + 1, 0);
+  results.clear();
+  if (lanes.size() != np) lanes.resize(np);
+  if (edges.size() != np) edges.resize(np);
+  for (auto& e : edges) e.clear();
+  align.assign(np, align::BatchStats{});
+}
+
+void screen_candidates(RankWork& work,
+                       const align::BatchAligner::SeqAccessor& seq_of,
+                       const align::BatchAligner& aligner,
+                       const PastisConfig& cfg, util::ThreadPool* pool) {
+  const std::size_t np = work.cands.size();
+  for (int tier = 0; tier < 2; ++tier) {
+    if (tier == 0 ? !cfg.cascade.tier0_enabled : !cfg.cascade.tier1_enabled) {
+      continue;
+    }
+    std::size_t in = 0;
+    for (const auto& v : work.cands) in += v.size();
+    obs::Span span(cfg.telemetry.tracer,
+                   tier == 0 ? "cascade.tier0" : "cascade.tier1");
+    util::parallel_for(pool, np, [&](std::size_t ri) {
+      auto& v = work.cands[ri];
+      auto& cs = work.cascade[ri];
+      std::size_t w = 0;
+      for (const auto& c : v) {
+        const std::string_view q = seq_of(c.task.q_id);
+        const std::string_view r = seq_of(c.task.r_id);
+        const bool keep =
+            tier == 0
+                ? align::tier0_keep(
+                      q, r,
+                      std::span<const align::Seed>(
+                          c.seeds, static_cast<std::size_t>(c.n_seeds)),
+                      c.count, c.sketch_overlap, aligner, cfg.cascade,
+                      cs.tier0)
+                : align::tier1_keep(q, r, c.task, aligner, cfg.cascade,
+                                    cs.tier1);
+        if (keep) v[w++] = c;
+      }
+      v.resize(w);
+    });
+    std::size_t out = 0;
+    for (const auto& v : work.cands) out += v.size();
+    span.arg("pairs_in", static_cast<double>(in));
+    span.arg("pairs_out", static_cast<double>(out));
+  }
+  for (std::size_t ri = 0; ri < np; ++ri) {
+    auto& tasks = work.tasks[ri];
+    tasks.reserve(tasks.size() + work.cands[ri].size());
+    for (const auto& c : work.cands[ri]) tasks.push_back(c.task);
+  }
+}
+
+void align_and_filter(RankWork& work,
+                      const align::BatchAligner::SeqAccessor& seq_of,
+                      const align::BatchAligner& aligner,
+                      const PastisConfig& cfg, util::ThreadPool* pool,
+                      std::span<const char> dead) {
+  const std::size_t np = work.tasks.size();
+  for (std::size_t ri = 0; ri < np; ++ri) {
+    work.rank_offset[ri + 1] = work.rank_offset[ri] + work.tasks[ri].size();
+  }
+  work.flat_tasks.reserve(work.rank_offset.back());
+  for (const auto& v : work.tasks) {
+    work.flat_tasks.insert(work.flat_tasks.end(), v.begin(), v.end());
+  }
+  work.results.assign(work.flat_tasks.size(), align::AlignResult{});
+  aligner.align_tasks(seq_of, work.flat_tasks, work.results, pool);
+
+  util::parallel_for(pool, np, [&](std::size_t ri) {
+    if (!dead.empty() && dead[ri] != 0) return;
+    const auto& tasks = work.tasks[ri];
+    const std::span<const align::AlignResult> results(
+        work.results.data() + work.rank_offset[ri], tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      if (auto edge = edge_if_similar(tasks[t], results[t],
+                                      seq_of(tasks[t].q_id).size(),
+                                      seq_of(tasks[t].r_id).size(), cfg)) {
+        work.edges[ri].push_back(*edge);
+      }
+    }
+    work.align[ri] = aligner.stats_for(seq_of, tasks, results, work.lanes[ri]);
+  });
 }
 
 void add_cascade_counters(const obs::Telemetry& telemetry,
@@ -100,8 +193,8 @@ double balanced_kernel_seconds(const sim::MachineModel& model,
 }
 
 double modeled_align_seconds(const sim::MachineModel& model,
-                             const align::BatchStats& bstats, std::size_t pairs,
-                             double dilation) {
+                             const align::BatchStats& bstats, double dilation) {
+  const std::uint64_t pairs = bstats.pairs;
   const std::uint64_t launches =
       pairs == 0 ? 0
                  : (pairs + model.pairs_per_launch - 1) / model.pairs_per_launch;
@@ -109,6 +202,16 @@ double modeled_align_seconds(const sim::MachineModel& model,
           static_cast<double>(launches) * model.kernel_launch_s +
           static_cast<double>(pairs) * model.pack_s_per_pair) *
          dilation;
+}
+
+double charge_alignment(sim::RankClock& clock, const sim::MachineModel& model,
+                        const align::BatchStats& bstats, double dilation) {
+  const double seconds = modeled_align_seconds(model, bstats, dilation);
+  clock.charge(sim::Comp::kAlign, seconds);
+  clock.align_kernel_seconds += balanced_kernel_seconds(model, bstats.cells);
+  clock.align_cells += bstats.cells;
+  clock.pairs_aligned += bstats.pairs;
+  return seconds;
 }
 
 }  // namespace pastis::core

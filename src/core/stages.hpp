@@ -1,15 +1,18 @@
-// Reusable stages of the discovery → alignment → filter flow.
+// The one data plane of the discovery → alignment → filter flow.
 //
 // Three consumers drive the same machinery: the many-against-many pipeline
 // (core/pipeline.cpp, paper Fig. 4), the query-serving engine
 // (index/query_engine.cpp, the §III annotation use case) and the
 // replicated-index baseline (baseline/replicated_index.cpp). The first two
-// wire these leaf helpers into executor nodes on the streaming blocked
-// executor (exec/stream_pipeline.hpp), each node reading/writing an
-// explicit per-slot state; the baseline calls them per replicated chunk.
-// Factoring the stage logic here keeps all consumers bit-identical by
-// construction — the canonical task orientation, the ANI/coverage filter
-// and the modeled device-time formula are written exactly once.
+// run their executor stages over one per-slot RankWork: each stages its
+// own candidates (overlap-semiring seeds vs cross-k-mer seeds plus
+// sketches), then both call the same screen_candidates() (the cascade
+// tiers) and align_and_filter() (flattened host alignment, the ANI/coverage
+// filter, per-rank device accounting), and each keeps only its own modeled
+// charging. The baseline calls the leaf helpers per replicated chunk.
+// Writing the stage logic once keeps all consumers bit-identical by
+// construction — the canonical task orientation, the tier loop, the filter
+// and the modeled device-time formula exist exactly once.
 #pragma once
 
 #include <optional>
@@ -26,6 +29,7 @@
 #include "io/graph_io.hpp"
 #include "kmer/codec.hpp"
 #include "kmer/nearest.hpp"
+#include "sim/clock.hpp"
 #include "sim/machine_model.hpp"
 #include "sparse/spgemm.hpp"
 #include "sparse/triple.hpp"
@@ -108,6 +112,47 @@ struct ScreenCandidate {
   int sketch_overlap = -1;        // minhash slot agreement; -1 = no sketch
 };
 
+/// Per-rank work of one in-flight pipeline block or serving batch, from
+/// staged candidates to filtered edges. Both consumers keep one per
+/// executor slot; reset() clears every buffer but keeps its capacity, so a
+/// reused slot stops reallocating after its first item.
+struct RankWork {
+  std::vector<std::vector<ScreenCandidate>> cands;     // cascade staging
+  std::vector<align::CascadeStats> cascade;            // tier work
+  std::vector<std::vector<align::AlignTask>> tasks;    // alignment tasks
+  std::vector<align::AlignTask> flat_tasks;            // all ranks, in order
+  std::vector<std::size_t> rank_offset;                // rank r's first task
+  std::vector<align::AlignResult> results;             // parallel to flat
+  std::vector<align::LaneScratch> lanes;
+  std::vector<std::vector<io::SimilarityEdge>> edges;  // passed the filter
+  std::vector<align::BatchStats> align;                // device accounting
+
+  void reset(int p);
+};
+
+/// The cascade screens over every rank's staged `cands`: each enabled tier
+/// compacts each rank's list in place (align::tier0_keep / tier1_keep,
+/// per-rank work in `cascade`) under its own measured `cascade.tier{0,1}`
+/// span carrying pairs_in/pairs_out, so tier k of one item can overlap
+/// tier k+1 of the previous one on the streaming executor. The survivors
+/// are then appended to the ranks' `tasks`. Ranks run on `pool` (inline
+/// when null); results do not depend on the schedule.
+void screen_candidates(RankWork& work,
+                       const align::BatchAligner::SeqAccessor& seq_of,
+                       const align::BatchAligner& aligner,
+                       const PastisConfig& cfg, util::ThreadPool* pool);
+
+/// Aligns every rank's `tasks` as one flattened batch on the host pool
+/// (BatchAligner::align_tasks, so a skewed rank cannot idle host cores),
+/// then per rank keeps the edges that pass edge_if_similar in `edges` and
+/// the rank's device-model accounting in `align`. Ranks flagged in `dead`
+/// (empty = all alive) are skipped: they own no tasks and account nothing.
+void align_and_filter(RankWork& work,
+                      const align::BatchAligner::SeqAccessor& seq_of,
+                      const align::BatchAligner& aligner,
+                      const PastisConfig& cfg, util::ThreadPool* pool,
+                      std::span<const char> dead = {});
+
 /// Adds one block/batch's cascade totals to the metrics registry:
 /// cascade.tier{0,1}.{pairs_in,pairs_out,rejects}_total plus the measured
 /// screen-cell totals. No-op without a metrics sink.
@@ -160,11 +205,18 @@ template <sparse::SemiringLike SR>
 [[nodiscard]] double balanced_kernel_seconds(const sim::MachineModel& model,
                                              std::uint64_t cells);
 
-/// Modeled device seconds for a batch of `pairs` alignments whose DP work
-/// is `bstats` — kernel time on balanced devices, per-launch latency and
-/// host packing, dilated by `dilation` (the §VI-C pre-blocking contention).
+/// Modeled device seconds for the aligned batch `bstats` — kernel time on
+/// balanced devices, per-launch latency and host packing, dilated by
+/// `dilation` (the §VI-C pre-blocking contention).
 [[nodiscard]] double modeled_align_seconds(const sim::MachineModel& model,
                                            const align::BatchStats& bstats,
-                                           std::size_t pairs, double dilation);
+                                           double dilation);
+
+/// Charges one rank's aligned batch to `clock`: the modeled device seconds
+/// (modeled_align_seconds at `dilation`) on Comp::kAlign, plus the CUPS
+/// numerator (cells) and denominator (balanced_kernel_seconds) and the
+/// pair count. Returns the charged seconds.
+double charge_alignment(sim::RankClock& clock, const sim::MachineModel& model,
+                        const align::BatchStats& bstats, double dilation);
 
 }  // namespace pastis::core

@@ -49,7 +49,9 @@ void print_search_report(std::ostream& os, const SearchStats& s) {
   os << "--- search report -------------------------------------------\n";
   os << "processes (grid)        " << s.nprocs << "\n";
   os << "blocking factor         " << s.block_rows << "x" << s.block_cols;
-  if (s.preblocking) os << "  (pipeline depth " << s.pipeline_depth << ")";
+  if (s.pipeline_depth >= 2) {
+    os << "  (pipeline depth " << s.pipeline_depth << ")";
+  }
   os << "\n";
   os << "input sequences         " << with_commas(s.n_seqs) << "\n";
   os << "total residues          " << with_commas(s.total_residues) << "\n";

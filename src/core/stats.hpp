@@ -85,8 +85,6 @@ struct SearchStats {
   // --- meta -------------------------------------------------------------------
   int nprocs = 0;
   int block_rows = 1, block_cols = 1;
-  /// True when the block loop was modeled overlapped (effective depth >= 2).
-  bool preblocking = false;
   /// Streaming-executor depth the run was modeled with (and executed
   /// with, when a host pool is available — without one the executor
   /// degrades to the serial schedule; results are identical either way).

@@ -30,35 +30,27 @@ using sparse::Triple;
 
 /// One in-flight batch streaming through discover → align. Slots are
 /// reused across the batches they serve (executor slot = item % depth), so
-/// the alignment workspace and per-rank buffers keep their capacity
-/// instead of being reallocated per batch.
+/// the per-rank work buffers keep their capacity instead of being
+/// reallocated per batch.
 struct QueryEngine::BatchSlot {
   std::span<const std::string> queries;
   Index batch_base = 0;
   std::uint64_t ordinal = 0;  // stream position; fixes the owner rank
   bool distributed = false;
   QueryBatchStats st;
-  std::vector<std::vector<AlignTask>> rank_tasks;  // per serving rank
-  /// Cascade staging (cfg.cascade.any() only): candidates per align-owner
-  /// rank, compacted in place by each tier's screen before the survivors
-  /// land in rank_tasks.
-  std::vector<std::vector<core::ScreenCandidate>> rank_cands;
-  std::vector<AlignTask> flat_tasks;
-  std::vector<std::size_t> rank_offset;
-  align::AlignWorkspace ws;
-  std::vector<align::LaneScratch> lane_scratch;  // per serving rank
+  /// Per align-owner rank: staged candidates, tasks, results and edges
+  /// (the shared stage bodies of core/stages.hpp).
+  core::RankWork work;
   std::vector<io::SimilarityEdge> hits;
   /// Distributed mode: the detached per-rank clock frame this batch
   /// charges while concurrent slots are in flight; the engine merges it
   /// into the SimRuntime in batch order at retirement.
   std::vector<sim::RankClock> frame;
   /// Fault state of THIS batch — the pure per-ordinal snapshot (so
-  /// concurrently in-flight batches never share mutable fault state), the
-  /// shard -> serving-rank map it induces over the replica holders, and
+  /// concurrently in-flight batches never share mutable fault state) and
   /// the sequentially precomputed failover recoveries surfacing here.
   sim::FaultSnapshot snap;
   bool fault_active = false;
-  std::vector<int> shard_server;  // fault_active only; -1 = degraded
   QueryEngine::BatchFaults faults;
   /// Result-cache state (empty without a cache): per-query hit flag, the
   /// replayed hit lists (seq_b still carries the ORIGINAL query id; the
@@ -78,17 +70,10 @@ struct QueryEngine::BatchSlot {
     distributed = dist;
     st = {};
     st.n_queries = q.size();
-    if (rank_tasks.size() != np) rank_tasks.resize(np);
-    for (auto& t : rank_tasks) t.clear();
-    if (rank_cands.size() != np) rank_cands.resize(np);
-    for (auto& c : rank_cands) c.clear();
-    flat_tasks.clear();
-    rank_offset.assign(np + 1, 0);
-    if (lane_scratch.size() != np) lane_scratch.resize(np);
+    work.reset(p);
     hits.clear();
     snap = {};
     fault_active = false;
-    shard_server.clear();
     faults = {};
     cached.clear();
     cached_hits.clear();
@@ -102,6 +87,34 @@ struct QueryEngine::BatchSlot {
       frame.clear();
     }
   }
+
+  /// Dead ranks of this batch's snapshot (empty = all alive).
+  [[nodiscard]] std::span<const char> dead() const {
+    return fault_active ? std::span<const char>(snap.dead)
+                        : std::span<const char>();
+  }
+  /// The rank that assembles this batch and selects its top-k: the stream
+  /// position mod p, failing over to the next alive rank (-1: all dead).
+  [[nodiscard]] int owner(int p) const {
+    const int base = static_cast<int>(ordinal % static_cast<std::uint64_t>(p));
+    return fault_active ? snap.next_alive(base) : base;
+  }
+};
+
+/// What discovery computed for one batch, before pricing: which rank
+/// served each shard and, per (source, shard) cell, the products and the
+/// part bytes its multiply produced, plus the volumes the schedule moves.
+struct QueryEngine::DiscoveryWork {
+  /// Shard -> the rank that multiplies it this batch; -1 = degraded.
+  std::vector<int> server;
+  int n_src = 1;  // base index + delta segments
+  std::vector<std::uint64_t> cell_products;
+  std::vector<std::uint64_t> cell_bytes;
+  std::uint64_t stripe_bytes = 0;    // A_query parts
+  std::uint64_t query_residues = 0;  // uncached queries' residues
+  std::uint64_t cached_bytes = 0;    // replayed cache hit lists
+  std::uint64_t overlap_bytes = 0;   // the merged overlap matrix
+  std::uint64_t overlap_nnz = 0;
 };
 
 QueryEngine::QueryEngine(const KmerIndex& index, core::PastisConfig cfg,
@@ -154,7 +167,6 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
     // structural invariants (distinct in-range holders, primary first)
     // are load-bearing — reject a malformed placement up front.
     placement_->validate();
-    rebuild_resolution();
 
     // Static residency: the shards a rank keeps (+ replicas) plus its
     // slice of the reference residues (the refs whose alignment it owns).
@@ -319,29 +331,38 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
       cfg_.load_balance == core::LoadBalanceScheme::kIndexBased;
 
   // ---- fault state of this batch (pure per-ordinal snapshot) ---------------
-  // Failover rule: each shard is served by the FIRST ALIVE rank on its
-  // holder list (primary first, so the empty plan reproduces the primary
-  // assignment exactly). A shard with no surviving holder is degraded:
-  // its multiply is skipped and its id recorded — partial results, never
-  // an exception.
   if (slot.distributed && faults_enabled_) {
     slot.snap = cfg_.fault_plan.snapshot_at_batch(slot.ordinal, p);
     slot.fault_active = slot.snap.any();
     st.rank_recovery_s.assign(static_cast<std::size_t>(p), 0.0);
   }
-  if (slot.fault_active) {
-    slot.shard_server.assign(static_cast<std::size_t>(n_shards), -1);
-    for (int s = 0; s < n_shards; ++s) {
-      const auto si = static_cast<std::size_t>(s);
+
+  // ---- the batch's shard → server map --------------------------------------
+  // Which rank multiplies shard s: the round-robin rank s mod p in the
+  // single address space, the placement primary in grid mode. Under faults
+  // it is the FIRST ALIVE rank on the shard's holder list (primary first,
+  // so the empty plan reproduces the primary map exactly); a shard with no
+  // surviving holder is degraded (-1): its multiply is skipped and its id
+  // recorded — partial results, never an exception.
+  DiscoveryWork work;
+  work.server.assign(static_cast<std::size_t>(n_shards), -1);
+  for (int s = 0; s < n_shards; ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    int& server = work.server[si];
+    if (!slot.distributed) {
+      server = s % p;
+    } else if (!slot.fault_active) {
+      server = placement_->primary[si];
+    } else {
       for (const int h : placement_->replicas[si]) {
         if (slot.snap.dead[static_cast<std::size_t>(h)] == 0) {
-          slot.shard_server[si] = h;
+          server = h;
           break;
         }
       }
-      if (slot.shard_server[si] < 0) {
+      if (server < 0) {
         st.degraded_shards.push_back(s);
-      } else if (slot.shard_server[si] != placement_->primary[si]) {
+      } else if (server != placement_->primary[si]) {
         ++st.failover_shards;
       }
     }
@@ -356,16 +377,6 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   const align::Scoring scoring = cfg_.make_scoring();
   const kmer::NeighborGenerator neighbors(alphabet, codec, scoring,
                                           cfg_.subs_max_loss);
-
-  // Null pool = serial execution (the convention KmerIndex::build and
-  // core::build_kmer_matrix follow); results are identical either way.
-  auto par_for = [&](std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (pool_ != nullptr) {
-      pool_->parallel_for(n, fn);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-    }
-  };
 
   const std::size_t nq = queries.size();
 
@@ -393,11 +404,10 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   };
 
   std::vector<std::vector<Triple<KmerPos>>> per_query(nq);
-  std::uint64_t query_residues = 0;
   for (std::size_t i = 0; i < nq; ++i) {
-    if (!is_cached(i)) query_residues += queries[i].size();
+    if (!is_cached(i)) work.query_residues += queries[i].size();
   }
-  par_for(nq, [&](std::size_t i) {
+  util::parallel_for(pool_, nq, [&](std::size_t i) {
     if (is_cached(i)) return;
     core::extract_sequence_kmers(queries[i], static_cast<Index>(i), alphabet,
                                  codec, neighbors, cfg_.subs_kmers,
@@ -415,7 +425,7 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   std::vector<std::vector<std::uint64_t>> query_sketches;
   if (sketching) {
     query_sketches.resize(nq);
-    par_for(nq, [&](std::size_t i) {
+    util::parallel_for(pool_, nq, [&](std::size_t i) {
       if (is_cached(i)) return;
       query_sketches[i] =
           KmerIndex::sketch_of(queries[i], alphabet, codec,
@@ -438,13 +448,14 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   }
 
   std::vector<SpMat<KmerPos>> a_query(static_cast<std::size_t>(n_shards));
-  par_for(a_query.size(), [&](std::size_t s) {
+  util::parallel_for(pool_, a_query.size(), [&](std::size_t s) {
     const Index cols = index_->shard_begin(static_cast<int>(s) + 1) -
                        index_->shard_begin(static_cast<int>(s));
     a_query[s] = SpMat<KmerPos>::from_triples(
         static_cast<Index>(nq), cols, std::move(per_shard[s]),
         [](KmerPos& acc, const KmerPos& v) { core::keep_min_pos(acc, v); });
   });
+  for (const auto& a : a_query) work.stripe_bytes += a.bytes();
 
   // ---- shard-by-shard discovery SpGEMM -------------------------------------
   // With a DeltaIndex every shard is served from multiple SOURCES — the
@@ -452,90 +463,62 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   // k-mer range. Each (source, shard) cell multiplies independently; the
   // merge lifts segment columns to global reference ids and folds all
   // cells with the order-independent semiring add, so the overlap matrix
-  // equals the single-source multiply of a from-scratch rebuild.
-  const int n_src = 1 + (delta_ != nullptr ? delta_->n_segments() : 0);
-  const std::size_t n_cells =
-      static_cast<std::size_t>(n_src) * static_cast<std::size_t>(n_shards);
+  // equals the single-source multiply of a from-scratch rebuild. Which
+  // rank serves a shard only moves its modeled cost (charge_discovery);
+  // the product is the same, so one loop covers every mode.
+  work.n_src = 1 + (delta_ != nullptr ? delta_->n_segments() : 0);
+  const std::size_t n_cells = static_cast<std::size_t>(work.n_src) *
+                              static_cast<std::size_t>(n_shards);
   std::vector<SpMat<CrossKmers>> parts(n_cells);
   std::vector<sparse::SpGemmStats> shard_stats(n_cells);
   auto source_shard = [&](int src, int s) -> const SpMat<KmerPos>& {
     return src == 0 ? index_->shard(s) : delta_->segment(src - 1).shard(s);
   };
-  auto multiply_cell = [&](std::size_t cell) {
-    const int src = static_cast<int>(cell) / n_shards;
-    const int s = static_cast<int>(cell) % n_shards;
-    const auto si = static_cast<std::size_t>(s);
-    const auto& B = source_shard(src, s);
-    if (a_query[si].empty() || B.empty()) return;
-    // Shards already fan out over the pool; the two-phase kernel may fan
-    // out further (nested parallel_for is safe — see util::ThreadPool),
-    // which matters when a batch hits few shards.
-    parts[cell] = core::discovery_spgemm<CrossSemiring>(
-        a_query[si], B, cfg_, &shard_stats[cell], pool_);
-    if (src > 0 && parts[cell].nnz() > 0) {
-      // Lift segment-local reference columns to global ids; a constant
-      // shift preserves the within-row order, so the trusted rebuild is
-      // safe and the merge below sees one global column space.
-      const Index col_base = delta_->segment_ref_base(src - 1);
-      std::vector<Index> row_ids, col_ids;
-      std::vector<sparse::Offset> row_ptr;
-      std::vector<CrossKmers> vals;
-      parts[cell].release_parts(row_ids, row_ptr, col_ids, vals);
-      for (auto& c : col_ids) c += col_base;
-      parts[cell] = SpMat<CrossKmers>::from_sorted_parts(
-          static_cast<Index>(nq), n_refs, std::move(row_ids),
-          std::move(row_ptr), std::move(col_ids), std::move(vals));
+  auto multiply_shard = [&](std::size_t si) {
+    if (work.server[si] < 0) return;
+    const int s = static_cast<int>(si);
+    for (int src = 0; src < work.n_src; ++src) {
+      const std::size_t cell = static_cast<std::size_t>(src) *
+                                   static_cast<std::size_t>(n_shards) +
+                               si;
+      const auto& B = source_shard(src, s);
+      if (a_query[si].empty() || B.empty()) continue;
+      // Shards already fan out over the pool; the two-phase kernel may fan
+      // out further (nested parallel_for is safe — see util::ThreadPool),
+      // which matters when a batch hits few shards.
+      parts[cell] = core::discovery_spgemm<CrossSemiring>(
+          a_query[si], B, cfg_, &shard_stats[cell], pool_);
+      if (src > 0 && parts[cell].nnz() > 0) {
+        // Lift segment-local reference columns to global ids; a constant
+        // shift preserves the within-row order, so the trusted rebuild is
+        // safe and the merge below sees one global column space.
+        const Index col_base = delta_->segment_ref_base(src - 1);
+        std::vector<Index> row_ids, col_ids;
+        std::vector<sparse::Offset> row_ptr;
+        std::vector<CrossKmers> vals;
+        parts[cell].release_parts(row_ids, row_ptr, col_ids, vals);
+        for (auto& c : col_ids) c += col_base;
+        parts[cell] = SpMat<CrossKmers>::from_sorted_parts(
+            static_cast<Index>(nq), n_refs, std::move(row_ids),
+            std::move(row_ptr), std::move(col_ids), std::move(vals));
+      }
     }
   };
-  auto multiply_shard = [&](std::size_t s) {
-    for (int src = 0; src < n_src; ++src) {
-      multiply_cell(static_cast<std::size_t>(src) *
-                        static_cast<std::size_t>(n_shards) +
-                    s);
-    }
-  };
-  if (rt_ != nullptr) {
-    // Rank tasks: every rank multiplies the query stripe against ONLY the
-    // shard stripes resident on it (its placement primaries). Each shard
-    // has exactly one primary, so slots are write-disjoint and the result
-    // set is exactly the shared-memory one.
-    const auto run_ranks = [&](const std::function<void(int)>& fn) {
-      if (pool_ != nullptr) {
-        rt_->spmd(fn);
-      } else {
-        rt_->spmd_serial(fn);
-      }
-    };
-    run_ranks([&](int rank) {
-      if (slot.fault_active) {
-        // Failover assignment: the first-alive-holder map. Dead ranks own
-        // nothing (and SimRuntime skips their tasks once the death has
-        // retired into the ledger); degraded shards are nobody's.
-        for (int s = 0; s < n_shards; ++s) {
-          if (slot.shard_server[static_cast<std::size_t>(s)] == rank) {
-            multiply_shard(static_cast<std::size_t>(s));
-          }
-        }
-        return;
-      }
-      // Satellite of the serving tier: the shard→server resolution is
-      // hoisted out of the batch path — computed once per epoch (and per
-      // re-placement), not recomputed per batch under the empty fault plan.
-      for (const int s : shards_by_rank_[static_cast<std::size_t>(rank)]) {
-        multiply_shard(static_cast<std::size_t>(s));
-      }
-    });
-  } else {
-    par_for(static_cast<std::size_t>(n_shards), multiply_shard);
-  }
+  util::parallel_for(pool_, static_cast<std::size_t>(n_shards), multiply_shard);
 
   // Merge in shard order — the semiring add is order-independent, so the
   // merged overlap matrix is invariant to the shard count AND to which
-  // rank computed which part (distributed mode models the per-rank merge
-  // and the ship to the batch owner below; the data is identical).
+  // rank computed which part.
   auto C = sparse::add_merge(
       parts, static_cast<Index>(nq), n_refs,
       [](CrossKmers& acc, const CrossKmers& v) { CrossSemiring::add(acc, v); });
+  work.cell_products.resize(n_cells);
+  work.cell_bytes.resize(n_cells);
+  for (std::size_t cell = 0; cell < n_cells; ++cell) {
+    work.cell_products[cell] = shard_stats[cell].products;
+    work.cell_bytes[cell] = parts[cell].bytes();
+  }
+  parts.clear();  // merged into C
   st.candidates = C.nnz();
   for (const auto& s : shard_stats) st.spgemm.merge(s);
   if (cfg_.telemetry.metrics != nullptr) {
@@ -545,7 +528,7 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
     auto& m = *cfg_.telemetry.metrics;
     for (int s = 0; s < n_shards; ++s) {
       std::uint64_t out_nnz = 0;
-      for (int src = 0; src < n_src; ++src) {
+      for (int src = 0; src < work.n_src; ++src) {
         out_nnz += shard_stats[static_cast<std::size_t>(src) *
                                    static_cast<std::size_t>(n_shards) +
                                static_cast<std::size_t>(s)]
@@ -558,135 +541,12 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
     m.counter("serve.candidates_total").add(static_cast<double>(C.nnz()));
   }
 
-  // ---- modeled discovery time (max serving rank) ---------------------------
-  std::uint64_t aq_bytes = 0;
-  for (const auto& a : a_query) aq_bytes += a.bytes();
-  std::uint64_t cached_bytes = 0;
   for (const auto& ch : slot.cached_hits) {
-    cached_bytes += ch.size() * sizeof(io::SimilarityEdge);
+    work.cached_bytes += ch.size() * sizeof(io::SimilarityEdge);
   }
-  if (rt_ != nullptr) {
-    // Rank-resident schedule: the query stripe is broadcast to one
-    // replica team (1/replication of the grid suffices to cover every
-    // shard), every rank multiplies and merges its resident stripes, and
-    // the merged parts are shipped to the batch's owner rank, which
-    // assembles the overlap matrix and (later) the top-k. Under faults,
-    // ownership and the broadcast team follow the survivors; dead ranks
-    // charge nothing (their clocks are frozen).
-    const int owner_base =
-        static_cast<int>(slot.ordinal % static_cast<std::uint64_t>(p));
-    const int owner =
-        slot.fault_active ? slot.snap.next_alive(owner_base) : owner_base;
-    const int alive = slot.fault_active ? slot.snap.n_alive() : p;
-    const int team = (alive + opt_.replication - 1) / opt_.replication;
-    for (int r = 0; owner >= 0 && r < p; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
-      auto& clock = slot.frame[ri];
-      double t = model_.bcast_time(aq_bytes + query_residues, team) +
-                 model_.sparse_stream_time(query_residues / p);
-      std::uint64_t ws = aq_bytes + query_residues;  // broadcast stripe
-      std::uint64_t own_bytes = 0;
-      const auto charge_shard = [&](std::size_t si) {
-        for (int src = 0; src < n_src; ++src) {
-          const std::size_t cell = static_cast<std::size_t>(src) *
-                                       static_cast<std::size_t>(n_shards) +
-                                   si;
-          if (shard_stats[cell].products > 0) {
-            t += model_.spgemm_time(shard_stats[cell].products);
-          }
-          t += model_.sparse_stream_time(2 * parts[cell].bytes());
-          own_bytes += parts[cell].bytes();
-          clock.spgemm_products += shard_stats[cell].products;
-        }
-      };
-      if (slot.fault_active) {
-        for (int s = 0; s < n_shards; ++s) {
-          if (slot.shard_server[static_cast<std::size_t>(s)] == r) {
-            charge_shard(static_cast<std::size_t>(s));
-          }
-        }
-      } else {
-        for (const int s : shards_by_rank_[ri]) {
-          charge_shard(static_cast<std::size_t>(s));
-        }
-      }
-      // Per-rank merge of its shard products, then the ship to the owner.
-      t += model_.sparse_stream_time(own_bytes);
-      double send_s = 0.0;
-      if (own_bytes > 0 && r != owner) {
-        send_s = model_.p2p_time(own_bytes);
-        t += send_s;
-        clock.bytes_sent += own_bytes;
-      }
-      clock.bytes_recv += aq_bytes + query_residues;
-      ws += own_bytes;
-      if (r == owner) {
-        // Owner-side assembly of the full overlap matrix, plus the replay
-        // stream of any cache-served hit lists (the cache shard's rank
-        // ships them; charged as one stream on the assembling owner).
-        t += model_.sparse_stream_time(C.bytes() + cached_bytes);
-        ws += C.bytes() + cached_bytes;
-        clock.bytes_recv += C.bytes() + cached_bytes;
-        clock.overlap_nnz += C.nnz();
-      }
-      if (slot.fault_active) {
-        // Transient faults, RPC-style (exec/retry.hpp): a slowed rank's
-        // task dilates and pays the timeout+backoff ladder before its
-        // final patient attempt; a dropped send wastes one attempt and
-        // backs off before the resend. Deaths never reach here — they
-        // escalated to failover above.
-        const std::uint64_t key =
-            slot.ordinal * static_cast<std::uint64_t>(p) +
-            static_cast<std::uint64_t>(r);
-        if (slot.snap.slowdown[ri] > 1.0) {
-          t *= slot.snap.slowdown[ri];
-          const auto pen = cfg_.retry.slow_task_penalty(t, key);
-          t += pen.seconds;
-          st.retries += pen.retries;
-        }
-        if (slot.snap.drop[ri] != 0 && send_s > 0.0) {
-          t += cfg_.retry.drop_resend_penalty_s(send_s, key);
-          ++st.retries;
-        }
-      }
-      if (!slot.faults.recovery_s.empty() && slot.faults.recovery_s[ri] > 0.0) {
-        // Failover recovery surfacing at this batch: replica promotion,
-        // re-replication copies, reference-slice handoff — charged at the
-        // head of this batch's discovery on the recovering ranks.
-        const double rec = slot.faults.recovery_s[ri];
-        t += rec;
-        st.rank_recovery_s[ri] = rec;
-        st.recovery_s += rec;
-        clock.bytes_recv += slot.faults.new_resident[ri];
-      }
-      clock.charge(sim::Comp::kSpGemm, t);
-      st.rank_sparse_s[ri] = t;
-      st.rank_workspace_bytes[ri] += ws;
-      st.t_sparse = std::max(st.t_sparse, t);
-    }
-  } else {
-    // Single address space: shards are dealt round-robin to the modeled
-    // ranks; the query batch is broadcast to all of them.
-    double t_max = 0.0;
-    for (int r = 0; r < p; ++r) {
-      double t = model_.bcast_time(aq_bytes + query_residues, p) +
-                 model_.sparse_stream_time(query_residues / p);
-      for (int s = r; s < n_shards; s += p) {
-        for (int src = 0; src < n_src; ++src) {
-          const std::size_t cell = static_cast<std::size_t>(src) *
-                                       static_cast<std::size_t>(n_shards) +
-                                   static_cast<std::size_t>(s);
-          const auto& ss = shard_stats[cell];
-          if (ss.products > 0) t += model_.spgemm_time(ss.products);
-          t += model_.sparse_stream_time(2 * parts[cell].bytes());
-        }
-      }
-      t += model_.sparse_stream_time((C.bytes() + cached_bytes) / p);
-      t_max = std::max(t_max, t);
-    }
-    st.t_sparse = t_max;
-  }
+  work.overlap_bytes = C.bytes();
+  work.overlap_nnz = C.nnz();
+  charge_discovery(slot, work);
 
   // ---- candidate extraction ------------------------------------------------
   // Replays the load-balance scheme of the concatenated pipeline: the
@@ -714,8 +574,9 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
       align_owner = slot.snap.next_alive(align_owner);
       if (align_owner < 0) return;  // every rank dead: nothing aligns
     }
+    const auto oi = static_cast<std::size_t>(align_owner);
     if (!cascading) {
-      slot.rank_tasks[static_cast<std::size_t>(align_owner)].push_back(task);
+      slot.work.tasks[oi].push_back(task);
       return;
     }
     // Stage the candidate for the tier screens. The task's query side is
@@ -736,143 +597,189 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
           index_->sketch(rj), query_sketches[static_cast<std::size_t>(qi)].data(),
           index_->sketch_len());
     }
-    slot.rank_cands[static_cast<std::size_t>(align_owner)].push_back(c);
+    slot.work.cands[oi].push_back(c);
   });
+  if (!cascading) return;
 
   // ---- tier screens (the cascade's screen work, ahead of batch alignment) --
-  // Each tier compacts every align-owner rank's candidate list in place
-  // under its own measured span; survivors become that rank's alignment
-  // tasks. The screens run on the host pool but their MODELED cost is
-  // charged per owner rank — tier 0 as a host stream over the scanned
-  // diagonal cells, tier 1 as probe DP on the device — folded into the
+  // The screens run on the host pool but their MODELED cost is charged per
+  // align-owner rank — tier 0 as a host stream over the scanned diagonal
+  // cells, tier 1 as probe DP on the device — folded into the
   // discovery-side timeline (so with depth >= 2 the screen of batch b+1
   // overlaps batch b's alignment, like the rest of discovery).
-  if (cascading) {
-    const auto np = static_cast<std::size_t>(p);
-    std::vector<align::CascadeStats> rank_cs(np);
-    auto seq_of = [&](std::uint32_t id) -> std::string_view {
-      return id < static_cast<std::uint32_t>(n_refs)
-                 ? ref_seq(static_cast<Index>(id))
-                 : queries[id - batch_base];
-    };
-    for (int tier = 0; tier < 2; ++tier) {
-      if (tier == 0 && !cfg_.cascade.tier0_enabled) continue;
-      if (tier == 1 && !cfg_.cascade.tier1_enabled) continue;
-      std::size_t pairs_in = 0;
-      for (const auto& v : slot.rank_cands) pairs_in += v.size();
-      obs::Span span(cfg_.telemetry.tracer,
-                     tier == 0 ? "cascade.tier0" : "cascade.tier1");
-      par_for(np, [&](std::size_t ri) {
-        auto& v = slot.rank_cands[ri];
-        auto& cs = rank_cs[ri];
-        std::size_t keep = 0;
-        for (const auto& c : v) {
-          const std::string_view q = seq_of(c.task.q_id);
-          const std::string_view r = seq_of(c.task.r_id);
-          const bool pass =
-              tier == 0
-                  ? align::tier0_keep(
-                        q, r,
-                        {c.seeds, static_cast<std::size_t>(c.n_seeds)},
-                        c.count, c.sketch_overlap, aligner_, cfg_.cascade,
-                        cs.tier0)
-                  : align::tier1_keep(q, r, c.task, aligner_, cfg_.cascade,
-                                      cs.tier1);
-          if (pass) v[keep++] = c;
-        }
-        v.resize(keep);
-      });
-      std::size_t pairs_out = 0;
-      for (const auto& v : slot.rank_cands) pairs_out += v.size();
-      span.arg("pairs_in", static_cast<double>(pairs_in));
-      span.arg("pairs_out", static_cast<double>(pairs_out));
+  core::screen_candidates(slot.work, seq_accessor(slot), aligner_, cfg_, pool_);
+  for (std::size_t ri = 0; ri < static_cast<std::size_t>(p); ++ri) {
+    const align::CascadeStats& cs = slot.work.cascade[ri];
+    st.cascade.merge(cs);
+    const auto [t0, t1] = core::modeled_screen_seconds(model_, cs);
+    const double ts = t0 + t1;
+    if (ts <= 0.0) continue;
+    st.t_screen = std::max(st.t_screen, ts);
+    if (slot.distributed) {
+      if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
+      slot.frame[ri].charge(sim::Comp::kSparseOther, t0);
+      slot.frame[ri].charge(sim::Comp::kAlign, t1);
+      st.rank_sparse_s[ri] += ts;
+      st.t_sparse = std::max(st.t_sparse, st.rank_sparse_s[ri]);
     }
-    for (std::size_t ri = 0; ri < np; ++ri) {
-      auto& v = slot.rank_cands[ri];
-      slot.rank_tasks[ri].reserve(v.size());
-      for (const auto& c : v) slot.rank_tasks[ri].push_back(c.task);
-      st.cascade.merge(rank_cs[ri]);
-      // Modeled per-owner-rank screen cost, folded into the discovery side.
-      const auto [t0, t1] = core::modeled_screen_seconds(model_, rank_cs[ri]);
-      const double ts = t0 + t1;
-      if (ts <= 0.0) continue;
-      st.t_screen = std::max(st.t_screen, ts);
-      if (slot.distributed) {
-        if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
-        slot.frame[ri].charge(sim::Comp::kSparseOther, t0);
-        slot.frame[ri].charge(sim::Comp::kAlign, t1);
-        st.rank_sparse_s[ri] += ts;
-        st.t_sparse = std::max(st.t_sparse, st.rank_sparse_s[ri]);
+  }
+  if (!slot.distributed) st.t_sparse += st.t_screen;
+  // Tier survivor counters in stream order (the discover stage is
+  // serial), for both search_batch and serve.
+  core::add_cascade_counters(cfg_.telemetry, st.cascade);
+}
+
+void QueryEngine::charge_discovery(BatchSlot& slot,
+                                   const DiscoveryWork& work) const {
+  const int p = serving_ranks();
+  const int n_shards = static_cast<int>(work.server.size());
+  QueryBatchStats& st = slot.st;
+  const std::uint64_t stripe = work.stripe_bytes + work.query_residues;
+  // Single address space: the batch is broadcast to every rank, each rank
+  // multiplies its round-robin shards and takes a 1/p share of assembling
+  // the overlap matrix. Grid mode: the stripe is broadcast to one replica
+  // team (1/replication of the alive grid covers every shard), every rank
+  // multiplies and merges its served shards and ships the merged part to
+  // the batch's owner rank, which assembles the overlap matrix and (later)
+  // the top-k. Under faults, ownership and the broadcast team follow the
+  // survivors; dead ranks charge nothing (their clocks are frozen).
+  const int owner = slot.owner(p);
+  int team = p;
+  if (slot.distributed) {
+    if (owner < 0) return;  // every rank dead: nobody computes
+    const int alive = slot.fault_active ? slot.snap.n_alive() : p;
+    team = (alive + opt_.replication - 1) / opt_.replication;
+  }
+  for (int r = 0; r < p; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
+    double t = model_.bcast_time(stripe, team) +
+               model_.sparse_stream_time(work.query_residues / p);
+    std::uint64_t own_bytes = 0;
+    std::uint64_t products = 0;
+    for (int s = 0; s < n_shards; ++s) {
+      if (work.server[static_cast<std::size_t>(s)] != r) continue;
+      for (int src = 0; src < work.n_src; ++src) {
+        const std::size_t cell = static_cast<std::size_t>(src) *
+                                     static_cast<std::size_t>(n_shards) +
+                                 static_cast<std::size_t>(s);
+        if (work.cell_products[cell] > 0) {
+          t += model_.spgemm_time(work.cell_products[cell]);
+        }
+        t += model_.sparse_stream_time(2 * work.cell_bytes[cell]);
+        own_bytes += work.cell_bytes[cell];
+        products += work.cell_products[cell];
       }
     }
-    if (!slot.distributed) st.t_sparse += st.t_screen;
-    // Tier survivor counters in stream order (the discover stage is
-    // serial), for both search_batch and serve.
-    core::add_cascade_counters(cfg_.telemetry, st.cascade);
+    if (!slot.distributed) {
+      t += model_.sparse_stream_time(
+          (work.overlap_bytes + work.cached_bytes) / p);
+      st.t_sparse = std::max(st.t_sparse, t);
+      continue;
+    }
+
+    auto& clock = slot.frame[ri];
+    clock.spgemm_products += products;
+    std::uint64_t ws = stripe + own_bytes;
+    // Per-rank merge of its shard products, then the ship to the owner.
+    t += model_.sparse_stream_time(own_bytes);
+    double send_s = 0.0;
+    if (own_bytes > 0 && r != owner) {
+      send_s = model_.p2p_time(own_bytes);
+      t += send_s;
+      clock.bytes_sent += own_bytes;
+    }
+    clock.bytes_recv += stripe;
+    if (r == owner) {
+      // Owner-side assembly of the full overlap matrix, plus the replay
+      // stream of any cache-served hit lists (the cache shard's rank ships
+      // them; charged as one stream on the assembling owner).
+      const std::uint64_t assembled = work.overlap_bytes + work.cached_bytes;
+      t += model_.sparse_stream_time(assembled);
+      ws += assembled;
+      clock.bytes_recv += assembled;
+      clock.overlap_nnz += work.overlap_nnz;
+    }
+    if (slot.fault_active) {
+      // Transient faults, RPC-style (exec/retry.hpp): a slowed rank's task
+      // dilates and pays the timeout+backoff ladder before its final
+      // patient attempt; a dropped send wastes one attempt and backs off
+      // before the resend. Deaths never reach here — they escalated to
+      // failover in the server map.
+      const std::uint64_t key =
+          slot.ordinal * static_cast<std::uint64_t>(p) +
+          static_cast<std::uint64_t>(r);
+      if (slot.snap.slowdown[ri] > 1.0) {
+        t *= slot.snap.slowdown[ri];
+        const auto pen = cfg_.retry.slow_task_penalty(t, key);
+        t += pen.seconds;
+        st.retries += pen.retries;
+      }
+      if (slot.snap.drop[ri] != 0 && send_s > 0.0) {
+        t += cfg_.retry.drop_resend_penalty_s(send_s, key);
+        ++st.retries;
+      }
+    }
+    if (!slot.faults.recovery_s.empty() && slot.faults.recovery_s[ri] > 0.0) {
+      // Failover recovery surfacing at this batch: replica promotion,
+      // re-replication copies, reference-slice handoff — charged at the
+      // head of this batch's discovery on the recovering ranks.
+      const double rec = slot.faults.recovery_s[ri];
+      t += rec;
+      st.rank_recovery_s[ri] = rec;
+      st.recovery_s += rec;
+      clock.bytes_recv += slot.faults.new_resident[ri];
+    }
+    clock.charge(sim::Comp::kSpGemm, t);
+    st.rank_sparse_s[ri] = t;
+    st.rank_workspace_bytes[ri] += ws;
+    st.t_sparse = std::max(st.t_sparse, t);
   }
 }
 
-void QueryEngine::align_batch(BatchSlot& slot) const {
+align::BatchAligner::SeqAccessor QueryEngine::seq_accessor(
+    const BatchSlot& slot) const {
   const Index n_refs = total_refs();
-  const int p = serving_ranks();
-  QueryBatchStats& st = slot.st;
-  if (slot.queries.empty() || n_refs == 0) return;
-
-  // ---- alignment (flattened onto the host pool, per-rank accounting) -------
-  auto seq_of = [&](std::uint32_t id) -> std::string_view {
+  return [this, &slot, n_refs](std::uint32_t id) -> std::string_view {
     return id < n_refs ? ref_seq(id) : slot.queries[id - slot.batch_base];
   };
-  for (int r = 0; r < p; ++r) {
-    slot.rank_offset[static_cast<std::size_t>(r) + 1] =
-        slot.rank_offset[static_cast<std::size_t>(r)] +
-        slot.rank_tasks[static_cast<std::size_t>(r)].size();
-  }
-  slot.flat_tasks.reserve(slot.rank_offset.back());
-  for (const auto& v : slot.rank_tasks) {
-    slot.flat_tasks.insert(slot.flat_tasks.end(), v.begin(), v.end());
-  }
-  st.aligned_pairs = slot.flat_tasks.size();
+}
 
-  slot.ws.results.assign(slot.flat_tasks.size(), AlignResult{});
-  aligner_.align_tasks(seq_of, slot.flat_tasks, slot.ws.results, pool_);
+void QueryEngine::align_batch(BatchSlot& slot) const {
+  const int p = serving_ranks();
+  QueryBatchStats& st = slot.st;
+  if (slot.queries.empty() || total_refs() == 0) return;
 
-  // ---- filter + per-rank device accounting ---------------------------------
+  // ---- alignment + filter (flattened onto the host pool) -------------------
+  const std::span<const char> dead = slot.dead();
+  core::align_and_filter(slot.work, seq_accessor(slot), aligner_, cfg_, pool_,
+                         dead);
+  st.aligned_pairs = slot.work.flat_tasks.size();
+
+  // ---- per-rank device accounting (undilated; serve() dilates) -------------
   auto& hits = slot.hits;
   for (int r = 0; r < p; ++r) {
-    if (slot.fault_active &&
-        slot.snap.dead[static_cast<std::size_t>(r)] != 0) {
+    const auto ri = static_cast<std::size_t>(r);
+    if (!dead.empty() && dead[ri] != 0) {
       continue;  // frozen clock; its tasks went to the cyclic successor
     }
-    const auto& tasks = slot.rank_tasks[static_cast<std::size_t>(r)];
-    const std::span<const AlignResult> results(
-        slot.ws.results.data() + slot.rank_offset[static_cast<std::size_t>(r)],
-        tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (auto edge = core::edge_if_similar(tasks[t], results[t],
-                                            seq_of(tasks[t].q_id).size(),
-                                            seq_of(tasks[t].r_id).size(), cfg_)) {
-        hits.push_back(*edge);
-      }
+    hits.insert(hits.end(), slot.work.edges[ri].begin(),
+                slot.work.edges[ri].end());
+    const align::BatchStats& bstats = slot.work.align[ri];
+    if (!slot.distributed) {
+      st.t_align = std::max(st.t_align,
+                            core::modeled_align_seconds(model_, bstats, 1.0));
+      continue;
     }
-    const align::BatchStats bstats = aligner_.stats_for(
-        seq_of, tasks, results, slot.lane_scratch[static_cast<std::size_t>(r)]);
+    // Rank r owns these references' alignments: its device seconds, its
+    // task+result workspace, its counters — per rank, for the ledger and
+    // the per-rank timeline.
     const double t_r =
-        core::modeled_align_seconds(model_, bstats, tasks.size(), 1.0);
+        core::charge_alignment(slot.frame[ri], model_, bstats, 1.0);
     st.t_align = std::max(st.t_align, t_r);
-    if (slot.distributed) {
-      // Rank r owns these references' alignments: its device seconds, its
-      // task+result workspace, its counters — per rank, for the ledger
-      // and the per-rank timeline.
-      const auto ri = static_cast<std::size_t>(r);
-      st.rank_align_s[ri] = t_r;
-      st.rank_workspace_bytes[ri] +=
-          tasks.size() * (sizeof(AlignTask) + sizeof(AlignResult));
-      auto& clock = slot.frame[ri];
-      clock.charge(sim::Comp::kAlign, t_r);
-      clock.pairs_aligned += tasks.size();
-      clock.align_cells += bstats.cells;
-      clock.align_kernel_seconds += bstats.kernel_seconds;
-    }
+    st.rank_align_s[ri] = t_r;
+    st.rank_workspace_bytes[ri] +=
+        bstats.pairs * (sizeof(AlignTask) + sizeof(AlignResult));
   }
 
   // ---- top-k + canonical order ---------------------------------------------
@@ -936,8 +843,7 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
     // Owner-side top-k + canonical sort: the batch owner gathers the
     // per-rank hit lists and selects — a stream over the hit bytes. The
     // owner role fails over to the next alive rank like everything else.
-    int owner = static_cast<int>(slot.ordinal % static_cast<std::uint64_t>(p));
-    if (slot.fault_active) owner = slot.snap.next_alive(owner);
+    const int owner = slot.owner(p);
     if (owner < 0) return;  // every rank dead: nobody gathers
     const auto oi = static_cast<std::size_t>(owner);
     std::uint64_t replayed_bytes = 0;
@@ -1023,9 +929,8 @@ QueryEngine::Result QueryEngine::serve(
   const int p = serving_ranks();
   st.nprocs = p;
   st.n_shards = index_->n_shards();
-  const int depth = opt_.effective_pipeline_depth();
+  const int depth = std::max(1, opt_.pipeline_depth);
   st.pipeline_depth = depth;
-  st.preblocking = depth >= 2;
   st.t_index_build = index_->modeled_build_seconds(model_, p);
   if (rt_ != nullptr) {
     st.grid_side = opt_.grid_side;
@@ -1090,7 +995,7 @@ QueryEngine::Result QueryEngine::serve(
                          // dies inside discover; what stays in flight are
                          // the alignment tasks).
                          std::uint64_t bytes = 0;
-                         for (const auto& t : slot.rank_tasks) {
+                         for (const auto& t : slot.work.tasks) {
                            bytes += t.size() * sizeof(AlignTask);
                          }
                          gate->set_resident_bytes(b, bytes);
@@ -1171,8 +1076,9 @@ QueryEngine::Result QueryEngine::serve(
   // configured depth, with both sides paying the MachineModel's contention
   // dilations when overlapped (pipeline block loop, Table I).
   {
-    const double dsd = st.preblocking ? model_.preblock_sparse_dilation() : 1.0;
-    const double dad = st.preblocking ? model_.preblock_align_dilation : 1.0;
+    const bool overlapped = depth >= 2;
+    const double dsd = overlapped ? model_.preblock_sparse_dilation() : 1.0;
+    const double dad = overlapped ? model_.preblock_align_dilation : 1.0;
     if (rt_ != nullptr) {
       // Distributed: the SAME recurrence, per rank — the slowest rank's
       // pipeline makespan is the serve time (exec::OverlapTimeline). With
@@ -1260,16 +1166,6 @@ std::vector<std::uint64_t> QueryEngine::shard_bytes_all() const {
                            : index_->shard_bytes();
 }
 
-void QueryEngine::rebuild_resolution() {
-  if (rt_ == nullptr) return;
-  const int p = rt_->nprocs();
-  shards_by_rank_.assign(static_cast<std::size_t>(p), {});
-  for (int r = 0; r < p; ++r) {
-    shards_by_rank_[static_cast<std::size_t>(r)] = placement_->shards_of(r);
-  }
-  ++resolution_builds_;
-}
-
 void QueryEngine::refresh_epoch() {
   const std::uint64_t e = delta_ != nullptr ? delta_->epoch() : 0;
   if (e == served_epoch_) return;
@@ -1282,10 +1178,7 @@ void QueryEngine::refresh_epoch() {
   // Rebase the query id stream: new queries get the ids an engine over the
   // equivalent rebuilt (grown) index would assign.
   next_query_id_ = total_refs();
-  if (rt_ != nullptr) {
-    rebuild_resolution();
-    resync_static_residency();
-  }
+  resync_static_residency();
 }
 
 void QueryEngine::resync_static_residency() {
@@ -1386,7 +1279,6 @@ double QueryEngine::apply_replacement(
     total += t;
   }
   *placement_ = placement;
-  rebuild_resolution();
   resync_static_residency();
   return total;
 }

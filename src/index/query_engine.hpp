@@ -23,7 +23,9 @@
 //     alignment (GPU model); the timeline charges the pipeline makespan —
 //     for depth 2 exactly max(align_b, sparse_{b+1}) — with the
 //     MachineModel's contention dilations. Hits are bit-identical for any
-//     depth.
+//     depth. The cascade screens, alignment and filter are the pipeline's
+//     own stage bodies (core/stages.hpp); discovery computes the batch's
+//     shard products over one shard → server map, then prices them.
 #pragma once
 
 #include <memory>
@@ -141,8 +143,6 @@ struct QueryBatchStats {
 struct ServeStats {
   int nprocs = 0;
   int n_shards = 0;
-  /// True when the serving loop was modeled overlapped (depth >= 2).
-  bool preblocking = false;
   /// Streaming-executor depth the stream was modeled with (and executed
   /// with, when a host pool is available — without one the executor
   /// degrades to the serial schedule; hits are identical either way).
@@ -207,14 +207,11 @@ class QueryEngine {
     /// Keep only the best `top_k` hits per query by (score desc, ref asc);
     /// 0 keeps all hits (the concatenated-equivalence mode).
     std::uint32_t top_k = 0;
-    /// Overlap batch b+1's SpGEMM with batch b's alignment (§VI-C).
-    /// Legacy alias for `pipeline_depth`: with the depth left at 0, on
-    /// selects depth 2 and off the serial depth 1.
-    bool preblocking = true;
     /// Streaming-executor depth for serve(): maximum query batches in
-    /// flight through discover → align. 0 defers to `preblocking`; hits
-    /// are bit-identical for any depth.
-    int pipeline_depth = 0;
+    /// flight through discover → align. The default 2 overlaps batch b+1's
+    /// SpGEMM with batch b's alignment (§VI-C); 1 (or less) is the serial
+    /// stream. Hits are bit-identical for any depth.
+    int pipeline_depth = 2;
 
     // --- rank-resident distributed serving (PastisConfig knobs:
     // grid_side_serving / shard_replication / rank_memory_budget_bytes) ------
@@ -248,11 +245,6 @@ class QueryEngine {
     /// In grid mode the cache's resident bytes are charged to the rank
     /// ledger (cache shard k lives on rank k mod nprocs).
     serve::ResultCache* result_cache = nullptr;
-
-    [[nodiscard]] int effective_pipeline_depth() const {
-      if (pipeline_depth > 0) return pipeline_depth;
-      return preblocking ? 2 : 1;
-    }
   };
 
   /// The engine serves `cfg` against `index`; the discovery parameters of
@@ -302,19 +294,12 @@ class QueryEngine {
   [[nodiscard]] std::uint64_t epoch() const { return served_epoch_; }
 
   /// Syncs the engine to the DeltaIndex's current epoch: rebases the query
-  /// id stream to the grown reference set, rebuilds the per-rank shard
-  /// resolution, and re-ledgers static residency (grid mode). No-op when
-  /// the epoch is unchanged; serve()/search_batch() call it implicitly.
+  /// id stream to the grown reference set and re-ledgers static residency
+  /// (grid mode). No-op when the epoch is unchanged; serve()/search_batch()
+  /// call it implicitly.
   /// Throws std::runtime_error on an epoch change under an active fault
   /// plan (mutation + faults is an unsupported combination).
   void refresh_epoch();
-
-  /// Times the per-batch shard→server resolution was (re)built: once at
-  /// construction, once per epoch change and once per re-placement — NOT
-  /// once per batch (the no-fault fast path reuses the cached resolution).
-  [[nodiscard]] std::uint64_t resolution_builds() const {
-    return resolution_builds_;
-  }
 
   /// Installs a re-balanced placement (ShardPlacement::rebalance) and
   /// charges each migration's p2p copy to the donor and target rank clocks
@@ -356,6 +341,9 @@ class QueryEngine {
   /// Per-slot state of one in-flight batch (defined in the .cpp); serve()
   /// keeps one per pipeline slot, search_batch() a transient one.
   struct BatchSlot;
+  /// One batch's discovery results as pricing needs them (defined in the
+  /// .cpp): the shard → server map and the per-cell products and bytes.
+  struct DiscoveryWork;
 
   /// Failover recoveries surfacing at one batch: per-rank modeled recovery
   /// seconds (replica promotion, re-replication copies, reference-slice
@@ -378,6 +366,15 @@ class QueryEngine {
   /// property that makes hits depth- and schedule-invariant.
   void discover_batch(BatchSlot& slot) const;
   void align_batch(BatchSlot& slot) const;
+  /// Prices one batch's discovery on the modeled ranks — the broadcast of
+  /// the query stripe, each server's shard multiplies, and the assembly of
+  /// the overlap matrix — into the slot's stats (and, in grid mode, its
+  /// clock frame). Pure accounting: it never touches results.
+  void charge_discovery(BatchSlot& slot, const DiscoveryWork& work) const;
+  /// Resolves global sequence ids of the slot's batch: references below
+  /// total_refs(), the batch's queries from its stream base on.
+  [[nodiscard]] align::BatchAligner::SeqAccessor seq_accessor(
+      const BatchSlot& slot) const;
   /// Folds a retired batch's clock frame + workspace into the runtime
   /// ledger (distributed mode; called in batch order).
   void retire_distributed(BatchSlot& slot);
@@ -394,10 +391,6 @@ class QueryEngine {
   [[nodiscard]] std::string_view ref_seq(Index id) const;
   /// Per-shard resident bytes, folding delta segments.
   [[nodiscard]] std::vector<std::uint64_t> shard_bytes_all() const;
-  /// Rebuilds the cached per-rank shard resolution from the placement
-  /// (grid mode) and counts the build (satellite: resolution is computed
-  /// once per epoch/placement, not once per batch).
-  void rebuild_resolution();
   /// Charges the ResultCache's resident bytes to the rank ledger (cache
   /// shard k on rank k mod nprocs), as a diff against the last sync.
   /// Called at strictly-ordered batch retirement.
@@ -424,11 +417,6 @@ class QueryEngine {
   /// Static per-rank residency: placed shard bytes + the rank's slice of
   /// the reference residues (alignment ownership ranges).
   std::vector<std::uint64_t> static_resident_;
-  /// Cached shard→server resolution (rank -> its primary shards): hoisted
-  /// out of the per-batch path; rebuilt on construction, epoch change and
-  /// re-placement only.
-  std::vector<std::vector<int>> shards_by_rank_;
-  std::uint64_t resolution_builds_ = 0;
   /// Cache shard bytes already charged to the rank ledger (diff base for
   /// sync_cache_ledger).
   std::vector<std::uint64_t> cache_charged_bytes_;

@@ -5,7 +5,7 @@
 //   pastis::core::PastisConfig cfg;          // k=6, BLOSUM62 11/2, ...
 //   cfg.block_rows = cfg.block_cols = 4;     // blocked 2D sparse SUMMA
 //   cfg.load_balance = pastis::core::LoadBalanceScheme::kIndexBased;
-//   cfg.preblocking = true;
+//   cfg.pipeline_depth = 2;                  // overlap discovery, alignment
 //   pastis::core::SimilaritySearch search(cfg, pastis::sim::MachineModel{},
 //                                         /*nprocs=*/16);
 //   auto result = search.run(std::move(sequences));

@@ -1,5 +1,6 @@
 #include "serve/delta_index.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -192,7 +193,7 @@ CompactionStats DeltaIndex::compact(const sim::MachineModel& model,
       }};
 
   exec::StreamOptions sopt;
-  sopt.depth = cfg_.effective_pipeline_depth();
+  sopt.depth = std::max(1, cfg_.pipeline_depth);
   sopt.memory_budget_bytes = cfg_.exec_memory_budget_bytes;
   sopt.pool = pool;
   sopt.telemetry = cfg_.telemetry;

@@ -5,9 +5,11 @@
 //   * hash2p — two-phase symbolic/numeric hash kernel (default): a
 //              count-only symbolic pass computes exact per-row output
 //              sizes, an exact prefix sum pre-sizes the DCSR arrays, and
-//              the numeric pass writes columns/values directly into their
-//              final positions — no triple intermediary, no global sort,
-//              no per-row allocations. Both passes run thread-parallel
+//              the numeric pass writes columns/values into their final
+//              positions — no triple intermediary, no global sort, no
+//              per-row allocations. One body (spgemm_hash2p_fused) serves
+//              plain products (a copy-through epilogue) and the fused MCL
+//              iteration (inflate/prune per row). Both passes run parallel
 //              over flop-balanced row ranges on a util::ThreadPool, and
 //              per-product row lookups go through a precomputed B-row
 //              directory instead of a binary search. Output is
@@ -19,6 +21,7 @@
 // All are exact over any semiring; tests assert they agree.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -343,193 +346,6 @@ template <SemiringLike SR>
   return SpMat<V>::from_triples(A.nrows(), B.ncols(), std::move(out));
 }
 
-/// C = A ·_SR B with the two-phase symbolic/numeric hash kernel.
-///
-/// Phase 1 (symbolic) runs the hash accumulator in count-only mode to get
-/// the exact nnz of every output row; an exact prefix sum then pre-sizes
-/// the output DCSR arrays. Phase 2 (numeric) recomputes the products with
-/// values and writes each row's sorted entries directly into its final
-/// [offset, offset + nnz) slice — no Triple intermediary, no global
-/// re-sort, no per-row allocations. Both phases are parallelized over
-/// `pool` in contiguous row ranges balanced by accumulated flops
-/// (`max_threads` caps the ranges; 0 means the pool size); every range
-/// writes disjoint state, so the result is bit-identical to spgemm_hash
-/// for ANY thread count, including pool == nullptr (serial).
-template <SemiringLike SR>
-[[nodiscard]] SpMat<typename SR::value_type> spgemm_hash2p(
-    const SpMat<typename SR::left_type>& A,
-    const SpMat<typename SR::right_type>& B, SpGemmStats* stats = nullptr,
-    util::ThreadPool* pool = nullptr, int max_threads = 0,
-    const obs::Telemetry& telem = {}) {
-  using V = typename SR::value_type;
-  if (A.ncols() != B.nrows()) {
-    throw std::invalid_argument("spgemm: inner dimensions disagree");
-  }
-  const std::size_t nka = A.n_nonempty_rows();
-  // Flop/nnz totals land in the registry rather than on SpGemmStats:
-  // SpGemmStats instances are compared across kernels/schedules in the
-  // cross-check tests, so it must not grow measured-time fields.
-  auto finish_stats = [&](std::uint64_t products, std::uint64_t out_nnz) {
-    if (stats != nullptr) {
-      stats->products += products;
-      stats->out_nnz += out_nnz;
-      ++stats->calls;
-    }
-    if (telem.metrics != nullptr) {
-      telem.metrics->counter("spgemm.calls_total").add(1.0);
-      telem.metrics->counter("spgemm.flops_total")
-          .add(static_cast<double>(products));
-      telem.metrics->counter("spgemm.out_nnz_total")
-          .add(static_cast<double>(out_nnz));
-    }
-  };
-  // Runs one kernel phase under a measured span + a latency histogram
-  // named "<name>_seconds"; telemetry off is a plain call.
-  auto timed_phase = [&](const char* name, auto&& fn) {
-    if (!telem.enabled()) {
-      fn();
-      return;
-    }
-    obs::Span span(telem.tracer, name);
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    if (telem.metrics != nullptr) {
-      const double s = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      telem.metrics->histogram(std::string(name) + "_seconds").observe(s);
-    }
-  };
-  if (nka == 0 || B.n_nonempty_rows() == 0) {
-    finish_stats(0, 0);
-    return SpMat<V>(A.nrows(), B.ncols());
-  }
-
-  const detail::RowDirectory dir(B.nrows(), B.row_ids());
-
-  // One directory pass over A's nonzeros: cache each nonzero's B-row slot
-  // (so the symbolic and numeric passes do zero lookups) and accumulate
-  // the per-row flops (= exactly the products the row will perform) whose
-  // prefix sum balances the row ranges.
-  constexpr std::uint32_t kMissSlot = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> kb_of(A.nnz());
-  std::vector<std::uint64_t> flops(nka + 1, 0);
-  for (std::size_t ka = 0; ka < nka; ++ka) {
-    std::uint64_t f = 0;
-    for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-      const std::size_t kb = dir.lookup(A.col(o));
-      if (kb != detail::RowDirectory::npos) {
-        kb_of[o] = static_cast<std::uint32_t>(kb);
-        f += static_cast<std::uint64_t>(B.row_end(kb) - B.row_begin(kb));
-      } else {
-        kb_of[o] = kMissSlot;
-      }
-    }
-    flops[ka + 1] = flops[ka] + f;
-  }
-  const std::uint64_t total_flops = flops[nka];
-  if (total_flops == 0) {
-    finish_stats(0, 0);
-    return SpMat<V>(A.nrows(), B.ncols());
-  }
-
-  std::size_t threads = pool != nullptr ? pool->size() : 1;
-  if (max_threads > 0) {
-    threads = std::min(threads, static_cast<std::size_t>(max_threads));
-  }
-  // Tiny multiplies are not worth fan-out (a SUMMA stage on a small tile).
-  if (total_flops < (1u << 14)) threads = 1;
-  const std::vector<std::size_t> bounds = detail::flop_chunks(flops, threads);
-  const std::size_t n_chunks = bounds.size() - 1;
-
-  auto run_chunks = [&](const std::function<void(std::size_t)>& chunk_fn) {
-    if (pool == nullptr || n_chunks <= 1) {
-      for (std::size_t c = 0; c < n_chunks; ++c) chunk_fn(c);
-    } else {
-      pool->parallel_for(n_chunks, chunk_fn);
-    }
-  };
-
-  // ---- symbolic pass: exact nnz of every output row ------------------------
-  // The table-size hint is capped: high-compression rows (many products,
-  // few distinct columns — the §V-B genomics regime) would otherwise pay
-  // cold-cache probes in a needlessly huge table; rows that really do
-  // exceed the cap just rehash a few times (keys only, cheap).
-  constexpr std::size_t kSymbolicSizeCap = 4096;
-  std::vector<Offset> row_nnz(nka, 0);
-  timed_phase("spgemm.symbolic", [&] {
-    run_chunks([&](std::size_t c) {
-      detail::HashAccumulator<V> acc;  // keys only; values untouched
-      for (std::size_t ka = bounds[c]; ka < bounds[c + 1]; ++ka) {
-        const std::uint64_t f = flops[ka + 1] - flops[ka];
-        if (f == 0) continue;
-        acc.begin_row(
-            std::min(static_cast<std::size_t>(f), kSymbolicSizeCap));
-        for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-          const std::uint32_t kb = kb_of[o];
-          if (kb == kMissSlot) continue;
-          for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
-            acc.insert(B.col(ob));
-          }
-        }
-        row_nnz[ka] = static_cast<Offset>(acc.row_size());
-        acc.clear_row();
-      }
-    });
-  });
-
-  // ---- exact prefix sum → pre-sized output arrays --------------------------
-  std::vector<Offset> row_off(nka + 1, 0);
-  for (std::size_t ka = 0; ka < nka; ++ka) {
-    row_off[ka + 1] = row_off[ka] + row_nnz[ka];
-  }
-  const Offset out_nnz = row_off[nka];
-  std::vector<Index> out_cols(out_nnz);
-  std::vector<V> out_vals(out_nnz);
-
-  // ---- numeric pass: direct DCSR assembly ----------------------------------
-  timed_phase("spgemm.numeric", [&] {
-    run_chunks([&](std::size_t c) {
-      detail::HashAccumulator<V> acc;
-      for (std::size_t ka = bounds[c]; ka < bounds[c + 1]; ++ka) {
-        if (row_nnz[ka] == 0) continue;
-        acc.begin_row(static_cast<std::size_t>(row_nnz[ka]));
-        for (Offset o = A.row_begin(ka); o < A.row_end(ka); ++o) {
-          const std::uint32_t kb = kb_of[o];
-          if (kb == kMissSlot) continue;
-          const auto& aval = A.val(o);
-          for (Offset ob = B.row_begin(kb); ob < B.row_end(kb); ++ob) {
-            acc.template add<SR>(B.col(ob), SR::multiply(aval, B.val(ob)));
-          }
-        }
-        acc.extract_sorted_to(out_cols.data() + row_off[ka],
-                              out_vals.data() + row_off[ka]);
-      }
-    });
-  });
-
-  // ---- directory of nonempty output rows -----------------------------------
-  std::size_t n_out_rows = 0;
-  for (std::size_t ka = 0; ka < nka; ++ka) n_out_rows += row_nnz[ka] != 0;
-  std::vector<Index> out_row_ids;
-  std::vector<Offset> out_row_ptr;
-  out_row_ids.reserve(n_out_rows);
-  out_row_ptr.reserve(n_out_rows + 1);
-  for (std::size_t ka = 0; ka < nka; ++ka) {
-    if (row_nnz[ka] != 0) {
-      out_row_ids.push_back(A.row_id(ka));
-      out_row_ptr.push_back(row_off[ka]);
-    }
-  }
-  out_row_ptr.push_back(out_nnz);
-
-  finish_stats(total_flops, out_nnz);
-  return SpMat<V>::from_sorted_parts(A.nrows(), B.ncols(),
-                                     std::move(out_row_ids),
-                                     std::move(out_row_ptr),
-                                     std::move(out_cols), std::move(out_vals));
-}
-
 /// Reusable cross-call scratch for spgemm_hash2p_fused: the B-row slot
 /// cache, flop/schedule prefixes, per-row nnz/offset arrays, per-chunk hash
 /// accumulators and row-extraction buffers, and the output DCSR arrays.
@@ -616,8 +432,8 @@ inline constexpr std::uint64_t kFusedEpilogueWeight = 16;
 /// marks rows to exclude entirely: they cost no flops and emit nothing
 /// (the MCL converged-column dropout mask).
 ///
-/// Scheduling: the symbolic pass balances chunks by flops, as in
-/// spgemm_hash2p; the numeric pass re-balances by
+/// Scheduling: the symbolic pass balances chunks by flops; the numeric
+/// pass re-balances by
 /// flops + kFusedEpilogueWeight * row_nnz, since the fused epilogue's
 /// per-entry work rivals several hash adds (the "column-balanced"
 /// schedule — A rows are flow-matrix columns in the transposed layout).
@@ -642,6 +458,9 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
   SpGemmWorkspace<V>& w = ws != nullptr ? *ws : local_ws;
   const std::size_t nka = A.n_nonempty_rows();
 
+  // Flop/nnz totals land in the registry rather than on SpGemmStats:
+  // SpGemmStats instances are compared across kernels/schedules in the
+  // cross-check tests, so it must not grow measured-time fields.
   auto finish_stats = [&](std::uint64_t products, std::uint64_t out_nnz) {
     if (stats != nullptr) {
       stats->products += products;
@@ -656,6 +475,8 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
           .add(static_cast<double>(out_nnz));
     }
   };
+  // Runs one kernel phase under a measured span + a latency histogram
+  // named "<name>_seconds"; telemetry off is a plain call.
   auto timed_phase = [&](const char* name, auto&& fn) {
     if (!telem.enabled()) {
       fn();
@@ -681,8 +502,11 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
 
   const detail::RowDirectory dir(B.nrows(), B.row_ids());
 
-  // Directory pass (as in spgemm_hash2p), with skip-masked rows charged
-  // zero flops so both the schedule and the passes ignore them.
+  // One directory pass over A's nonzeros: cache each nonzero's B-row slot
+  // (so the symbolic and numeric passes do zero lookups) and accumulate
+  // the per-row flops (= exactly the products the row will perform) whose
+  // prefix sum balances the row ranges. Skip-masked rows are charged zero
+  // flops so both the schedule and the passes ignore them.
   constexpr std::uint32_t kMissSlot = static_cast<std::uint32_t>(-1);
   w.kb_of.resize(A.nnz());
   w.flops.resize(nka + 1);
@@ -722,6 +546,10 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
   };
 
   // ---- symbolic pass: exact pre-epilogue nnz of every output row -----------
+  // The table-size hint is capped: high-compression rows (many products,
+  // few distinct columns — the §V-B genomics regime) would otherwise pay
+  // cold-cache probes in a needlessly huge table; rows that really do
+  // exceed the cap just rehash a few times (keys only, cheap).
   constexpr std::size_t kSymbolicSizeCap = 4096;
   const std::vector<std::size_t> sym_bounds =
       detail::flop_chunks(w.flops, threads);
@@ -872,6 +700,38 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
                                      std::move(out_row_ids),
                                      std::move(out_row_ptr),
                                      std::move(out_cols), std::move(out_vals));
+}
+
+/// C = A ·_SR B with the two-phase symbolic/numeric hash kernel.
+///
+/// Phase 1 (symbolic) runs the hash accumulator in count-only mode to get
+/// the exact nnz of every output row; an exact prefix sum then pre-sizes
+/// the output DCSR arrays. Phase 2 (numeric) recomputes the products with
+/// values and copies each row's sorted entries into its final
+/// [offset, offset + nnz) slice — no Triple intermediary, no global
+/// re-sort, no per-row allocations. Both phases are parallelized over
+/// `pool` in contiguous row ranges balanced by accumulated flops
+/// (`max_threads` caps the ranges; 0 means the pool size); every range
+/// writes disjoint state, so the result is bit-identical to spgemm_hash
+/// for ANY thread count, including pool == nullptr (serial). This is
+/// spgemm_hash2p_fused with a copy-through epilogue: one two-phase body
+/// serves both the discovery multiplies and the MCL expansion.
+template <SemiringLike SR>
+[[nodiscard]] SpMat<typename SR::value_type> spgemm_hash2p(
+    const SpMat<typename SR::left_type>& A,
+    const SpMat<typename SR::right_type>& B, SpGemmStats* stats = nullptr,
+    util::ThreadPool* pool = nullptr, int max_threads = 0,
+    const obs::Telemetry& telem = {}) {
+  using V = typename SR::value_type;
+  auto copy_row = [](std::size_t, Index, const Index* cols, const V* vals,
+                     std::size_t n, Index* out_cols, V* out_vals) {
+    std::copy_n(cols, n, out_cols);
+    std::copy_n(vals, n, out_vals);
+    return n;
+  };
+  return spgemm_hash2p_fused<SR>(
+      A, B, copy_row, [](std::uint64_t, std::uint64_t) { return 0u; },
+      nullptr, nullptr, nullptr, stats, pool, max_threads, telem);
 }
 
 /// C = A ·_SR B with a k-way heap merge per output row.

@@ -118,4 +118,13 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 }  // namespace pastis::util

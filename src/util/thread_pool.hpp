@@ -59,4 +59,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// fn(i) for i in [0, n): on `pool` when there is one, inline in the
+/// calling thread when it is null (the library's serial convention).
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
+
 }  // namespace pastis::util

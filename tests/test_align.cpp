@@ -313,7 +313,6 @@ TEST(Batch, ResultsMatchIndividualCalls) {
   }
   EXPECT_EQ(stats.cells, cells);
   EXPECT_EQ(stats.pairs, tasks.size());
-  EXPECT_GT(stats.kernel_seconds, 0.0);
 }
 
 TEST(Batch, DeviceCountDoesNotChangeResults) {

@@ -51,7 +51,7 @@ struct DeterminismCase {
   int p;
   int br, bc;
   pc::LoadBalanceScheme scheme;
-  bool preblocking;
+  int depth;  // pipeline_depth
   pastis::sparse::SpGemmKernel kernel;
 };
 
@@ -63,7 +63,7 @@ TEST_P(DeterminismSweep, GraphIdenticalToSerialReference) {
   cfg.block_rows = c.br;
   cfg.block_cols = c.bc;
   cfg.load_balance = c.scheme;
-  cfg.preblocking = c.preblocking;
+  cfg.pipeline_depth = c.depth;
   cfg.spgemm_kernel = c.kernel;
   pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, c.p);
   const auto result = search.run(shared_dataset());
@@ -76,27 +76,27 @@ using K = pastis::sparse::SpGemmKernel;
 INSTANTIATE_TEST_SUITE_P(
     AllDecompositions, DeterminismSweep,
     ::testing::Values(
-        DeterminismCase{1, 1, 1, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{4, 1, 1, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{4, 2, 2, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{4, 2, 2, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{9, 3, 4, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{9, 3, 4, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{16, 8, 8, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{16, 8, 8, LB::kTriangularity, false, K::kHash},
-        DeterminismCase{4, 4, 4, LB::kIndexBased, true, K::kHash},
-        DeterminismCase{4, 4, 4, LB::kTriangularity, true, K::kHash},
-        DeterminismCase{9, 2, 2, LB::kIndexBased, false, K::kHeap},
-        DeterminismCase{1, 5, 7, LB::kTriangularity, false, K::kHeap},
-        DeterminismCase{25, 1, 1, LB::kIndexBased, false, K::kHash},
-        DeterminismCase{25, 6, 2, LB::kTriangularity, true, K::kHash},
+        DeterminismCase{1, 1, 1, LB::kTriangularity, 1, K::kHash},
+        DeterminismCase{4, 1, 1, LB::kIndexBased, 1, K::kHash},
+        DeterminismCase{4, 2, 2, LB::kIndexBased, 1, K::kHash},
+        DeterminismCase{4, 2, 2, LB::kTriangularity, 1, K::kHash},
+        DeterminismCase{9, 3, 4, LB::kIndexBased, 1, K::kHash},
+        DeterminismCase{9, 3, 4, LB::kTriangularity, 1, K::kHash},
+        DeterminismCase{16, 8, 8, LB::kIndexBased, 1, K::kHash},
+        DeterminismCase{16, 8, 8, LB::kTriangularity, 1, K::kHash},
+        DeterminismCase{4, 4, 4, LB::kIndexBased, 2, K::kHash},
+        DeterminismCase{4, 4, 4, LB::kTriangularity, 2, K::kHash},
+        DeterminismCase{9, 2, 2, LB::kIndexBased, 1, K::kHeap},
+        DeterminismCase{1, 5, 7, LB::kTriangularity, 1, K::kHeap},
+        DeterminismCase{25, 1, 1, LB::kIndexBased, 1, K::kHash},
+        DeterminismCase{25, 6, 2, LB::kTriangularity, 2, K::kHash},
         // Two-phase kernel (the default; the serial reference run above
         // already uses it — these sweep it across decompositions, and the
         // kHash/kHeap cases prove cross-kernel bit-identity).
-        DeterminismCase{1, 1, 1, LB::kIndexBased, false, K::kHash2Phase},
-        DeterminismCase{4, 2, 2, LB::kTriangularity, false, K::kHash2Phase},
-        DeterminismCase{9, 3, 4, LB::kIndexBased, false, K::kHash2Phase},
-        DeterminismCase{16, 4, 4, LB::kTriangularity, true,
+        DeterminismCase{1, 1, 1, LB::kIndexBased, 1, K::kHash2Phase},
+        DeterminismCase{4, 2, 2, LB::kTriangularity, 1, K::kHash2Phase},
+        DeterminismCase{9, 3, 4, LB::kIndexBased, 1, K::kHash2Phase},
+        DeterminismCase{16, 4, 4, LB::kTriangularity, 2,
                         K::kHash2Phase}));
 
 TEST(Determinism, RepeatedRunsAreIdentical) {

@@ -310,28 +310,6 @@ TEST(ExecPipeline, DepthBlockingThreadInvariance) {
   }
 }
 
-TEST(ExecPipeline, LegacyPreblockingIsExactlyDepth2) {
-  const auto data = overlap_dataset(300, 23);
-  const auto model = pastis::sim::MachineModel::summit_scaled(1.1e9, 3.3e4);
-
-  pc::PastisConfig cfg;
-  cfg.block_rows = cfg.block_cols = 3;
-  cfg.preblocking = true;  // legacy alias
-  pc::SimilaritySearch legacy(cfg, model, 4);
-  const auto with_alias = legacy.run(data.seqs);
-  EXPECT_EQ(with_alias.stats.pipeline_depth, 2);
-  EXPECT_TRUE(with_alias.stats.preblocking);
-
-  cfg.preblocking = false;
-  cfg.pipeline_depth = 2;
-  pc::SimilaritySearch explicit_depth(cfg, model, 4);
-  const auto with_depth = explicit_depth.run(data.seqs);
-
-  EXPECT_EQ(with_alias.edges, with_depth.edges);
-  EXPECT_EQ(with_alias.stats.rank_loop_s, with_depth.stats.rank_loop_s);
-  EXPECT_EQ(with_alias.stats.t_blocks, with_depth.stats.t_blocks);
-}
-
 TEST(ExecPipeline, DeeperPipelinesShortenTheModeledBlockLoop) {
   const auto data = overlap_dataset(400, 29);
   const auto model = pastis::sim::MachineModel::summit_scaled(1.1e9, 3.3e4);
@@ -443,7 +421,7 @@ TEST(ExecQueryEngine, DepthShardThreadInvariance) {
   delete oracle_hits;
 }
 
-TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
+TEST(ExecQueryEngine, DefaultDepth2TimelineBeatsTheSerialStream) {
   const auto refs = overlap_dataset(200, 59).seqs;
   std::vector<std::vector<std::string>> batches(
       4, std::vector<std::string>(refs.begin(), refs.begin() + 20));
@@ -454,17 +432,9 @@ TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
 
   pi::QueryEngine::Options opt;
   opt.nprocs = 4;
-  opt.preblocking = true;
-  pi::QueryEngine alias_engine(index, cfg, model, opt);
-  const auto alias = alias_engine.serve(batches);
-  EXPECT_EQ(alias.stats.pipeline_depth, 2);
-
-  opt.preblocking = false;
-  opt.pipeline_depth = 2;
   pi::QueryEngine depth_engine(index, cfg, model, opt);
   const auto depth2 = depth_engine.serve(batches);
-  EXPECT_EQ(alias.hits, depth2.hits);
-  EXPECT_EQ(alias.stats.t_serve, depth2.stats.t_serve);
+  EXPECT_EQ(depth2.stats.pipeline_depth, 2);  // the engine's default
 
   opt.pipeline_depth = 1;
   pi::QueryEngine serial_engine(index, cfg, model, opt);

@@ -420,11 +420,11 @@ TEST(QueryEngine, PreblockingOverlapShortensTheServeTimeline) {
   const auto batches = split_batches(queries, 4);
 
   pidx::QueryEngine::Options opt;
-  opt.preblocking = false;
+  opt.pipeline_depth = 1;
   pidx::QueryEngine plain(idx, cfg, {}, opt);
   const auto without = plain.serve(batches);
 
-  opt.preblocking = true;
+  opt.pipeline_depth = 2;
   pidx::QueryEngine overlapped(idx, cfg, {}, opt);
   const auto with = overlapped.serve(batches);
 

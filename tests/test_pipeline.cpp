@@ -199,7 +199,7 @@ TEST(Pipeline, PreblockingShortensTimelineAndDilatesComponents) {
   pc::SimilaritySearch plain(cfg, model, 4);
   const auto without = plain.run(data.seqs);
 
-  cfg.preblocking = true;
+  cfg.pipeline_depth = 2;
   pc::SimilaritySearch overlapped(cfg, model, 4);
   const auto with = overlapped.run(data.seqs);
 

@@ -2,9 +2,9 @@
 // path (and its hit/miss accounting is deterministic), LSM delta segments
 // fold to exactly a from-scratch rebuild at every epoch — compacted or not
 // — cache invalidation on mutation is exact under concurrent pipeline
-// depths and pool sizes, the per-epoch shard resolution is hoisted out of
-// the batch path, and online re-placement migrates deterministically while
-// never changing results.
+// depths and pool sizes, each batch's shard → server map follows the
+// placement and the fault plan, and online re-placement migrates
+// deterministically while never changing results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "serve/result_cache.hpp"
 #include "serve/serving_tier.hpp"
 #include "sim/clock.hpp"
+#include "sim/fault.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -297,31 +298,121 @@ TEST(ServeCache, MutationInvalidatesBeforeAnyCachedReplayAcrossPools) {
   }
 }
 
-// ---- per-epoch shard resolution hoist (satellite) --------------------------
+// ---- the per-batch shard → server map --------------------------------------
 
-TEST(QueryEngine, ShardResolutionIsComputedOncePerEpochNotPerBatch) {
-  const auto refs = make_refs(60, 421);
-  const auto add1 = make_refs(20, 422);
+namespace {
+
+/// Per-rank SpGEMM products charged to the engine's runtime clocks so far.
+std::vector<std::uint64_t> rank_products(const pidx::QueryEngine& engine) {
+  std::vector<std::uint64_t> out;
+  for (const auto& c : engine.runtime()->clocks()) {
+    out.push_back(c.spgemm_products);
+  }
+  return out;
+}
+
+/// Element-wise `after - before`: one batch's per-rank products.
+std::vector<std::uint64_t> products_since(
+    const pidx::QueryEngine& engine, const std::vector<std::uint64_t>& before) {
+  auto out = rank_products(engine);
+  for (std::size_t r = 0; r < out.size(); ++r) out[r] -= before[r];
+  return out;
+}
+
+std::uint64_t total(const std::vector<std::uint64_t>& v) {
+  std::uint64_t t = 0;
+  for (const auto x : v) t += x;
+  return t;
+}
+
+}  // namespace
+
+TEST(QueryEngine, ShardServerMapFollowsPlacementAndFaults) {
+  const auto refs = make_refs(80, 431);
+  const auto queries = make_queries(refs, 24, 433);
   pc::PastisConfig cfg;
-  const auto queries = make_queries(refs, 24, 425);
-
-  ps::DeltaIndex delta(pidx::KmerIndex::build(refs, cfg, 6), cfg);
+  const auto idx = pidx::KmerIndex::build(refs, cfg, 8);
   pidx::QueryEngine::Options opt;
   opt.grid_side = 2;
-  pidx::QueryEngine engine(delta, cfg, pastis::sim::MachineModel{}, opt);
-  EXPECT_EQ(engine.resolution_builds(), 1u);  // built at construction
 
-  (void)engine.serve(split_batches(queries, 6));
-  EXPECT_EQ(engine.resolution_builds(), 1u);  // NOT once per batch
+  // Re-placement: moving one primary moves its products from the donor's
+  // clock to the target's, and nothing else.
+  {
+    pidx::QueryEngine engine(idx, cfg, pastis::sim::MachineModel{}, opt);
+    const auto hits_before = engine.search_batch(queries);
+    const auto before = rank_products(engine);
+    const int donor = static_cast<int>(
+        std::max_element(before.begin(), before.end()) - before.begin());
+    const int target = (donor + 1) % 4;
+    pidx::ShardPlacement moved = *engine.placement();
+    const int shard = moved.shards_of(donor).front();
+    const auto si = static_cast<std::size_t>(shard);
+    const std::uint64_t bytes = idx.shard_bytes()[si];
+    moved.primary[si] = target;
+    moved.replicas[si] = {target};
+    moved.rank_resident_bytes[static_cast<std::size_t>(donor)] -= bytes;
+    moved.rank_resident_bytes[static_cast<std::size_t>(target)] += bytes;
+    const pidx::ShardMigration migration{shard, donor, target, bytes};
+    (void)engine.apply_replacement(moved, {&migration, 1});
 
-  (void)delta.add_references(add1);
-  (void)engine.serve(split_batches(queries, 3));
-  EXPECT_EQ(engine.resolution_builds(), 2u);  // once per epoch change
+    engine.reset_stream();
+    const auto hits_after = engine.search_batch(queries);
+    const auto after = products_since(engine, before);
+    EXPECT_EQ(hits_after, hits_before);
+    EXPECT_EQ(total(after), total(before));
+    const std::uint64_t shifted = before[static_cast<std::size_t>(donor)] -
+                                  after[static_cast<std::size_t>(donor)];
+    EXPECT_GT(shifted, 0u);
+    EXPECT_EQ(after[static_cast<std::size_t>(target)],
+              before[static_cast<std::size_t>(target)] + shifted);
+    for (int r = 0; r < 4; ++r) {
+      if (r == donor || r == target) continue;
+      EXPECT_EQ(after[static_cast<std::size_t>(r)],
+                before[static_cast<std::size_t>(r)]);
+    }
+  }
 
-  const auto rb = pidx::ShardPlacement::rebalance(*engine.placement(),
-                                                  delta.shard_total_bytes());
-  (void)engine.apply_replacement(rb.placement, rb.migrations);
-  EXPECT_EQ(engine.resolution_builds(), 3u);  // once per re-placement
+  // Faults: rank 1 dies at batch 1. From then on it charges no products,
+  // and its shards' products land on their first alive replicas.
+  {
+    opt.replication = 2;
+    pc::PastisConfig faulty_cfg = cfg;
+    faulty_cfg.fault_plan = pastis::sim::FaultPlan::parse("kill@b1:r1");
+    pidx::QueryEngine faulty(idx, faulty_cfg, pastis::sim::MachineModel{},
+                             opt);
+    pidx::QueryEngine healthy(idx, cfg, pastis::sim::MachineModel{}, opt);
+    const pidx::ShardPlacement& pl = *healthy.placement();
+    std::vector<char> receives(4, 0);
+    for (int s = 0; s < pl.n_shards(); ++s) {
+      const auto& holders = pl.replicas[static_cast<std::size_t>(s)];
+      if (holders[0] == 1) receives[static_cast<std::size_t>(holders[1])] = 1;
+    }
+    for (int b = 0; b < 3; ++b) {
+      const auto f0 = rank_products(faulty);
+      const auto h0 = rank_products(healthy);
+      EXPECT_EQ(faulty.search_batch(queries), healthy.search_batch(queries));
+      const auto f = products_since(faulty, f0);
+      const auto h = products_since(healthy, h0);
+      if (b == 0) {
+        EXPECT_EQ(f, h);
+        continue;
+      }
+      EXPECT_EQ(f[1], 0u) << "batch " << b;
+      EXPECT_EQ(total(f), total(h)) << "batch " << b;
+      std::uint64_t landed = 0;
+      for (std::size_t r = 0; r < 4; ++r) {
+        if (r == 1) continue;
+        if (receives[r] == 0) {
+          EXPECT_EQ(f[r], h[r]) << "batch " << b << " rank " << r;
+        } else {
+          EXPECT_GE(f[r], h[r]) << "batch " << b << " rank " << r;
+          landed += f[r] - h[r];
+        }
+      }
+      EXPECT_GT(h[1], 0u);
+      EXPECT_EQ(landed, h[1]) << "batch " << b;
+    }
+  }
 }
 
 // ---- online re-placement ---------------------------------------------------

@@ -390,17 +390,19 @@ std::vector<std::pair<int, ps::Index>> select_topk(
 }  // namespace
 
 TEST(SpGemmFused, IdentityEpilogueMatchesTwoPhase) {
+  // spgemm_hash2p IS the fused kernel with a copy-through epilogue, so the
+  // independent reference is the serial oracle.
   auto A = random_matrix(80, 70, 0.15, 70);
   auto B = random_matrix(70, 90, 0.15, 71);
   ps::SpGemmStats sref;
-  auto Cref = ps::spgemm_hash2p<ps::PlusTimes<int>>(A, B, &sref);
+  auto Cref = ps::spgemm_hash<ps::PlusTimes<int>>(A, B, &sref);
   ps::SpGemmStats sf;
   ps::FusedExpandInfo info;
   auto Cf = ps::spgemm_hash2p_fused<ps::PlusTimes<int>>(
       A, B, IdentityEpilogue{}, no_cap, nullptr, nullptr, &info, &sf);
   EXPECT_TRUE(Cf == Cref);
   // The fused kernel reports PRE-epilogue stats — with an identity
-  // epilogue they coincide with the unfused kernel's exactly.
+  // epilogue they coincide with the serial oracle's exactly.
   EXPECT_EQ(sf.products, sref.products);
   EXPECT_EQ(sf.out_nnz, sref.out_nnz);
   EXPECT_EQ(sf.calls, sref.calls);
@@ -413,7 +415,7 @@ TEST(SpGemmFused, TopKEpilogueMatchesPostPrune) {
   auto A = random_matrix(60, 60, 0.2, 72);
   auto B = random_matrix(60, 60, 0.2, 73);
   ps::SpGemmStats sref;
-  auto Cref = ps::spgemm_hash2p<ps::PlusTimes<int>>(A, B, &sref);
+  auto Cref = ps::spgemm_hash<ps::PlusTimes<int>>(A, B, &sref);
 
   auto topk = [](std::size_t, ps::Index, const ps::Index* cols,
                  const int* vals, std::size_t n, ps::Index* out_cols,
