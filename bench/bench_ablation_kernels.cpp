@@ -76,17 +76,50 @@ void BM_SmithWatermanScoreOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_SmithWatermanScoreOnly)->Arg(128)->Arg(512);
 
+// CUPS of the banded kernels counts the cells inside the band (the
+// kernels' own `cells`), so it compares directly with the full kernels.
 void BM_BandedSW(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   const int half_width = static_cast<int>(state.range(1));
   const auto seqs = random_proteins(2, len, 44);
   const auto scoring = align::Scoring::pastis_default();
+  std::uint64_t cells = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::banded_smith_waterman(seqs[0], seqs[1], scoring, 0, half_width));
+    const auto res =
+        align::banded_smith_waterman(seqs[0], seqs[1], scoring, 0, half_width);
+    benchmark::DoNotOptimize(res);
+    cells += res.cells;
   }
+  state.counters["CUPS"] =
+      benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BandedSW)->Args({512, 16})->Args({512, 64})->Args({512, 256});
+
+// The banded lane kernel on one full group of kLanePairs equal-length pairs
+// with BM_BandedSW's shapes.
+void BM_BandedLanes(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const int half_width = static_cast<int>(state.range(1));
+  const auto seqs = random_proteins(2 * align::kLanePairs, len, 44);
+  const std::vector<std::string_view> queries(seqs.begin(),
+                                              seqs.begin() + align::kLanePairs);
+  const std::vector<std::string_view> references(
+      seqs.begin() + align::kLanePairs, seqs.end());
+  const std::vector<int> diags(align::kLanePairs, 0);
+  const auto scoring = align::Scoring::pastis_default();
+  std::vector<align::AlignResult> out(align::kLanePairs);
+  std::uint64_t cells = 0;
+  for (auto _ : state) {
+    align::banded_smith_waterman_lanes(queries, references, scoring, diags,
+                                       half_width, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    for (const auto& res : out) cells += res.cells;
+  }
+  state.counters["CUPS"] =
+      benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BandedLanes)->Args({512, 16})->Args({512, 64})->Args({512, 256});
 
 void BM_XDrop(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));

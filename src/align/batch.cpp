@@ -12,6 +12,15 @@
 
 namespace pastis::align {
 
+namespace {
+
+/// The banded kernels' diag_center for a task.
+int band_diagonal(const AlignTask& task) {
+  return static_cast<int>(task.seed_r) - static_cast<int>(task.seed_q);
+}
+
+}  // namespace
+
 AlignResult BatchAligner::run_full_sw(std::string_view q, std::string_view r,
                                       const AlignTask&) const {
   return smith_waterman(q, r, scoring_);
@@ -19,9 +28,8 @@ AlignResult BatchAligner::run_full_sw(std::string_view q, std::string_view r,
 
 AlignResult BatchAligner::run_banded(std::string_view q, std::string_view r,
                                      const AlignTask& task) const {
-  const int diag =
-      static_cast<int>(task.seed_r) - static_cast<int>(task.seed_q);
-  return banded_smith_waterman(q, r, scoring_, diag, config_.band_half_width);
+  return banded_smith_waterman(q, r, scoring_, band_diagonal(task),
+                               config_.band_half_width);
 }
 
 AlignResult BatchAligner::run_xdrop(std::string_view q, std::string_view r,
@@ -107,32 +115,38 @@ BatchStats BatchAligner::stats_with(
 }
 
 void BatchAligner::align_tasks(const SeqAccessor& seq_of,
-                               std::span<const AlignTask> tasks,
+                               std::span<const AlignTask> tasks, AlignKind kind,
                                std::span<AlignResult> results,
                                util::ThreadPool* pool) const {
   if (results.size() != tasks.size()) {
     throw std::invalid_argument("align_tasks: results and tasks differ in size");
   }
-  if (config_.kind != AlignKind::kFullSW) {
+  if (kind == AlignKind::kXDrop) {
     util::parallel_for(pool, tasks.size(), [&](std::size_t t) {
-      results[t] = align_one_task(seq_of, tasks[t]);
+      results[t] =
+          align_pair(seq_of(tasks[t].q_id), seq_of(tasks[t].r_id), tasks[t],
+                     kind);
     });
     return;
   }
 
-  // Neighbours in (|r|, |q|) order pad each other least in a lane group.
+  // Neighbours in this order pad each other least in a lane group: full SW
+  // pads each lane to the group's largest |q| x |r| with columns innermost,
+  // banded to the group's most rows times its widest band.
+  const bool banded = kind == AlignKind::kBanded;
   struct Key {
-    std::uint32_t r_len, q_len, task;
+    std::uint32_t major, minor, task;
   };
   std::vector<Key> order(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    order[t] = {static_cast<std::uint32_t>(seq_of(tasks[t].r_id).size()),
-                static_cast<std::uint32_t>(seq_of(tasks[t].q_id).size()),
-                static_cast<std::uint32_t>(t)};
+    const auto q_len = static_cast<std::uint32_t>(seq_of(tasks[t].q_id).size());
+    const auto r_len = static_cast<std::uint32_t>(seq_of(tasks[t].r_id).size());
+    order[t] = banded ? Key{q_len, r_len, static_cast<std::uint32_t>(t)}
+                      : Key{r_len, q_len, static_cast<std::uint32_t>(t)};
   }
   std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
-    return std::tie(a.r_len, a.q_len, a.task) <
-           std::tie(b.r_len, b.q_len, b.task);
+    return std::tie(a.major, a.minor, a.task) <
+           std::tie(b.major, b.minor, b.task);
   });
   // Groups run largest first, so the pool's last chunks are the cheapest.
   const std::size_t groups = (tasks.size() + kLanePairs - 1) / kLanePairs;
@@ -140,15 +154,25 @@ void BatchAligner::align_tasks(const SeqAccessor& seq_of,
     const std::size_t first = (groups - 1 - g) * kLanePairs;
     const std::size_t count = std::min(kLanePairs, tasks.size() - first);
     std::array<std::string_view, kLanePairs> qs, rs;
+    std::array<int, kLanePairs> diags{};
     std::array<AlignResult, kLanePairs> out;
     for (std::size_t k = 0; k < count; ++k) {
       const AlignTask& task = tasks[order[first + k].task];
       qs[k] = seq_of(task.q_id);
       rs[k] = seq_of(task.r_id);
+      diags[k] = band_diagonal(task);
     }
-    smith_waterman_lanes(std::span(qs.data(), count),
-                         std::span(rs.data(), count), scoring_,
-                         std::span(out.data(), count));
+    if (banded) {
+      banded_smith_waterman_lanes(std::span(qs.data(), count),
+                                  std::span(rs.data(), count), scoring_,
+                                  std::span(diags.data(), count),
+                                  config_.band_half_width,
+                                  std::span(out.data(), count));
+    } else {
+      smith_waterman_lanes(std::span(qs.data(), count),
+                           std::span(rs.data(), count), scoring_,
+                           std::span(out.data(), count));
+    }
     for (std::size_t k = 0; k < count; ++k) {
       results[order[first + k].task] = out[k];
     }
@@ -179,7 +203,7 @@ std::span<const AlignResult> BatchAligner::align_batch(
       slice.push_back(tasks[t]);
     }
     std::vector<AlignResult> out(slice.size());
-    align_tasks(seq_of, slice, out, nullptr);
+    align_tasks(seq_of, slice, config_.kind, out, nullptr);
     std::uint64_t lane_cells = 0;
     for (std::size_t k = 0; k < out.size(); ++k) {
       ws.results[index[k]] = out[k];

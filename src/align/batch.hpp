@@ -5,10 +5,11 @@
 // across them, and runs one host thread per device for packing and
 // transfers. We reproduce that architecture: `devices` logical accelerators,
 // each fed a slice of the batch by a driver thread. Alignment *results* are
-// computed exactly on the host by align_tasks: full Smith-Waterman runs
-// through the 8-lane inter-pair kernel (smith_waterman_lanes: AVX2, pairs
-// grouped by length, bit-identical to the scalar smith_waterman, which
-// takes every pair the lanes cannot); banded and x-drop run per pair.
+// computed exactly on the host by align_tasks: full and banded
+// Smith-Waterman run through 8-lane inter-pair kernels
+// (smith_waterman_lanes, banded_smith_waterman_lanes: AVX2, pairs grouped
+// by length, bit-identical to the scalar kernels, which take every pair
+// the lanes cannot); x-drop runs per pair.
 // Alignment *time* is charged to the device model (cells / GCUPS, priced
 // by core::modeled_align_seconds from the cells and pairs counted here),
 // which is how every paper-facing number stays hardware-independent.
@@ -112,14 +113,16 @@ class BatchAligner {
                                            BatchStats* stats = nullptr,
                                            util::ThreadPool* pool = nullptr) const;
 
-  /// Aligns every task with config().kind into `results` (same size,
+  /// Aligns every task with `kind` into `results` (same size,
   /// positionally parallel) — the one host execution path every batch
-  /// caller shares. Full SW runs through smith_waterman_lanes: tasks are
-  /// ordered by (|r|, |q|, index), cut into groups of kLanePairs, and the
-  /// groups run on `pool` (inline when null). Other kinds run one pair per
-  /// iteration. Element-wise identical to align_one_task.
+  /// caller and the cascade's tier-1 probes share. Full SW runs through
+  /// smith_waterman_lanes with tasks ordered by (|r|, |q|, index), banded
+  /// through banded_smith_waterman_lanes ordered by (|q|, |r|, index), i.e.
+  /// by row count; either way the order is cut into groups of kLanePairs
+  /// and the groups run on `pool` (inline when null). X-drop runs one pair
+  /// per iteration. Element-wise identical to align_pair with `kind`.
   void align_tasks(const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
-                   std::span<AlignResult> results,
+                   AlignKind kind, std::span<AlignResult> results,
                    util::ThreadPool* pool) const;
 
   /// Aligns a single task (element-wise identical to align_batch).
@@ -130,10 +133,10 @@ class BatchAligner {
   }
 
   /// One pair through the table-driven kernel dispatch with an explicit
-  /// kind. This is the cascade tiers' entry point: tier 1 probes with a
-  /// cheap kind (banded / x-drop), tier 2 re-runs the configured kind —
-  /// all sharing the same scoring, band and x-drop knobs and the same
-  /// lane-assignment/workspace machinery as the batch paths.
+  /// kind: the scalar kernels, with the same scoring, band and x-drop knobs
+  /// as the batch paths. align::tier1_keep probes one pair through it;
+  /// the data plane probes whole batches through align_tasks, and reuses a
+  /// probe as the tier-2 result when the kinds agree.
   [[nodiscard]] AlignResult align_pair(std::string_view q, std::string_view r,
                                        const AlignTask& task,
                                        AlignKind kind) const;

@@ -167,15 +167,14 @@ bool tier0_keep(std::string_view q, std::string_view r,
   return keep;
 }
 
-bool tier1_keep(std::string_view q, std::string_view r, const AlignTask& task,
-                const BatchAligner& aligner, const CascadeOptions& opt,
-                TierStats& ts) {
+bool tier1_accept(const AlignResult& probe, std::size_t len_q,
+                  std::size_t len_r, const CascadeOptions& opt,
+                  TierStats& ts) {
   ++ts.pairs_in;
-  const AlignResult probe = aligner.align_pair(q, r, task, opt.tier1_kind);
   ts.cells += probe.cells;
   bool keep = probe.score >= opt.tier1_min_score;
   if (keep && opt.tier1_min_cov > 0.0) {
-    keep = probe.coverage(q.size(), r.size()) >= opt.tier1_min_cov;
+    keep = probe.coverage(len_q, len_r) >= opt.tier1_min_cov;
   }
   if (keep) {
     ++ts.pairs_out;
@@ -183,6 +182,13 @@ bool tier1_keep(std::string_view q, std::string_view r, const AlignTask& task,
     ++ts.rejects;
   }
   return keep;
+}
+
+bool tier1_keep(std::string_view q, std::string_view r, const AlignTask& task,
+                const BatchAligner& aligner, const CascadeOptions& opt,
+                TierStats& ts) {
+  return tier1_accept(aligner.align_pair(q, r, task, opt.tier1_kind),
+                      q.size(), r.size(), opt, ts);
 }
 
 bool cascade_keep(std::string_view q, std::string_view r,

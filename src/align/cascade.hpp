@@ -9,6 +9,9 @@
 // with a cheap DP kernel — banded Smith-Waterman or x-drop extension — and
 // a per-tier score cutoff. Tier 2 is the existing batch path: the
 // configured alignment kind runs only on pairs that survive both screens.
+// When tier 1 probes with that same kind, its probe already is the tier-2
+// result, and the data plane (core::screen_candidates, align_and_filter)
+// keeps it instead of aligning the pair again.
 //
 // Every tier is disabled by default, so the exact path is bit-identical by
 // construction (a single branch per candidate). The `exact()` preset
@@ -59,7 +62,8 @@ struct CascadeOptions {
 
   // --- Tier 1: banded / x-drop probe with score + coverage cutoffs -------
   bool tier1_enabled = false;
-  /// Probe kernel; kFullSW is allowed but pointless (it is tier 2).
+  /// Probe kernel. When it equals the aligner's configured kind the probe
+  /// is reused as the tier-2 result; kFullSW then screens at full cost.
   AlignKind tier1_kind = AlignKind::kXDrop;
   int tier1_min_score = kCascadeNoCutoff;
   /// Minimum short coverage of the probe's alignment window (the same
@@ -90,7 +94,7 @@ struct TierStats {
   std::uint64_t pairs_in = 0;
   std::uint64_t pairs_out = 0;  // survivors handed to the next tier
   std::uint64_t rejects = 0;
-  std::uint64_t cells = 0;      // scalar cells updated by the screen
+  std::uint64_t cells = 0;      // DP cells updated by the screen
 
   void merge(const TierStats& o) {
     pairs_in += o.pairs_in;
@@ -144,8 +148,16 @@ struct UngappedExtension {
                               const BatchAligner& aligner,
                               const CascadeOptions& opt, TierStats& ts);
 
+/// The tier-1 keep rule for one candidate's probe result (a tier1_kind
+/// alignment of a |q| = len_q, |r| = len_r pair): the score cutoff, then
+/// the coverage cutoff. Returns true when the pair survives; `ts`
+/// accumulates the probe's pair and cells.
+[[nodiscard]] bool tier1_accept(const AlignResult& probe, std::size_t len_q,
+                                std::size_t len_r, const CascadeOptions& opt,
+                                TierStats& ts);
+
 /// Tier-1 screen of one candidate pair: the probe kernel (tier1_kind) via
-/// the aligner's table-driven dispatch, with the per-tier score cutoff.
+/// the aligner's table-driven dispatch, then tier1_accept.
 [[nodiscard]] bool tier1_keep(std::string_view q, std::string_view r,
                               const AlignTask& task,
                               const BatchAligner& aligner,

@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
+#include "align/lane_dp.hpp"
 
 namespace pastis::align {
 
@@ -147,37 +145,10 @@ AlignResult smith_waterman(std::string_view query, std::string_view reference,
 
 namespace {
 
-// Lane kernel packing: two 16-bit path counters share one 32-bit lane, so
-// a pair takes the lane kernel only while every counter fits 16 bits. Along
-// any path ending in cell (i, j), beg_q < i <= |q|, beg_r < j <= |r| and
-// matches <= len <= i + j, so |q| + |r| < 65536 is exact.
-constexpr std::size_t kLaneLimit = 1u << 16;
-
-bool lane_kernel_available() {
-#if defined(__x86_64__)
-  static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
-  return avx2;
-#else
-  return false;
-#endif
-}
-
 #if defined(__x86_64__)
 
-// Vector types stay inside the AVX2 function below: code compiled for the
-// baseline ISA passes them differently, so scratch is plain int32 storage
-// aligned by hand rather than containers of vectors.
-typedef std::int32_t v8i __attribute__((vector_size(32), __may_alias__));
-typedef std::uint32_t v8u __attribute__((vector_size(32), __may_alias__));
-
-/// Lane-kernel scratch for one group. It is freed when the group is done:
-/// kept per thread, it would hold every pool thread's largest row at once,
-/// which measurably raised peak resident memory.
-struct LaneRows {
-  std::vector<std::int32_t> rows;       // 6 x 8 int32 per column, + slack
-  std::vector<std::uint8_t> ref_codes;  // 8 codes per reference column
-  std::vector<std::uint8_t> qry_codes;  // 8 codes per query row
-};
+using lane_dp::v8i;
+using lane_dp::v8u;
 
 /// The scalar recurrence of smith_waterman, run for kLanePairs pairs at
 /// once. Each lane is padded to the largest |q| x |r| of the group (code 0
@@ -185,16 +156,16 @@ struct LaneRows {
 /// lane's own matrix, and the best-cell update is masked to i <= |q_k|,
 /// j <= |r_k|, so every lane reproduces the scalar result exactly.
 ///
-/// The DP state lives in one row updated in place. Per column j it holds
-/// six vectors: H, F, and the packed path words of each, pos = beg_q |
-/// beg_r << 16 and cnt = matches | len << 16. The previous row's H and
-/// path words at j - 1 (the diagonal) ride along in registers.
+/// The DP state lives in one row of columns 0..max |r| updated in place
+/// (lane_dp::gotoh_cell); column 0 is the zero boundary. The previous
+/// row's H and path words at j - 1 (the diagonal) ride along in registers.
+/// Scratch is allocated per group: kept per thread, it would hold every
+/// pool thread's largest row at once, which measurably raised peak
+/// resident memory.
 __attribute__((target("avx2"))) void smith_waterman_avx2(
     const std::string_view* queries, const std::string_view* references,
     std::size_t count, const Scoring& scoring, AlignResult* out) {
-  constexpr std::size_t kStride = 6 * kLanePairs;  // int32s per column
-  constexpr std::int32_t kNegInf = -(1 << 28);
-  constexpr std::uint32_t kLen1 = 1u << 16;  // ++len in a cnt word
+  constexpr std::size_t kStride = lane_dp::kColumn;
 
   alignas(32) std::int32_t len_q[kLanePairs] = {};
   alignas(32) std::int32_t len_r[kLanePairs] = {};
@@ -211,35 +182,23 @@ __attribute__((target("avx2"))) void smith_waterman_avx2(
   if (rows_m == 0 || cols_n == 0) return;
 
   alignas(32) std::int32_t table[kScoreAlphabet * kScoreAlphabet];
-  for (int a = 0; a < kScoreAlphabet; ++a) {
-    for (int b = 0; b < kScoreAlphabet; ++b) {
-      table[a * kScoreAlphabet + b] = scoring.score(
-          static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b));
-    }
-  }
+  lane_dp::fill_score_table(scoring, table);
 
-  LaneRows scratch;
-  scratch.ref_codes.assign(kLanePairs * cols_n, 0);
-  scratch.qry_codes.assign(kLanePairs * rows_m, 0);
+  std::vector<std::uint8_t> ref_codes(kLanePairs * cols_n, 0);
+  std::vector<std::uint8_t> qry_codes(kLanePairs * rows_m, 0);
   for (std::size_t k = 0; k < count; ++k) {
     for (std::size_t j = 0; j < references[k].size(); ++j) {
-      scratch.ref_codes[kLanePairs * j + k] = Scoring::encode(references[k][j]);
+      ref_codes[kLanePairs * j + k] = Scoring::encode(references[k][j]);
     }
     for (std::size_t i = 0; i < queries[k].size(); ++i) {
-      scratch.qry_codes[kLanePairs * i + k] = Scoring::encode(queries[k][i]);
+      qry_codes[kLanePairs * i + k] = Scoring::encode(queries[k][i]);
     }
   }
-  scratch.rows.resize(kStride * (cols_n + 1) + kLanePairs);
-  std::int32_t* const row = reinterpret_cast<std::int32_t*>(
-      (reinterpret_cast<std::uintptr_t>(scratch.rows.data()) + 31) &
-      ~std::uintptr_t{31});
-  for (std::size_t j = 0; j <= cols_n; ++j) {
-    std::int32_t* c = row + kStride * j;
-    std::fill(c, c + kStride, 0);
-    std::fill(c + kLanePairs, c + 2 * kLanePairs, kNegInf);  // F
-  }
+  std::vector<std::int32_t> row_buf;
+  std::int32_t* const row = lane_dp::boundary_row(row_buf, cols_n + 1);
 
   const v8i zero = {};
+  const v8i all = zero - 1;
   const v8i go = zero + (scoring.gap_open() + scoring.gap_extend());
   const v8i ge = zero + scoring.gap_extend();
   const v8i m_vec = *reinterpret_cast<const v8i*>(len_q);
@@ -250,94 +209,38 @@ __attribute__((target("avx2"))) void smith_waterman_avx2(
 
   for (std::size_t i = 1; i <= rows_m; ++i) {
     const v8i q_code = (v8i)_mm256_cvtepu8_epi32(_mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(&scratch.qry_codes[kLanePairs * (i - 1)])));
+        reinterpret_cast<const __m128i*>(&qry_codes[kLanePairs * (i - 1)])));
     const v8i q_off = q_code * kScoreAlphabet;
     const v8i row_in = (zero + static_cast<std::int32_t>(i)) <= m_vec;
 
-    v8i e = zero + kNegInf;
-    v8u e_pos = {}, e_cnt = {};
-    v8i left = zero;  // H at (i, j - 1): column 0 is the zero boundary
-    v8u left_pos = {}, left_cnt = {};
-    v8i diag = zero;  // H at (i - 1, j - 1)
-    v8u diag_pos = {}, diag_cnt = {};
+    lane_dp::RowCarry c{};
+    c.e = zero + lane_dp::kNegInf;
 
-    const std::uint8_t* r_codes = scratch.ref_codes.data();
+    const std::uint8_t* r_codes = ref_codes.data();
     std::int32_t* col = row + kStride;
     for (std::size_t j = 1; j <= cols_n;
          ++j, col += kStride, r_codes += kLanePairs) {
       v8i* const cv = reinterpret_cast<v8i*>(col);
-      const v8i up = cv[0];
-      const v8i up_f = cv[1];
-      const v8u up_pos = (v8u)cv[2], up_cnt = (v8u)cv[3];
-      const v8u upf_pos = (v8u)cv[4], upf_cnt = (v8u)cv[5];
-
-      // E: gap consuming the reference (left transitions within this row).
-      const v8i e_open = left - go;
-      const v8i e_ext = e - ge;
-      const v8i e_take_open = e_open >= e_ext;
-      e = e_take_open ? e_open : e_ext;
-      e_pos = e_take_open ? left_pos : e_pos;
-      e_cnt = (e_take_open ? left_cnt : e_cnt) + kLen1;
-
-      // F: gap consuming the query (up transitions from the previous row).
-      const v8i f_open = up - go;
-      const v8i f_ext = up_f - ge;
-      const v8i f_take_open = f_open >= f_ext;
-      const v8i f = f_take_open ? f_open : f_ext;
-      const v8u f_pos = f_take_open ? up_pos : upf_pos;
-      const v8u f_cnt = (f_take_open ? up_cnt : upf_cnt) + kLen1;
-      cv[1] = f;
-      cv[4] = (v8i)f_pos;
-      cv[5] = (v8i)f_cnt;
-
-      // Diagonal: substitution, or a fresh start if the previous H was 0.
       const v8i r_code = (v8i)_mm256_cvtepu8_epi32(
           _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r_codes)));
       const v8i sub = (v8i)_mm256_i32gather_epi32(
           table, (__m256i)(q_off + r_code), 4);
-      const v8i is_match = q_code == r_code;  // -1 where the residues agree
-      const v8i extend = diag > 0;
       const std::uint32_t restart = static_cast<std::uint32_t>(i - 1) |
                                     static_cast<std::uint32_t>(j - 1) << 16;
-      v8i h = diag + sub;
-      v8u h_pos = extend ? diag_pos : (v8u{} + restart);
-      v8u h_cnt = (extend ? diag_cnt : v8u{}) + kLen1 - (v8u)is_match;
-
-      // H: deterministic tie-break diag > up (F) > left (E) > restart.
-      const v8i take_f = f > h;
-      h = take_f ? f : h;
-      h_pos = take_f ? f_pos : h_pos;
-      h_cnt = take_f ? f_cnt : h_cnt;
-      const v8i take_e = e > h;
-      h = take_e ? e : h;
-      h_pos = take_e ? e_pos : h_pos;
-      h_cnt = take_e ? e_cnt : h_cnt;
-      const v8i keep = h > 0;
-      h &= keep;
-      h_pos &= (v8u)keep;
-      h_cnt &= (v8u)keep;
+      lane_dp::gotoh_cell(cv, cv, c, sub, q_code == r_code,
+                          v8u{} + restart, all, go, ge);
 
       // Strict row-major best, only inside the lane's own matrix.
-      const v8i better =
-          (h > best) & row_in & ((zero + static_cast<std::int32_t>(j)) <= n_vec);
+      const v8i better = (c.left > best) & row_in &
+                         ((zero + static_cast<std::int32_t>(j)) <= n_vec);
       if (!_mm256_testz_si256((__m256i)better, (__m256i)better)) {
-        best = better ? h : best;
+        best = better ? c.left : best;
         best_end = better ? (v8u{} + (static_cast<std::uint32_t>(i) |
                                       static_cast<std::uint32_t>(j) << 16))
                           : best_end;
-        best_pos = better ? h_pos : best_pos;
-        best_cnt = better ? h_cnt : best_cnt;
+        best_pos = better ? c.left_pos : best_pos;
+        best_cnt = better ? c.left_cnt : best_cnt;
       }
-
-      diag = up;
-      diag_pos = up_pos;
-      diag_cnt = up_cnt;
-      cv[0] = h;
-      cv[2] = (v8i)h_pos;
-      cv[3] = (v8i)h_cnt;
-      left = h;
-      left_pos = h_pos;
-      left_cnt = h_cnt;
     }
   }
 
@@ -371,9 +274,10 @@ void smith_waterman_lanes(std::span<const std::string_view> queries,
   std::array<std::string_view, kLanePairs> lane_q, lane_r;
   std::array<std::size_t, kLanePairs> slot{};
   std::size_t lanes = 0;
-  const bool vector_ok = lane_kernel_available();
+  const bool vector_ok = lane_dp::available();
   for (std::size_t k = 0; k < queries.size(); ++k) {
-    if (vector_ok && queries[k].size() + references[k].size() < kLaneLimit) {
+    if (vector_ok &&
+        queries[k].size() + references[k].size() < lane_dp::kLaneLimit) {
       lane_q[lanes] = queries[k];
       lane_r[lanes] = references[k];
       slot[lanes++] = k;

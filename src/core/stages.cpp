@@ -1,6 +1,7 @@
 #include "core/stages.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "kmer/extract.hpp"
@@ -80,44 +81,85 @@ void RankWork::reset(int p) {
   align.assign(np, align::BatchStats{});
 }
 
+namespace {
+
+/// True when tier 1 probes with the aligner's own kind: the same aligner,
+/// task and kernel then give every survivor its tier-2 result.
+bool probes_are_results(const PastisConfig& cfg,
+                        const align::BatchAligner& aligner) {
+  return cfg.cascade.tier1_enabled &&
+         cfg.cascade.tier1_kind == aligner.config().kind;
+}
+
+std::size_t staged_pairs(const RankWork& work) {
+  std::size_t n = 0;
+  for (const auto& v : work.cands) n += v.size();
+  return n;
+}
+
+}  // namespace
+
 void screen_candidates(RankWork& work,
                        const align::BatchAligner::SeqAccessor& seq_of,
                        const align::BatchAligner& aligner,
                        const PastisConfig& cfg, util::ThreadPool* pool) {
   const std::size_t np = work.cands.size();
-  for (int tier = 0; tier < 2; ++tier) {
-    if (tier == 0 ? !cfg.cascade.tier0_enabled : !cfg.cascade.tier1_enabled) {
-      continue;
-    }
-    std::size_t in = 0;
-    for (const auto& v : work.cands) in += v.size();
-    obs::Span span(cfg.telemetry.tracer,
-                   tier == 0 ? "cascade.tier0" : "cascade.tier1");
+  if (cfg.cascade.tier0_enabled) {
+    const std::size_t in = staged_pairs(work);
+    obs::Span span(cfg.telemetry.tracer, "cascade.tier0");
     util::parallel_for(pool, np, [&](std::size_t ri) {
       auto& v = work.cands[ri];
-      auto& cs = work.cascade[ri];
       std::size_t w = 0;
       for (const auto& c : v) {
-        const std::string_view q = seq_of(c.task.q_id);
-        const std::string_view r = seq_of(c.task.r_id);
-        const bool keep =
-            tier == 0
-                ? align::tier0_keep(
-                      q, r,
-                      std::span<const align::Seed>(
-                          c.seeds, static_cast<std::size_t>(c.n_seeds)),
-                      c.count, c.sketch_overlap, aligner, cfg.cascade,
-                      cs.tier0)
-                : align::tier1_keep(q, r, c.task, aligner, cfg.cascade,
-                                    cs.tier1);
-        if (keep) v[w++] = c;
+        if (align::tier0_keep(seq_of(c.task.q_id), seq_of(c.task.r_id),
+                              std::span<const align::Seed>(
+                                  c.seeds, static_cast<std::size_t>(c.n_seeds)),
+                              c.count, c.sketch_overlap, aligner, cfg.cascade,
+                              work.cascade[ri].tier0)) {
+          v[w++] = c;
+        }
       }
       v.resize(w);
     });
-    std::size_t out = 0;
-    for (const auto& v : work.cands) out += v.size();
     span.arg("pairs_in", static_cast<double>(in));
-    span.arg("pairs_out", static_cast<double>(out));
+    span.arg("pairs_out", static_cast<double>(staged_pairs(work)));
+  }
+  if (cfg.cascade.tier1_enabled) {
+    const std::size_t in = staged_pairs(work);
+    obs::Span span(cfg.telemetry.tracer, "cascade.tier1");
+    // Every rank's candidates probe as one flattened batch, so a skewed
+    // rank cannot idle host cores.
+    auto& probe_tasks = work.flat_tasks;
+    auto& probes = work.results;
+    probe_tasks.clear();
+    for (const auto& v : work.cands) {
+      for (const auto& c : v) probe_tasks.push_back(c.task);
+    }
+    probes.assign(probe_tasks.size(), align::AlignResult{});
+    aligner.align_tasks(seq_of, probe_tasks, cfg.cascade.tier1_kind, probes,
+                        pool);
+    // The keep rule per rank, in candidate order. The survivors' probes
+    // are compacted in step, into the order align_and_filter flattens
+    // their tasks in.
+    std::size_t read = 0, kept = 0;
+    for (std::size_t ri = 0; ri < np; ++ri) {
+      auto& v = work.cands[ri];
+      std::size_t w = 0;
+      for (const auto& c : v) {
+        const align::AlignResult& probe = probes[read++];
+        if (align::tier1_accept(probe, seq_of(c.task.q_id).size(),
+                                seq_of(c.task.r_id).size(), cfg.cascade,
+                                work.cascade[ri].tier1)) {
+          v[w++] = c;
+          probes[kept++] = probe;
+        }
+      }
+      v.resize(w);
+    }
+    probes.resize(probes_are_results(cfg, aligner) ? kept : 0);
+    probe_tasks.clear();
+    span.arg("pairs_in", static_cast<double>(in));
+    span.arg("pairs_out", static_cast<double>(kept));
   }
   for (std::size_t ri = 0; ri < np; ++ri) {
     auto& tasks = work.tasks[ri];
@@ -139,8 +181,17 @@ void align_and_filter(RankWork& work,
   for (const auto& v : work.tasks) {
     work.flat_tasks.insert(work.flat_tasks.end(), v.begin(), v.end());
   }
-  work.results.assign(work.flat_tasks.size(), align::AlignResult{});
-  aligner.align_tasks(seq_of, work.flat_tasks, work.results, pool);
+  if (probes_are_results(cfg, aligner)) {
+    // screen_candidates left each survivor's probe in `results`.
+    if (work.results.size() != work.flat_tasks.size()) {
+      throw std::logic_error(
+          "align_and_filter: tasks that screen_candidates did not probe");
+    }
+  } else {
+    work.results.assign(work.flat_tasks.size(), align::AlignResult{});
+    aligner.align_tasks(seq_of, work.flat_tasks, aligner.config().kind,
+                        work.results, pool);
+  }
 
   util::parallel_for(pool, np, [&](std::size_t ri) {
     if (!dead.empty() && dead[ri] != 0) return;

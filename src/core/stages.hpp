@@ -122,7 +122,9 @@ struct RankWork {
   std::vector<std::vector<align::AlignTask>> tasks;    // alignment tasks
   std::vector<align::AlignTask> flat_tasks;            // all ranks, in order
   std::vector<std::size_t> rank_offset;                // rank r's first task
-  std::vector<align::AlignResult> results;             // parallel to flat
+  // Parallel to flat_tasks. Between the stages it holds the survivors'
+  // tier-1 probes when they are the tier-2 results (screen_candidates).
+  std::vector<align::AlignResult> results;
   std::vector<align::LaneScratch> lanes;
   std::vector<std::vector<io::SimilarityEdge>> edges;  // passed the filter
   std::vector<align::BatchStats> align;                // device accounting
@@ -131,12 +133,17 @@ struct RankWork {
 };
 
 /// The cascade screens over every rank's staged `cands`: each enabled tier
-/// compacts each rank's list in place (align::tier0_keep / tier1_keep,
-/// per-rank work in `cascade`) under its own measured `cascade.tier{0,1}`
-/// span carrying pairs_in/pairs_out, so tier k of one item can overlap
-/// tier k+1 of the previous one on the streaming executor. The survivors
-/// are then appended to the ranks' `tasks`. Ranks run on `pool` (inline
-/// when null); results do not depend on the schedule.
+/// compacts each rank's list in place, with per-rank work in `cascade`,
+/// under its own measured `cascade.tier{0,1}` span carrying
+/// pairs_in/pairs_out, so tier k of one item can overlap tier k+1 of the
+/// previous one on the streaming executor. Tier 0 runs align::tier0_keep
+/// per rank on `pool`. Tier 1 probes every rank's candidates as one
+/// flattened BatchAligner::align_tasks batch on `pool`, then applies
+/// align::tier1_accept per rank in candidate order. The survivors are
+/// appended to the ranks' `tasks`; when tier1_kind is the aligner's own
+/// kind, their probes stay in `results` for align_and_filter, which
+/// requires that no other tasks were staged. Results do not depend on the
+/// schedule (null pool = inline).
 void screen_candidates(RankWork& work,
                        const align::BatchAligner::SeqAccessor& seq_of,
                        const align::BatchAligner& aligner,
@@ -144,9 +151,11 @@ void screen_candidates(RankWork& work,
 
 /// Aligns every rank's `tasks` as one flattened batch on the host pool
 /// (BatchAligner::align_tasks, so a skewed rank cannot idle host cores),
-/// then per rank keeps the edges that pass edge_if_similar in `edges` and
-/// the rank's device-model accounting in `align`. Ranks flagged in `dead`
-/// (empty = all alive) are skipped: they own no tasks and account nothing.
+/// or, when screen_candidates' tier-1 probes are the results, uses those.
+/// Then per rank keeps the edges that pass edge_if_similar in `edges` and
+/// the rank's device-model accounting in `align`, which prices tier 2
+/// either way. Ranks flagged in `dead` (empty = all alive) are skipped:
+/// they own no tasks and account nothing.
 void align_and_filter(RankWork& work,
                       const align::BatchAligner::SeqAccessor& seq_of,
                       const align::BatchAligner& aligner,

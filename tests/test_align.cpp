@@ -1,5 +1,7 @@
 // Alignment kernel tests: Smith-Waterman against an independent reference
-// DP, banded/x-drop variants, and the ADEPT-style batch driver.
+// DP, banded/x-drop variants, the AVX2 lane kernels (full and banded)
+// field by field against the scalar kernels, and the ADEPT-style batch
+// driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,7 +95,7 @@ void expect_lanes_match_scalar(const std::vector<std::string>& seqs) {
   const std::array<pastis::util::ThreadPool*, 2> pools = {nullptr, &pool};
   for (pastis::util::ThreadPool* p : pools) {
     std::vector<pa::AlignResult> results(tasks.size());
-    aligner.align_tasks(seq_of, tasks, results, p);
+    aligner.align_tasks(seq_of, tasks, pa::AlignKind::kFullSW, results, p);
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       expect_same_result(results[t],
                          pa::smith_waterman(seqs[tasks[t].q_id],
@@ -101,6 +103,50 @@ void expect_lanes_match_scalar(const std::vector<std::string>& seqs) {
                          t);
     }
   }
+}
+
+/// One banded pair: query, reference and the band's diag_center.
+struct BandPair {
+  std::string q, r;
+  int diag = 0;
+};
+
+/// Runs `pairs` through banded_smith_waterman_lanes in consecutive groups
+/// of kLanePairs (the last one partial) and checks every field against the
+/// scalar banded_smith_waterman.
+void expect_banded_lanes_match_scalar(const std::vector<BandPair>& pairs,
+                                      int half_width) {
+  for (std::size_t first = 0; first < pairs.size(); first += pa::kLanePairs) {
+    const std::size_t count = std::min(pa::kLanePairs, pairs.size() - first);
+    std::vector<std::string_view> qs, rs;
+    std::vector<int> diags;
+    for (std::size_t k = first; k < first + count; ++k) {
+      qs.push_back(pairs[k].q);
+      rs.push_back(pairs[k].r);
+      diags.push_back(pairs[k].diag);
+    }
+    std::vector<pa::AlignResult> out(count);
+    pa::banded_smith_waterman_lanes(qs, rs, scoring(), diags, half_width, out);
+    for (std::size_t k = 0; k < count; ++k) {
+      const BandPair& p = pairs[first + k];
+      SCOPED_TRACE("w=" + std::to_string(half_width) + " d=" +
+                   std::to_string(p.diag) + " |q|=" +
+                   std::to_string(p.q.size()) + " |r|=" +
+                   std::to_string(p.r.size()));
+      expect_same_result(out[k],
+                         pa::banded_smith_waterman(p.q, p.r, scoring(), p.diag,
+                                                   half_width),
+                         first + k);
+    }
+  }
+}
+
+/// A diag_center anywhere from left of the band's reach (d < -w - |q|) to
+/// right of it (d > |r| + w), so bands miss, graze and cover the matrix.
+int any_diag(pastis::util::Xoshiro256& rng, const BandPair& p, int w) {
+  const int lo = -static_cast<int>(p.q.size()) - w - 2;
+  const int hi = static_cast<int>(p.r.size()) + w + 2;
+  return lo + static_cast<int>(rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
 }
 
 }  // namespace
@@ -440,4 +486,199 @@ TEST(Batch, BandedModeUsesSeeds) {
   const auto res = aligner.align_batch(
       [&](std::uint32_t id) { return std::string_view(seqs[id]); }, tasks);
   EXPECT_EQ(res[0].score, 6 * 11);
+}
+
+TEST(BandedLanes, PartialGroupsAndMixedLengths) {
+  pastis::util::Xoshiro256 rng(79);
+  // Every group size 1-8 at several widths, diagonals anywhere.
+  for (const int w : {1, 3, 16, 32}) {
+    for (std::size_t pairs = 1; pairs <= pa::kLanePairs; ++pairs) {
+      std::vector<BandPair> group;
+      for (std::size_t k = 0; k < pairs; ++k) {
+        BandPair p;
+        p.q = random_protein(rng, 5 + rng.below(150));
+        p.r = rng.chance(0.6) ? mutated(rng, p.q)
+                              : random_protein(rng, 5 + rng.below(150));
+        p.diag = rng.chance(0.5) ? static_cast<int>(rng.below(7)) - 3
+                                 : any_diag(rng, p, w);
+        group.push_back(p);
+      }
+      expect_banded_lanes_match_scalar(group, w);
+    }
+  }
+  // Homolog pairs of lengths 5-400 near their seed diagonal, the shape the
+  // cascade probes.
+  std::vector<BandPair> pairs;
+  for (int k = 0; k < 45; ++k) {
+    BandPair p;
+    p.q = random_protein(rng, 5 + rng.below(396));
+    p.r = k % 4 == 0 ? random_protein(rng, 5 + rng.below(396))
+                     : mutated(rng, p.q);
+    p.diag = static_cast<int>(rng.below(41)) - 20;
+    pairs.push_back(p);
+  }
+  expect_banded_lanes_match_scalar(pairs, 32);
+}
+
+TEST(BandedLanes, BandsOffAndClampedAtBothEnds) {
+  pastis::util::Xoshiro256 rng(83);
+  const auto q = random_protein(rng, 60);
+  const auto r = mutated(rng, random_protein(rng, 20) + q);
+  const int n = static_cast<int>(r.size());
+  const int w = 8;
+  // d < -w stops on row 1 (routed to the scalar kernel); d = -w grazes the
+  // corner; d > |r| starts the band past the last column, so only d < |r|
+  // + w has a first row with cells.
+  std::vector<BandPair> pairs;
+  for (const int d : {-w - 40, -w - 1, -w, -w + 1, 0, 20, n - 1, n, n + 1,
+                      n + w - 1, n + w, n + w + 3}) {
+    pairs.push_back({q, r, d});
+  }
+  expect_banded_lanes_match_scalar(pairs, w);
+  // Bands wider than the matrix, clamped at both j = 1 and j = |r|, and a
+  // tall query whose band leaves the matrix long before its last row.
+  const auto tall = random_protein(rng, 240);
+  expect_banded_lanes_match_scalar(
+      {{q.substr(0, 30), r.substr(0, 18), 0},
+       {q.substr(0, 30), r.substr(0, 18), 5},
+       {q.substr(0, 30), r.substr(0, 18), -5},
+       {q.substr(0, 12), r, 3},
+       {tall, tall.substr(100, 50), -100},
+       {tall, tall.substr(0, 50), 0}},
+      40);
+  // Groups mixing every case above with ordinary pairs, in shuffled lanes.
+  std::vector<BandPair> mixed = pairs;
+  for (int k = 0; k < 20; ++k) {
+    BandPair p;
+    p.q = random_protein(rng, 5 + rng.below(120));
+    p.r = mutated(rng, p.q);
+    p.diag = any_diag(rng, p, w);
+    mixed.push_back(p);
+  }
+  for (std::size_t i = mixed.size(); i > 1; --i) {
+    std::swap(mixed[i - 1], mixed[rng.below(i)]);
+  }
+  expect_banded_lanes_match_scalar(mixed, w);
+}
+
+TEST(BandedLanes, ZeroAndFullWidth) {
+  pastis::util::Xoshiro256 rng(89);
+  std::vector<BandPair> pairs;
+  int widest = 0;
+  for (int k = 0; k < 11; ++k) {
+    BandPair p;
+    p.q = random_protein(rng, 10 + rng.below(90));
+    p.r = rng.chance(0.5) ? mutated(rng, p.q)
+                          : random_protein(rng, 10 + rng.below(90));
+    p.diag = static_cast<int>(rng.below(11)) - 5;
+    widest = std::max(widest, static_cast<int>(p.q.size() + p.r.size()));
+    pairs.push_back(p);
+  }
+  // w = 0: a single diagonal.
+  expect_banded_lanes_match_scalar(pairs, 0);
+  // w >= |q| + |r| covers every cell: equal to smith_waterman too.
+  for (const int w : {widest, 1 << 30}) {
+    expect_banded_lanes_match_scalar(pairs, w);
+    std::vector<std::string_view> qs, rs;
+    std::vector<int> diags;
+    for (std::size_t k = 0; k < pa::kLanePairs; ++k) {
+      qs.push_back(pairs[k].q);
+      rs.push_back(pairs[k].r);
+      diags.push_back(pairs[k].diag);
+    }
+    std::vector<pa::AlignResult> out(pa::kLanePairs);
+    pa::banded_smith_waterman_lanes(qs, rs, scoring(), diags, w, out);
+    for (std::size_t k = 0; k < pa::kLanePairs; ++k) {
+      expect_same_result(out[k],
+                         pa::smith_waterman(pairs[k].q, pairs[k].r, scoring()),
+                         k);
+    }
+  }
+}
+
+TEST(BandedLanes, TieHeavyRepeatsAndZeroScores) {
+  // Homopolymers and periodic repeats tie many cells, so the diag > up >
+  // left > restart order and the strict row-major best decide every path
+  // statistic; P/W and D/W pairs never score a positive cell.
+  const std::string poly(120, 'A');
+  std::string periodic, shifted;
+  for (int k = 0; k < 40; ++k) periodic += "ACG";
+  for (int k = 0; k < 33; ++k) shifted += "CGA";
+  for (const int w : {0, 2, 5, 32}) {
+    expect_banded_lanes_match_scalar(
+        {{poly, poly, 0},
+         {poly, std::string(50, 'A') + "WW" + std::string(70, 'A'), 2},
+         {std::string(90, 'A'), poly, -3},
+         {periodic, shifted, 1},
+         {periodic, periodic.substr(0, 40) + "GGG" + periodic.substr(40), 0},
+         {"ACACACACACACACACACAC", "CACACACACACA", -1},
+         {"AAAAAAAAAAWWWAAAAAAAAAA", "AAAAAAAAAAAAAAAAAAAAA", 0},
+         {poly.substr(0, 5), poly, 4},
+         {"PPPPPPPP", "WWWWWWWWWWWW", 0},
+         {"DDDD", "WWW", 1},
+         {"W", "P", 0},
+         {"PDPDPD", "WWWWW", -1}},
+        w);
+  }
+  const auto res = pa::banded_smith_waterman("PPPPPPPP", "WWWWWWWWWWWW",
+                                             scoring(), 0, 4);
+  EXPECT_EQ(res.score, 0);
+  EXPECT_EQ(res.align_len, 0u);
+  EXPECT_GT(res.cells, 0u);
+}
+
+TEST(BandedLanes, LongPairTakesScalarPath) {
+  // |q| + |r| >= 65536 overflows the 16-bit path counters: here the
+  // optimum ends at reference position 65540. The pair beside it sits
+  // exactly at the limit (|q| + |r| = 65535) and stays in the lane group.
+  pastis::util::Xoshiro256 rng(97);
+  const auto long_r = random_protein(rng, 65540);
+  const auto edge_r = random_protein(rng, 65529);
+  expect_banded_lanes_match_scalar(
+      {{long_r.substr(65540 - 6), long_r, 65540 - 6},
+       {edge_r.substr(65529 - 6), edge_r, 65529 - 6},
+       {"MKVLAETGWT", "MKVLAETGWT", 0}},
+      16);
+  const auto res = pa::banded_smith_waterman(long_r.substr(65540 - 6), long_r,
+                                             scoring(), 65540 - 6, 16);
+  EXPECT_EQ(res.end_r, 65540u);
+}
+
+TEST(Batch, BandedTasksMatchAlignOneTaskAcrossPools) {
+  pastis::util::Xoshiro256 rng(101);
+  std::vector<std::string> seqs;
+  for (int i = 0; i < 24; ++i) {
+    seqs.push_back(i % 3 == 0 || seqs.empty()
+                       ? random_protein(rng, 20 + rng.below(300))
+                       : mutated(rng, seqs.back()));
+  }
+  // Seeds anywhere in either sequence, so some bands start left of the
+  // matrix (the scalar row-1 stop) or past its last column.
+  std::vector<pa::AlignTask> tasks;
+  for (std::uint32_t i = 0; i < seqs.size(); ++i) {
+    for (std::uint32_t j = 0; j < seqs.size(); j += 1 + (i + j) % 3) {
+      tasks.push_back(
+          {i, j,
+           static_cast<std::uint32_t>(rng.below(seqs[i].size())),
+           static_cast<std::uint32_t>(rng.below(seqs[j].size()))});
+    }
+  }
+  for (std::size_t i = tasks.size(); i > 1; --i) {
+    std::swap(tasks[i - 1], tasks[rng.below(i)]);
+  }
+  pa::BatchAligner::Config cfg;
+  cfg.kind = pa::AlignKind::kBanded;
+  cfg.band_half_width = 16;
+  const pa::BatchAligner aligner(scoring(), cfg);
+  auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
+  pastis::util::ThreadPool p1(1), p2(2), p8(8);
+  for (pastis::util::ThreadPool* pool :
+       std::array<pastis::util::ThreadPool*, 4>{nullptr, &p1, &p2, &p8}) {
+    std::vector<pa::AlignResult> results(tasks.size());
+    aligner.align_tasks(seq_of, tasks, pa::AlignKind::kBanded, results, pool);
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      expect_same_result(results[t], aligner.align_one_task(seq_of, tasks[t]),
+                         t);
+    }
+  }
 }

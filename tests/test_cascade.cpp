@@ -1,14 +1,18 @@
 // Sensitivity-cascade tests: the tier-0 ungapped diagonal extension unit
 // behaviour (empty seed lists, clamping at sequence edges, orientation
-// parity), the table-driven kernel dispatch, bit-identity of the disabled
-// and exact-preset cascades across pool sizes, pipeline depths and serving
-// grid sides, the fast preset's subset property, and the ResultCache's
+// parity), the table-driven kernel dispatch, the data-plane stages against
+// a per-pair oracle (flattened tier-1 probes, probes reused as tier-2
+// results), bit-identity of the disabled, exact-preset and fast+banded
+// cascades across pool sizes, pipeline depths and serving grid sides, the
+// fast preset's subset property, and the ResultCache's
 // cascade-signature keying (warm-cache-then-retune must recompute, never
 // replay).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "align/cascade.hpp"
@@ -88,6 +92,53 @@ std::set<std::pair<std::uint32_t, std::uint32_t>> edge_set(
   std::set<std::pair<std::uint32_t, std::uint32_t>> s;
   for (const auto& e : edges) s.insert({e.seq_a, e.seq_b});
   return s;
+}
+
+/// Staged candidates over `seqs` for `p` ranks, the way the consumers stage
+/// them: every pair sharing a 5-mer, seeded at the first shared one (and
+/// at the last, when they differ), in the canonical orientation. Rank 0
+/// owns every pair whose smaller id is divisible by 3, so the ranks are
+/// skewed.
+std::vector<std::vector<pc::ScreenCandidate>> stage_candidates(
+    const std::vector<std::string>& seqs, int p) {
+  constexpr std::size_t kK = 5;
+  std::vector<std::vector<pc::ScreenCandidate>> cands(
+      static_cast<std::size_t>(p));
+  for (std::uint32_t a = 0; a < seqs.size(); ++a) {
+    for (std::uint32_t b = a + 1; b < seqs.size(); ++b) {
+      pc::ScreenCandidate c;
+      c.task.q_id = a;
+      c.task.r_id = b;
+      const std::string& q = seqs[a];
+      const std::string& r = seqs[b];
+      for (std::size_t i = 0; i + kK <= q.size(); ++i) {
+        const auto j = r.find(q.substr(i, kK));
+        if (j == std::string::npos) continue;
+        const pa::Seed seed{static_cast<std::uint32_t>(i),
+                            static_cast<std::uint32_t>(j)};
+        if (c.count++ == 0) {
+          c.task.seed_q = seed.q;
+          c.task.seed_r = seed.r;
+          c.seeds[0] = seed;
+          c.n_seeds = 1;
+        } else {
+          c.seeds[1] = seed;
+          c.n_seeds = 2;
+        }
+      }
+      if (c.count == 0) continue;
+      const int rank = a % 3 == 0 ? 0 : static_cast<int>((a + b) % p);
+      cands[static_cast<std::size_t>(rank)].push_back(c);
+    }
+  }
+  return cands;
+}
+
+void expect_same_tier(const pa::TierStats& got, const pa::TierStats& want) {
+  EXPECT_EQ(got.pairs_in, want.pairs_in);
+  EXPECT_EQ(got.pairs_out, want.pairs_out);
+  EXPECT_EQ(got.rejects, want.rejects);
+  EXPECT_EQ(got.cells, want.cells);
 }
 
 }  // namespace
@@ -222,6 +273,101 @@ TEST(Cascade, AlignPairKindOverrideMatchesConfiguredKind) {
   }
 }
 
+// ---- stage-level oracle ----------------------------------------------------
+
+// screen_candidates + align_and_filter against a per-pair oracle: the tier
+// keep rules, align_one_task and edge_if_similar one candidate at a time.
+// The three configs cover tier-1 probes reused as tier-2 results (banded
+// and x-drop) and lane-kernel probes followed by a full-SW tier 2.
+TEST(CascadeStages, MatchPerPairOracleAcrossPools) {
+  const auto seqs = test_dataset(90, 41).seqs;
+  constexpr int kRanks = 4;
+  const auto staged = stage_candidates(seqs, kRanks);
+  auto seq_of = [&](std::uint32_t id) -> std::string_view { return seqs[id]; };
+  const pastis::sim::MachineModel model;
+
+  struct Config {
+    const char* name;
+    pa::CascadeOptions cascade;
+    pa::AlignKind kind;
+  };
+  for (const Config& config :
+       {Config{"fast+banded", pa::CascadeOptions::fast(),
+               pa::AlignKind::kBanded},
+        Config{"fast+fullsw", pa::CascadeOptions::fast(),
+               pa::AlignKind::kFullSW},
+        Config{"exact+xdrop", pa::CascadeOptions::exact(),
+               pa::AlignKind::kXDrop}}) {
+    SCOPED_TRACE(config.name);
+    pc::PastisConfig cfg;
+    cfg.align_kind = config.kind;
+    cfg.cascade = config.cascade;
+    const auto aligner = pc::make_batch_aligner(cfg, model);
+
+    // The oracle, one candidate at a time in rank and candidate order.
+    std::vector<pa::CascadeStats> want_cascade(kRanks);
+    std::vector<std::vector<pio::SimilarityEdge>> want_edges(kRanks);
+    std::vector<pa::BatchStats> want_align(kRanks);
+    std::vector<pa::AlignResult> want_results;
+    for (std::size_t ri = 0; ri < kRanks; ++ri) {
+      for (const auto& c : staged[ri]) {
+        const std::string_view q = seq_of(c.task.q_id);
+        const std::string_view r = seq_of(c.task.r_id);
+        if (!pa::tier0_keep(q, r,
+                            std::span<const pa::Seed>(
+                                c.seeds, static_cast<std::size_t>(c.n_seeds)),
+                            c.count, c.sketch_overlap, aligner, cfg.cascade,
+                            want_cascade[ri].tier0) ||
+            !pa::tier1_keep(q, r, c.task, aligner, cfg.cascade,
+                            want_cascade[ri].tier1)) {
+          continue;
+        }
+        const auto res = aligner.align_one_task(seq_of, c.task);
+        want_results.push_back(res);
+        ++want_align[ri].pairs;
+        want_align[ri].cells += res.cells;
+        if (auto e = pc::edge_if_similar(c.task, res, q.size(), r.size(), cfg)) {
+          want_edges[ri].push_back(*e);
+        }
+      }
+    }
+    ASSERT_GT(want_cascade[0].tier1.pairs_out, 0u);
+    if (config.kind != pa::AlignKind::kXDrop) {
+      ASSERT_GT(want_cascade[0].tier1.rejects + want_cascade[1].tier1.rejects,
+                0u);
+    }
+
+    pastis::util::ThreadPool p1(1), p2(2), p8(8);
+    for (pastis::util::ThreadPool* pool :
+         std::array<pastis::util::ThreadPool*, 4>{nullptr, &p1, &p2, &p8}) {
+      SCOPED_TRACE(pool == nullptr ? 0 : pool->size());
+      pc::RankWork work;
+      work.reset(kRanks);
+      work.cands = staged;
+      pc::screen_candidates(work, seq_of, aligner, cfg, pool);
+      pc::align_and_filter(work, seq_of, aligner, cfg, pool);
+      ASSERT_EQ(work.results.size(), want_results.size());
+      for (std::size_t t = 0; t < want_results.size(); ++t) {
+        const auto& got = work.results[t];
+        const auto& want = want_results[t];
+        EXPECT_EQ(std::tie(got.score, got.beg_q, got.end_q, got.beg_r,
+                           got.end_r, got.matches, got.align_len, got.cells),
+                  std::tie(want.score, want.beg_q, want.end_q, want.beg_r,
+                           want.end_r, want.matches, want.align_len,
+                           want.cells))
+            << "task " << t;
+      }
+      for (std::size_t ri = 0; ri < kRanks; ++ri) {
+        EXPECT_EQ(work.edges[ri], want_edges[ri]) << "rank " << ri;
+        expect_same_tier(work.cascade[ri].tier0, want_cascade[ri].tier0);
+        expect_same_tier(work.cascade[ri].tier1, want_cascade[ri].tier1);
+        EXPECT_EQ(work.align[ri].pairs, want_align[ri].pairs);
+        EXPECT_EQ(work.align[ri].cells, want_align[ri].cells);
+      }
+    }
+  }
+}
+
 // ---- pipeline bit-identity sweeps ------------------------------------------
 
 TEST(Cascade, ExactPresetIsBitIdenticalAcrossPoolsAndDepths) {
@@ -303,6 +449,46 @@ TEST(Cascade, ServingExactPresetBitIdenticalAcrossGridSides) {
     EXPECT_GT(got.stats.cascade.tier0.pairs_in, 0u);
     EXPECT_EQ(got.stats.cascade.tier0.rejects, 0u);
     EXPECT_GT(got.stats.batches.at(0).t_screen, 0.0);
+  }
+}
+
+TEST(Cascade, ServingFastBandedIsBitIdenticalAcrossPoolsDepthsAndGrids) {
+  // The serve_cascade config: banded tier 2 behind fast(), so every
+  // survivor's tier-1 probe is its alignment.
+  const auto refs = test_dataset(100, 21).seqs;
+  pc::PastisConfig cfg;
+  cfg.align_kind = pa::AlignKind::kBanded;
+  cfg.cascade = pa::CascadeOptions::fast();
+  const auto idx = pidx::KmerIndex::build(refs, cfg, 4);
+  const auto batches = split_batches(make_queries(refs), 4);
+
+  pidx::QueryEngine::Options serial;
+  serial.pipeline_depth = 1;
+  pidx::QueryEngine oracle(idx, cfg, pastis::sim::MachineModel{}, serial,
+                           nullptr);
+  const auto want = oracle.serve(batches);
+  ASSERT_GT(want.hits.size(), 0u);
+  ASSERT_GT(want.stats.cascade.tier1.rejects, 0u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    pastis::util::ThreadPool pool(threads);
+    for (const int depth : {1, 2, 3}) {
+      for (const int side : {1, 2, 3}) {
+        pidx::QueryEngine::Options opt;
+        opt.pipeline_depth = depth;
+        opt.grid_side = side;
+        pidx::QueryEngine engine(idx, cfg, pastis::sim::MachineModel{}, opt,
+                                 &pool);
+        const auto got = engine.serve(batches);
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " depth=" +
+                     std::to_string(depth) + " side=" + std::to_string(side));
+        EXPECT_EQ(got.hits, want.hits);
+        expect_same_tier(got.stats.cascade.tier0, want.stats.cascade.tier0);
+        expect_same_tier(got.stats.cascade.tier1, want.stats.cascade.tier1);
+        EXPECT_EQ(got.stats.aligned_pairs, want.stats.aligned_pairs);
+      }
+    }
   }
 }
 
