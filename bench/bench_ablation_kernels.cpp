@@ -144,11 +144,18 @@ void BM_BatchAligner(benchmark::State& state) {
   align::BatchAligner::Config cfg;
   cfg.devices = devices;
   const align::BatchAligner aligner(align::Scoring::pastis_default(), cfg);
-  auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
+  const align::BatchAligner::SeqAccessor seq_of = [&](std::uint32_t id) {
+    return std::string_view(seqs[id]);
+  };
+  std::vector<align::AlignResult> results(tasks.size());
+  align::LaneScratch scratch;
   for (auto _ : state) {
+    aligner.align_tasks(seq_of, tasks, cfg.kind, results,
+                        &util::ThreadPool::global());
+    benchmark::DoNotOptimize(results.data());
     benchmark::DoNotOptimize(
-        aligner.align_batch(seq_of, tasks, nullptr,
-                            &util::ThreadPool::global()));
+        aligner.stats_for(seq_of, tasks, results, scratch));
+    benchmark::ClobberMemory();
   }
   state.counters["pairs/s"] = benchmark::Counter(
       static_cast<double>(tasks.size()) *

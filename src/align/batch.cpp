@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace pastis::align {
 
@@ -177,77 +175,6 @@ void BatchAligner::align_tasks(const SeqAccessor& seq_of,
       results[order[first + k].task] = out[k];
     }
   });
-}
-
-std::span<const AlignResult> BatchAligner::align_batch(
-    const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
-    AlignWorkspace& ws, BatchStats* stats, util::ThreadPool* pool) const {
-  ws.results.assign(tasks.size(), AlignResult{});
-  const int devices = std::max(1, config_.devices);
-
-  // Lanes are computed exactly once per batch and shared between the run
-  // and the device-model accounting below.
-  assign_lanes(seq_of, tasks, ws.lanes);
-  const auto& lanes = ws.lanes.lanes;
-  const obs::Telemetry& telem = config_.telemetry;
-  auto run_lane = [&](int lane) {
-    // ADEPT distributes alignments across the node's devices; the driver
-    // balances per-GPU batches by DP size (see assign_lanes).
-    const auto t0 = telem.metrics != nullptr ? std::chrono::steady_clock::now()
-                                             : std::chrono::steady_clock::time_point{};
-    std::vector<std::uint32_t> index;
-    std::vector<AlignTask> slice;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (lanes[t] != lane) continue;
-      index.push_back(static_cast<std::uint32_t>(t));
-      slice.push_back(tasks[t]);
-    }
-    std::vector<AlignResult> out(slice.size());
-    align_tasks(seq_of, slice, config_.kind, out, nullptr);
-    std::uint64_t lane_cells = 0;
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      ws.results[index[k]] = out[k];
-      lane_cells += out[k].cells;
-    }
-    if (telem.metrics != nullptr && lane_cells > 0) {
-      const double s = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      if (s > 0.0) {
-        // Measured host-side DP throughput of this driver lane.
-        telem.metrics
-            ->histogram("align.lane" + std::to_string(lane) +
-                        ".cells_per_second",
-                        std::array{1e6, 1e7, 1e8, 1e9, 1e10, 1e11})
-            .observe(static_cast<double>(lane_cells) / s);
-      }
-    }
-  };
-
-  {
-    obs::Span span(telem.tracer, "align.batch");
-    span.arg("pairs", static_cast<double>(tasks.size()));
-    if (pool != nullptr && tasks.size() > 1) {
-      pool->parallel_for(static_cast<std::size_t>(devices),
-                         [&](std::size_t lane) { run_lane(static_cast<int>(lane)); });
-    } else {
-      for (int lane = 0; lane < devices; ++lane) run_lane(lane);
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->merge(stats_with(ws.results, lanes, ws.lanes.device_cells,
-                            ws.lanes.device_pairs));
-  }
-  return ws.results;
-}
-
-std::vector<AlignResult> BatchAligner::align_batch(
-    const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
-    BatchStats* stats, util::ThreadPool* pool) const {
-  AlignWorkspace ws;
-  align_batch(seq_of, tasks, ws, stats, pool);
-  return std::move(ws.results);
 }
 
 }  // namespace pastis::align

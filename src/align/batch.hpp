@@ -3,8 +3,9 @@
 //
 // ADEPT's driver detects the node's GPUs, splits a batch of alignments
 // across them, and runs one host thread per device for packing and
-// transfers. We reproduce that architecture: `devices` logical accelerators,
-// each fed a slice of the batch by a driver thread. Alignment *results* are
+// transfers. We reproduce its split in the accounting: `devices` logical
+// accelerators, each assigned a slice of the batch by the driver's
+// balancing rule (assign_lanes). Alignment *results* are
 // computed exactly on the host by align_tasks: full and banded
 // Smith-Waterman run through 8-lane inter-pair kernels
 // (smith_waterman_lanes, banded_smith_waterman_lanes: AVX2, pairs grouped
@@ -63,13 +64,6 @@ struct LaneScratch {
   std::vector<std::uint64_t> device_pairs;
 };
 
-/// Reusable whole-batch buffers for one executor slot: the flattened
-/// result array plus lane scratch for batch-granular calls.
-struct AlignWorkspace {
-  std::vector<AlignResult> results;
-  LaneScratch lanes;
-};
-
 class BatchAligner {
  public:
   struct Config {
@@ -80,10 +74,9 @@ class BatchAligner {
     int xdrop = 25;
     std::uint32_t seed_len = 6;
     /// Telemetry sinks (null = off). With metrics, every accounted batch
-    /// adds per-lane cells/pairs counters ("align.lane<d>.cells_total"),
-    /// batch totals, and a measured cells/second histogram per driver lane
-    /// from the workspace align_batch; with a tracer, each batch run is a
-    /// measured span. Results are unaffected.
+    /// (stats_for) adds per-lane cells/pairs counters
+    /// ("align.lane<d>.cells_total") and batch totals. Results are
+    /// unaffected.
     obs::Telemetry telemetry;
   };
 
@@ -92,26 +85,6 @@ class BatchAligner {
 
   /// Resolves sequence residues for a global sequence id.
   using SeqAccessor = std::function<std::string_view(std::uint32_t)>;
-
-  /// Aligns every task. When `pool` is non-null the batch is split across
-  /// `config.devices` driver lanes executed on the pool (the ADEPT driver
-  /// layout); otherwise it runs inline in the calling thread (the mode used
-  /// inside the simulated ranks, which are already running in parallel).
-  /// Results are positionally parallel to `tasks` and independent of the
-  /// execution mode.
-  std::vector<AlignResult> align_batch(const SeqAccessor& seq_of,
-                                       std::span<const AlignTask> tasks,
-                                       BatchStats* stats = nullptr,
-                                       util::ThreadPool* pool = nullptr) const;
-
-  /// Workspace variant of align_batch for re-entrant streaming use: results
-  /// land in `ws.results` (capacity reused across calls) and the returned
-  /// span views them. Element-wise identical to align_batch.
-  std::span<const AlignResult> align_batch(const SeqAccessor& seq_of,
-                                           std::span<const AlignTask> tasks,
-                                           AlignWorkspace& ws,
-                                           BatchStats* stats = nullptr,
-                                           util::ThreadPool* pool = nullptr) const;
 
   /// Aligns every task with `kind` into `results` (same size,
   /// positionally parallel) — the one host execution path every batch
@@ -125,7 +98,8 @@ class BatchAligner {
                    AlignKind kind, std::span<AlignResult> results,
                    util::ThreadPool* pool) const;
 
-  /// Aligns a single task (element-wise identical to align_batch).
+  /// Aligns a single task (element-wise identical to align_tasks with the
+  /// configured kind).
   [[nodiscard]] AlignResult align_one_task(const SeqAccessor& seq_of,
                                            const AlignTask& task) const {
     return align_pair(seq_of(task.q_id), seq_of(task.r_id), task,
@@ -142,10 +116,9 @@ class BatchAligner {
                                        AlignKind kind) const;
 
   /// Device-model accounting for a batch whose results are already known:
-  /// reproduces align_batch's greedy lane assignment into `scratch` (a
-  /// reusable per-rank or per-slot buffer, so the re-entrant stage path
-  /// allocates nothing) and accumulates per device through it. Identical
-  /// numbers to align_batch's own accounting.
+  /// the greedy lane assignment (assign_lanes) into `scratch` (a reusable
+  /// per-rank or per-slot buffer, so the re-entrant stage path allocates
+  /// nothing), then per-device cells and pairs accumulated through it.
   [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
                                      std::span<const AlignTask> tasks,
                                      std::span<const AlignResult> results,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "align/batch.hpp"
 #include "core/stages.hpp"
@@ -55,14 +56,19 @@ std::vector<io::SimilarityEdge> replicated_index_search(
   const align::Scoring scoring = cfg.make_scoring();
 
   // MMseqs2 has no seeded/GPU path (§IV): candidates go through full
-  // Smith-Waterman regardless of cfg.align_kind. The batch aligner is the
-  // same re-entrant stage the pipeline and the query engine run on — the
-  // baseline's discovery → alignment flow shares their machinery, it only
-  // schedules it per replicated chunk instead of per streamed block.
+  // Smith-Waterman regardless of cfg.align_kind. Alignment runs on the
+  // same align stage the pipeline and the query engine run
+  // (core::align_and_filter) — the baseline's discovery → alignment flow
+  // shares their machinery, it only schedules it per replicated chunk
+  // instead of per streamed block. The baseline never screens, so the
+  // stage sees the cascade off.
   align::BatchAligner::Config bcfg;
   bcfg.kind = align::AlignKind::kFullSW;
   const align::BatchAligner aligner(scoring, bcfg);
-  auto seq_of = [&](std::uint32_t id) -> std::string_view { return seqs[id]; };
+  core::PastisConfig align_cfg = cfg;
+  align_cfg.cascade = align::CascadeOptions{};
+  const align::BatchAligner::SeqAccessor seq_of =
+      [&](std::uint32_t id) -> std::string_view { return seqs[id]; };
 
   std::uint64_t seq_bytes = 0;
   for (const auto& s : seqs) seq_bytes += s.size();
@@ -133,7 +139,9 @@ std::vector<io::SimilarityEdge> replicated_index_search(
 
     // Prune stage: candidates clearing the shared-k-mer threshold become
     // canonical alignment tasks (query = smaller id, like the pipeline).
-    std::vector<align::AlignTask> tasks;
+    core::RankWork work;
+    work.reset(1);
+    auto& tasks = work.tasks[0];
     counts.for_each([&](sparse::Index qi, sparse::Index rj,
                         const std::uint32_t& cnt) {
       const std::uint32_t i = q_begin + qi;
@@ -153,18 +161,11 @@ std::vector<io::SimilarityEdge> replicated_index_search(
     });
     rank_aligned[qr] = tasks.size();
 
-    // Align + filter stage on the shared aligner (rank-level parallelism
+    // Align + filter stage as one rank's work (rank-level parallelism
     // comes from the chunk fan-out, so the batch itself runs inline).
-    align::AlignWorkspace ws;
-    const auto results = aligner.align_batch(seq_of, tasks, ws);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      rank_cells[qr] += results[t].cells;
-      if (auto edge = core::edge_if_similar(tasks[t], results[t],
-                                            seqs[tasks[t].q_id].size(),
-                                            seqs[tasks[t].r_id].size(), cfg)) {
-        rank_edges[qr].push_back(*edge);
-      }
-    }
+    core::align_and_filter(work, seq_of, aligner, align_cfg, nullptr);
+    rank_cells[qr] = work.align[0].cells;
+    rank_edges[qr] = std::move(work.edges[0]);
   };
   if (pool != nullptr) {
     pool->parallel_for(static_cast<std::size_t>(nprocs), rank_task);
@@ -187,13 +188,11 @@ std::vector<io::SimilarityEdge> replicated_index_search(
     }
     stats->similar_pairs = edges.size();
     // Intermediate per-chunk results are staged through the filesystem and
-    // merged (MMseqs2's MPI workflow); in mode 1 every rank writes hits for
-    // ALL queries, so the merge volume scales with ranks.
+    // merged (MMseqs2's MPI workflow): hits are written and read back, and
+    // every rank stages the sequence set, so the volume scales with ranks.
     const std::uint64_t hit_bytes = stats->aligned_pairs * 32;
     stats->io_bytes =
-        mode == ReplicationMode::kReferenceChunked
-            ? hit_bytes * 2 + seq_bytes * static_cast<std::uint64_t>(nprocs)
-            : hit_bytes * 2 + seq_bytes * static_cast<std::uint64_t>(nprocs);
+        hit_bytes * 2 + seq_bytes * static_cast<std::uint64_t>(nprocs);
 
     // Modeled time: index scan at the sparse-products rate, alignment on
     // CPU SIMD (MMseqs2 has no GPU path — §IV), IO for staging and merge.

@@ -60,10 +60,8 @@ void run_chunks(util::ThreadPool* pool, std::size_t n_chunks, Fn&& fn) {
   }
 }
 
-std::size_t pass_threads(util::ThreadPool* pool, int max_threads) {
-  std::size_t t = pool != nullptr ? pool->size() : 1;
-  if (max_threads > 0) t = std::min(t, static_cast<std::size_t>(max_threads));
-  return t;
+std::size_t pool_threads(util::ThreadPool* pool) {
+  return pool != nullptr ? pool->size() : 1;
 }
 
 /// Column-stochastic flow matrix of `g` (stored transposed: DCSR row j is
@@ -140,15 +138,16 @@ struct EpiScratch {
 /// The inflate + prune + renormalize + chaos pass over ONE flow column,
 /// shaped as the fused-SpGEMM epilogue contract (spgemm_hash2p_fused):
 /// given the column's sorted pre-epilogue entries it writes the survivors
-/// and returns their count. The SAME functor runs inside the fused numeric
-/// phase, the standalone inflate_prune sweep, and the distributed gather
-/// fold — one float-op sequence, so every path is bit-identical.
+/// and returns their count. The same functor runs inside the fused numeric
+/// phase and the distributed gather fold — one float-op sequence, so both
+/// paths are bit-identical.
 ///
 /// Side outputs (col_chaos, dropout streaks) are per-column slots indexed
-/// by the GLOBAL column id (`row + row_offset`): one writer per slot under
-/// any scheduling, keeping the pass deterministic and race-free. The
-/// column cap is read through a pointer because the budget feedback may
-/// tighten it between an iteration's symbolic and numeric phases.
+/// by the global column id `row` (both callers pass global row ids): one
+/// writer per slot under any scheduling, keeping the pass deterministic
+/// and race-free. The column cap is read through a pointer because the
+/// budget feedback may tighten it between an iteration's symbolic and
+/// numeric phases.
 struct ColumnEpilogue {
   double inflation;
   float prune_threshold;
@@ -156,14 +155,12 @@ struct ColumnEpilogue {
   double drop_eps;
   double* col_chaos;          // per global column, this iteration's chaos
   std::uint32_t* streak;      // dropout streaks (null = dropout off)
-  Index row_offset;           // local row id -> global column id
   std::vector<EpiScratch>* lanes;
-  std::size_t lane_base;      // distributed path: one lane block per rank
 
   std::size_t operator()(std::size_t lane, Index row, const Index* cols,
                          const float* vals, std::size_t n, Index* out_cols,
                          float* out_vals) const {
-    EpiScratch& s = (*lanes)[lane_base + lane];
+    EpiScratch& s = (*lanes)[lane];
     // Inflate and normalize the column in one fixed-order scan (pow is
     // the pass's hot operation; computed once per entry).
     s.inflated.clear();
@@ -214,9 +211,10 @@ struct ColumnEpilogue {
       col_sumsq += static_cast<double>(v) * static_cast<double>(v);
     }
     const double chaos = static_cast<double>(col_max) - col_sumsq;
-    const Index g = row + row_offset;
-    col_chaos[g] = chaos;
-    if (streak != nullptr) streak[g] = chaos < drop_eps ? streak[g] + 1 : 0;
+    col_chaos[row] = chaos;
+    if (streak != nullptr) {
+      streak[row] = chaos < drop_eps ? streak[row] + 1 : 0;
+    }
     for (std::size_t o = 0; o < s.top.size(); ++o) {
       out_cols[o] = s.top[o].second;
       out_vals[o] = s.top[o].first;
@@ -224,72 +222,6 @@ struct ColumnEpilogue {
     return s.top.size();
   }
 };
-
-/// One standalone inflate + prune sweep over an already-built expanded
-/// matrix — the unfused (expand-then-prune) oracle, running the SAME
-/// ColumnEpilogue per row. Chunking is scheduling only; the chunk index is
-/// the epilogue lane. Chaos lands in epi.col_chaos (scan it afterwards).
-SpMat<float> inflate_prune(const SpMat<float>& E, const ColumnEpilogue& epi,
-                           util::ThreadPool* pool, int max_threads) {
-  const std::size_t n_rows = E.n_nonempty_rows();
-  const std::vector<std::size_t> bounds =
-      row_chunks(n_rows, pass_threads(pool, max_threads));
-  const std::size_t n_chunks = bounds.empty() ? 0 : bounds.size() - 1;
-
-  struct ChunkOut {
-    std::vector<Index> cols;
-    std::vector<float> vals;
-    std::vector<Offset> row_nnz;  // per row of the chunk
-  };
-  std::vector<ChunkOut> outs(n_chunks);
-  const std::uint32_t cap = *epi.cap;
-
-  run_chunks(pool, n_chunks, [&](std::size_t c) {
-    ChunkOut& out = outs[c];
-    out.row_nnz.reserve(bounds[c + 1] - bounds[c]);
-    for (std::size_t k = bounds[c]; k < bounds[c + 1]; ++k) {
-      const Offset b = E.row_begin(k);
-      const auto rn = static_cast<std::size_t>(E.row_end(k) - b);
-      const std::size_t bound =
-          cap == 0 ? rn : std::min<std::size_t>(rn, cap);
-      const std::size_t at = out.cols.size();
-      out.cols.resize(at + bound);
-      out.vals.resize(at + bound);
-      const std::size_t kept =
-          epi(c, E.row_id(k), E.col_data(b), E.val_data(b), rn,
-              out.cols.data() + at, out.vals.data() + at);
-      out.cols.resize(at + kept);
-      out.vals.resize(at + kept);
-      out.row_nnz.push_back(static_cast<Offset>(kept));
-    }
-  });
-
-  // Stitch the chunks in row order (every row kept >= 1 entry, so the
-  // directory carries over unchanged).
-  std::vector<Index> row_ids(E.row_ids().begin(), E.row_ids().end());
-  std::vector<Offset> row_ptr;
-  row_ptr.reserve(n_rows + 1);
-  row_ptr.push_back(0);
-  Offset nnz = 0;
-  for (const auto& out : outs) {
-    for (const Offset rn : out.row_nnz) {
-      nnz += rn;
-      row_ptr.push_back(nnz);
-    }
-  }
-  std::vector<Index> cols;
-  std::vector<float> vals;
-  cols.reserve(nnz);
-  vals.reserve(nnz);
-  for (auto& out : outs) {
-    cols.insert(cols.end(), out.cols.begin(), out.cols.end());
-    vals.insert(vals.end(), out.vals.begin(), out.vals.end());
-  }
-  return SpMat<float>::from_sorted_parts(E.nrows(), E.ncols(),
-                                         std::move(row_ids),
-                                         std::move(row_ptr), std::move(cols),
-                                         std::move(vals));
-}
 
 /// The recycled cross-iteration state of one MCL run: SpGEMM workspace,
 /// epilogue lanes, the per-column chaos/dropout arrays, and spare DCSR
@@ -339,10 +271,10 @@ struct MaskCounts {
 /// would race with it).
 MaskCounts build_skip_mask(const SpMat<float>& M, Index row_offset,
                            std::uint32_t after, MclBuffers& buf,
-                           util::ThreadPool* pool, int max_threads) {
+                           util::ThreadPool* pool) {
   const std::size_t n_rows = M.n_nonempty_rows();
   const std::vector<std::size_t> bounds =
-      row_chunks(n_rows, pass_threads(pool, max_threads));
+      row_chunks(n_rows, pool_threads(pool));
   const std::size_t n_chunks = bounds.empty() ? 0 : bounds.size() - 1;
   std::vector<MaskCounts> parts(n_chunks);
   run_chunks(pool, n_chunks, [&](std::size_t c) {
@@ -537,9 +469,8 @@ Clustering interpret(const SpMat<float>& M, Index n, float threshold,
 /// whole on one rank — the layout inflate/prune/chaos need), expansion
 /// scatters to the 2D tiling and runs the gather-stages SUMMA (bitwise
 /// equal to the local kernel — dist/summa.hpp), and the expanded matrix
-/// gathers back to stripes for the rank-local column scans — with the
-/// fused path folding the ColumnEpilogue into the gather itself
-/// (gather_row_stripes_fused), so each column is pruned as it is
+/// gathers back to stripes with the ColumnEpilogue folded into the gather
+/// itself (gather_row_stripes_fused), so each column is pruned as it is
 /// assembled and only the pruned stripe materializes. All
 /// result-affecting decisions (per-column prune, global budget
 /// tightening, dropout masks) are bit-compatible with the shared-memory
@@ -581,8 +512,6 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
   });
   M0 = SpMat<float>();
 
-  const bool fused =
-      opt.fused && opt.kernel == sparse::SpGemmKernel::kHash2Phase;
   const bool dropout = opt.dropout_iterations != 0;
   const double drop_eps =
       opt.dropout_epsilon > 0.0 ? opt.dropout_epsilon : opt.chaos_epsilon;
@@ -594,8 +523,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
     buf.skip.assign(n, 0);
     buf.prev_skip.assign(n, 0);
   }
-  // One epilogue lane per rank: the fused gather fold passes the rank as
-  // the lane, the per-rank unfused sweep offsets by its lane_base.
+  // One epilogue lane per rank: the gather fold passes the rank as the lane.
   buf.lanes.resize(static_cast<std::size_t>(p));
 
   std::uint32_t cap = opt.max_column_entries;
@@ -605,9 +533,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
                            drop_eps,
                            buf.col_chaos.data(),
                            dropout ? buf.streak.data() : nullptr,
-                           /*row_offset=*/0,
-                           &buf.lanes,
-                           /*lane_base=*/0};
+                           &buf.lanes};
 
   for (int it = 0; it < opt.max_iterations; ++it) {
     MclIterationStats is;
@@ -620,7 +546,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
         const auto ri = static_cast<std::size_t>(r);
         const Index r0 = sim::ProcGrid::split_point(n, p, r);
         rank_mc[ri] = build_skip_mask(stripes[ri], r0,
-                                      opt.dropout_iterations, buf, nullptr, 0);
+                                      opt.dropout_iterations, buf, nullptr);
       });
       std::size_t total_rows = 0;
       for (int r = 0; r < p; ++r) {
@@ -710,9 +636,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
 
     const std::uint64_t products_before = st.spgemm.products;
     dist::SummaOptions sopt;
-    sopt.kernel = opt.kernel;
     sopt.pool = pool;
-    sopt.spgemm_threads = opt.max_threads;
     sopt.gather_stages = true;  // bitwise-exact float fold (see summa.hpp)
     auto Ed = dist::summa<sparse::PlusTimes<float>>(rt, A_op, Md, sopt,
                                                     &st.spgemm);
@@ -732,8 +656,8 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
     // Pre-gather stripe shapes from the tile directories: the budget
     // feedback fires BEFORE the gather fold, mirroring the shared-memory
     // fused kernel's symbolic→tighten→numeric ordering — and the counts
-    // equal the gathered stripes' exactly, so the decisions match the
-    // expand-then-prune sequence bit-for-bit.
+    // equal the pre-epilogue stripes' exactly, so the decisions match the
+    // shared-memory loop's bit-for-bit.
     std::vector<std::uint64_t> pre_rows_r(static_cast<std::size_t>(p));
     std::vector<std::uint64_t> pre_nnz_r(static_cast<std::size_t>(p));
     std::vector<std::uint8_t> seen;
@@ -779,12 +703,12 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
     }
     is.column_cap = cap;
 
-    // Inflate + prune + chaos via the shared ColumnEpilogue — fused into
-    // the gather fold (each column pruned as its tile segments merge, only
-    // the pruned stripe materializes) or as the rank-local sweep over the
-    // gathered stripe. Row-identical to the shared-memory pass either way.
+    // Inflate + prune + chaos via the shared ColumnEpilogue, fused into
+    // the gather fold: each column is pruned as its tile segments merge,
+    // and only the pruned stripe materializes. Row-identical to the
+    // shared-memory pass.
     std::vector<SpMat<float>> pruned_stripes;
-    if (fused) {
+    {
       obs::Span fspan(opt.telemetry.tracer, "mcl.fused_epilogue");
       fspan.arg("pre_nnz", static_cast<double>(e_nnz));
       fspan.arg("dropout_columns", static_cast<double>(is.dropout_columns));
@@ -799,32 +723,6 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
                      rt.model().sparse_stream_time(pruned_b));
         clock.add_resident(pruned_b);
         clock.sub_resident(md_tile_bytes[ri] + ed_tile_bytes[ri]);
-      });
-    } else {
-      auto e_stripes = dist::gather_row_stripes(rt, Ed,
-                                                sim::Comp::kSparseOther, pool);
-      rt.spmd([&](int r) {
-        rt.clock(r).add_resident(
-            e_stripes[static_cast<std::size_t>(r)].bytes());
-        rt.clock(r).sub_resident(md_tile_bytes[static_cast<std::size_t>(r)] +
-                                 ed_tile_bytes[static_cast<std::size_t>(r)]);
-      });
-      pruned_stripes.resize(static_cast<std::size_t>(p));
-      rt.spmd([&](int r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const Index r0 = sim::ProcGrid::split_point(n, p, r);
-        const std::uint64_t e_b = e_stripes[ri].bytes();
-        ColumnEpilogue repi = epi;
-        repi.row_offset = r0;  // stripe-local rows -> global columns
-        repi.lane_base = ri;   // serial sweep -> chunk 0 -> this rank's lane
-        pruned_stripes[ri] = inflate_prune(e_stripes[ri], repi, nullptr, 0);
-        e_stripes[ri] = SpMat<float>();
-        auto& clock = rt.clock(r);
-        clock.charge(
-            sim::Comp::kSparseOther,
-            rt.model().sparse_stream_time(e_b + pruned_stripes[ri].bytes()));
-        clock.add_resident(pruned_stripes[ri].bytes());
-        clock.sub_resident(e_b);
       });
     }
     Md = dist::DistSpMat<float>();
@@ -897,8 +795,6 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     return canonicalize(labels);
   }
 
-  const bool fused =
-      opt.fused && opt.kernel == sparse::SpGemmKernel::kHash2Phase;
   const bool dropout = opt.dropout_iterations != 0;
   const double drop_eps =
       opt.dropout_epsilon > 0.0 ? opt.dropout_epsilon : opt.chaos_epsilon;
@@ -911,8 +807,9 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     buf.skip.assign(n, 0);
     buf.prev_skip.assign(n, 0);
   }
-  buf.lanes.resize(
-      std::max<std::size_t>(1, pass_threads(pool, opt.max_threads)));
+  // One epilogue lane per kernel chunk; the kernel runs at most one chunk
+  // per pool thread.
+  buf.lanes.resize(std::max<std::size_t>(1, pool_threads(pool)));
 
   std::uint32_t cap = opt.max_column_entries;
   const ColumnEpilogue epi{opt.inflation,
@@ -921,9 +818,7 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
                            drop_eps,
                            buf.col_chaos.data(),
                            dropout ? buf.streak.data() : nullptr,
-                           /*row_offset=*/0,
-                           &buf.lanes,
-                           /*lane_base=*/0};
+                           &buf.lanes};
   std::uint64_t scratch_hw = 0;
 
   for (int it = 0; it < opt.max_iterations; ++it) {
@@ -933,8 +828,7 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     MclIterationStats is;
     MaskCounts mc;
     if (dropout) {
-      mc = build_skip_mask(M, 0, opt.dropout_iterations, buf, pool,
-                           opt.max_threads);
+      mc = build_skip_mask(M, 0, opt.dropout_iterations, buf, pool);
       bump_frozen_streaks(M, 0, buf);
       if (mc.skipped == M.n_nonempty_rows()) {
         // Every column froze below the dropout epsilon: the flow is
@@ -953,10 +847,10 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     const std::uint64_t products_before = st.spgemm.products;
 
     // Memory-budget feedback: a too-fat iteration tightens the column cap
-    // for this and all later prunes (deterministic — byte counts are). On
-    // the fused path this runs BETWEEN the symbolic and numeric phases
-    // (the on_symbolic hook), fed the exact pre-epilogue shape — the same
-    // numbers, hence the same decision, as the expand-then-prune sequence.
+    // for this and all later prunes (deterministic — byte counts are). It
+    // runs BETWEEN the symbolic and numeric phases (the on_symbolic hook),
+    // fed the exact pre-epilogue shape of M², so the tightened cap already
+    // applies to this iteration's prune.
     auto tighten = [&](std::uint64_t e_rows, std::uint64_t e_nnz) {
       is.expansion_nnz = e_nnz;
       is.resident_bytes =
@@ -973,30 +867,18 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     };
 
     // Expand M ← M² ((M²)ᵀ = Mᵀ·Mᵀ, so the transposed storage multiplies
-    // by itself unchanged) and prune — fused (inflate/prune/chaos inside
-    // the numeric phase, one DCSR write per iteration) or as the classic
-    // expand-then-sweep with the same epilogue.
+    // by itself unchanged) with inflate/prune/chaos inside the numeric
+    // phase: one DCSR write per iteration.
     SpMat<float> P;  // the pruned update (active columns only when masked)
-    if (fused) {
+    {
       obs::Span fspan(opt.telemetry.tracer, "mcl.fused_epilogue");
       sparse::FusedExpandInfo finfo;
       P = sparse::spgemm_hash2p_fused<sparse::PlusTimes<float>>(
           M, M, epi, tighten, dropout ? buf.skip.data() : nullptr, &buf.ws,
-          &finfo, &st.spgemm, pool, opt.max_threads, opt.telemetry);
+          &finfo, &st.spgemm, pool, opt.telemetry);
       fspan.arg("pre_nnz", static_cast<double>(finfo.pre_nnz));
       fspan.arg("kept_nnz", static_cast<double>(P.nnz()));
       fspan.arg("dropout_columns", static_cast<double>(is.dropout_columns));
-    } else {
-      SpMat<float> A_active;
-      if (masked) {
-        A_active = M.pruned(
-            [&](Index r, Index, float) { return buf.skip[r] == 0; });
-      }
-      const SpMat<float>& A = masked ? A_active : M;
-      SpMat<float> E = sparse::spgemm<sparse::PlusTimes<float>>(
-          A, M, opt.kernel, &st.spgemm, pool, opt.max_threads, opt.telemetry);
-      tighten(E.n_nonempty_rows(), E.nnz());
-      P = inflate_prune(E, epi, pool, opt.max_threads);
     }
     is.expansion_products = st.spgemm.products - products_before;
 

@@ -3,11 +3,11 @@
 // HipMCL [Azad et al., NAR 2018] showed the MCL process — expand (M ← M²),
 // inflate (entrywise power + column renormalization), prune (per-column
 // cutoff + top-k selection) — is exactly a repeated SpGEMM workload, which
-// is why the paper's discovery kernel doubles as a clustering engine. The
-// expansion here runs on sparse::spgemm with SpGemmKernel::kHash2Phase
-// (the PR 2 symbolic/numeric parallel kernel) over the conventional (+, *)
-// semiring; inflation and pruning are per-column passes that parallelize
-// over the same pool.
+// is why the paper's discovery kernel doubles as a clustering engine. One
+// iteration here is one sparse::spgemm_hash2p_fused call over the
+// conventional (+, *) semiring: each flow column is inflated, pruned,
+// renormalized and chaos-accumulated inside the numeric phase while hot,
+// so the flow matrix is written to DCSR exactly once per iteration.
 //
 // Storage convention: the column-stochastic flow matrix M is held
 // TRANSPOSED, i.e. DCSR row j stores column j of M. Expansion is then
@@ -15,9 +15,9 @@
 // (normalize, inflate, prune, chaos) becomes a cache-friendly row scan.
 //
 // Determinism: expansion is bit-identical for any pool size (the hash2p
-// contract); inflation/prune/chaos are Jacobi per-row passes with one
-// writer per slot and fixed tie-breaks, so the full iteration — and hence
-// the final clustering — is bit-identical for ANY thread count.
+// contract); inflation/prune/chaos are per-column passes with one writer
+// per slot and fixed tie-breaks, so the full iteration — and hence the
+// final clustering — is bit-identical for ANY thread count.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +51,6 @@ struct MclOptions {
   /// of the vertex's maximum incident edge weight (regularizes the flow;
   /// plain MCL's loop weight 1 is the special case of unit-weight graphs).
   double self_loop_scale = 1.0;
-  /// Expansion kernel; the parallel two-phase kernel is the default and
-  /// the serial hash/heap oracles remain as cross-checks.
-  sparse::SpGemmKernel kernel = sparse::SpGemmKernel::kHash2Phase;
-  /// Threads one expansion may fan out to (0 = whole pool) — scheduling
-  /// only, never results.
-  int max_threads = 0;
   /// Resident-bytes budget for one iteration (current + expanded matrix),
   /// compatible with PastisConfig::exec_memory_budget_bytes: when an
   /// iteration's resident bytes exceed it, the per-column entry cap is
@@ -64,15 +58,6 @@ struct MclOptions {
   /// tightening depends only on deterministic byte counts, so results
   /// remain thread-count invariant.
   std::uint64_t memory_budget_bytes = 0;
-  /// Fuse inflate + prune + chaos into the expansion's numeric phase
-  /// (sparse::spgemm_hash2p_fused): each flow column is powered,
-  /// renormalized, capped and chaos-accumulated while hot, and the flow
-  /// matrix is written to DCSR exactly once per iteration. Only applies
-  /// when `kernel == kHash2Phase` (the serial oracles stay expand-then-
-  /// prune); both paths run the SAME per-column epilogue, so fused on/off
-  /// is bit-identical — it is a performance knob, kept toggleable as its
-  /// own oracle.
-  bool fused = true;
   /// Converged-column dropout: a column whose chaos stayed below
   /// dropout_epsilon for this many consecutive iterations — and whose
   /// support columns all did too — skips recompute (its flow column is
@@ -164,7 +149,7 @@ struct MclStats {
 
 /// Clusters `g` with the MCL process. Isolated vertices become singleton
 /// clusters. `pool` is scheduling only; the returned Clustering is
-/// bit-identical for any pool size / max_threads.
+/// bit-identical for any pool size.
 [[nodiscard]] Clustering markov_cluster(const SimilarityGraph& g,
                                         const MclOptions& opt = {},
                                         MclStats* stats = nullptr,

@@ -13,7 +13,6 @@
 #include "kmer/alphabet.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/fault.hpp"
-#include "sparse/spgemm.hpp"
 
 namespace pastis::core {
 
@@ -76,19 +75,6 @@ struct PastisConfig {
   /// configured depth and are therefore a conservative upper bound on
   /// what a gated schedule can hold in flight.
   std::uint64_t exec_memory_budget_bytes = 0;
-  /// Collect the full per-rank × per-block timeline in SearchStats
-  /// (rank_block_sparse_s / rank_block_align_s). Off by default: the
-  /// streaming reduction only needs O(ranks × depth) state, and the dense
-  /// n_blocks × p matrices are pure reporting overhead.
-  bool collect_rank_block_timeline = false;
-  /// Local SpGEMM kernel for candidate discovery. The two-phase
-  /// symbolic/numeric kernel is the default (bit-identical to the serial
-  /// hash/heap oracles for any thread count); kHash/kHeap remain as
-  /// cross-check and ablation kernels.
-  sparse::SpGemmKernel spgemm_kernel = sparse::SpGemmKernel::kHash2Phase;
-  /// Host threads one two-phase SpGEMM call may fan out to (0 = the whole
-  /// pool). Purely a scheduling knob: results are thread-count invariant.
-  int spgemm_threads = 0;
 
   // --- distributed memory model (rank-resident serving + clustering) --------
   /// Side of the simulated serving grid: the QueryEngine places index
@@ -146,13 +132,11 @@ struct PastisConfig {
   /// QueryEngine, SpGEMM, BatchAligner, MCL via run_and_cluster).
   obs::Telemetry telemetry;
 
-  /// MCL knobs for cluster::Method::kMarkov. Threads/memory budget left
-  /// at defaults inherit spgemm_threads / exec_memory_budget_bytes (see
-  /// run_and_cluster); mcl.kernel picks the expansion kernel directly
-  /// (the parallel two-phase kernel by default). Caution: unlike
-  /// everywhere else, a memory budget changes MCL *results* — it
-  /// deterministically tightens the per-column prune cap when an
-  /// iteration's resident bytes exceed it.
+  /// MCL knobs for cluster::Method::kMarkov. A memory budget left at its
+  /// default inherits exec_memory_budget_bytes (see run_and_cluster).
+  /// Caution: unlike everywhere else, a memory budget changes MCL
+  /// *results* — it deterministically tightens the per-column prune cap
+  /// when an iteration's resident bytes exceed it.
   cluster::MclOptions mcl;
 
   [[nodiscard]] int n_blocks() const { return block_rows * block_cols; }

@@ -188,12 +188,6 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   const std::size_t n_blocks = plan.blocks().size();
   st.block_sparse_s.assign(n_blocks, 0.0);
   st.block_align_s.assign(n_blocks, 0.0);
-  if (cfg.collect_rank_block_timeline) {
-    st.rank_block_sparse_s.assign(
-        n_blocks, std::vector<double>(static_cast<std::size_t>(p), 0.0));
-    st.rank_block_align_s.assign(
-        n_blocks, std::vector<double>(static_cast<std::size_t>(p), 0.0));
-  }
   std::vector<std::vector<io::SimilarityEdge>> rank_edges(
       static_cast<std::size_t>(p));
 
@@ -210,7 +204,8 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         BlockSlot& s = slots[si];
         s.reset(p);
         const BlockInfo& blk = plan.blocks()[bi];
-        dist::SummaOptions opt = discovery_summa_options(cfg, pool_);
+        dist::SummaOptions opt;
+        opt.pool = pool_;
         opt.clocks = s.frame.data();
         s.C = dist::summa<OverlapSemiring>(
             rt, stripes_a[static_cast<std::size_t>(blk.r)],
@@ -323,10 +318,6 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
             *std::max_element(s.sparse_s.begin(), s.sparse_s.end());
         st.block_align_s[bi] =
             *std::max_element(s.align_s.begin(), s.align_s.end());
-        if (cfg.collect_rank_block_timeline) {
-          st.rank_block_sparse_s[bi] = s.sparse_s;
-          st.rank_block_align_s[bi] = s.align_s;
-        }
         s.C = DistSpMat<CommonKmers>();  // release the block early
       }};
 
@@ -438,16 +429,13 @@ ClusteredSearchResult SimilaritySearch::run_and_cluster(
     return out;  // stage skipped: clustering stays empty (method kNone)
   }
 
-  // Unset MCL knobs inherit the pipeline's executor knobs: the expansion
-  // is the same SpGEMM workload, the budget the same host gate. The
-  // kernel is cfg.mcl.kernel's to choose (kHash2Phase by default). Note
-  // the budget is NOT schedule-only for MCL — it deterministically
-  // tightens the column cap (see MclOptions::memory_budget_bytes); set
-  // cfg.mcl.memory_budget_bytes explicitly to decouple the two. All
-  // budget fallbacks resolve through the PastisConfig helpers (the one
-  // documented inheritance chain).
+  // Unset MCL knobs inherit the pipeline's: the telemetry sinks, and the
+  // budget of the same host gate. Note the budget is NOT schedule-only for
+  // MCL — it deterministically tightens the column cap (see
+  // MclOptions::memory_budget_bytes); set cfg.mcl.memory_budget_bytes
+  // explicitly to decouple the two. All budget fallbacks resolve through
+  // the PastisConfig helpers (the one documented inheritance chain).
   cluster::MclOptions mcl = config_.mcl;
-  if (mcl.max_threads == 0) mcl.max_threads = config_.spgemm_threads;
   if (!mcl.telemetry.enabled()) mcl.telemetry = config_.telemetry;
   mcl.memory_budget_bytes = config_.effective_mcl_memory_budget();
   if (mcl.distributed && mcl.rank_memory_budget_bytes == 0) {

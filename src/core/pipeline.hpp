@@ -63,11 +63,9 @@ class SimilaritySearch {
 
   /// run() followed by the clustering post-align stage on the edge stream.
   /// cfg.cluster_method == kNone skips the stage (the returned clustering
-  /// stays empty). MCL threads/memory-budget knobs left at their defaults
-  /// inherit spgemm_threads and exec_memory_budget_bytes; the expansion
-  /// kernel is cfg.mcl.kernel (kHash2Phase by default). Cluster
-  /// assignments, like the edges, are bit-identical for any process
-  /// count, blocking, depth and pool size.
+  /// stays empty). An MCL memory budget left at its default inherits
+  /// exec_memory_budget_bytes. Cluster assignments, like the edges, are
+  /// bit-identical for any process count, blocking, depth and pool size.
   [[nodiscard]] ClusteredSearchResult run_and_cluster(
       std::vector<std::string> seqs) const;
 

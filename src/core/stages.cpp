@@ -32,17 +32,6 @@ std::pair<std::uint64_t, std::uint64_t> extract_sequence_kmers(
   return {hits.size(), n_subs};
 }
 
-dist::SummaOptions discovery_summa_options(const PastisConfig& cfg,
-                                           util::ThreadPool* pool) {
-  dist::SummaOptions opt;
-  opt.kernel = cfg.spgemm_kernel;
-  opt.pool = pool;
-  opt.spgemm_threads = cfg.spgemm_threads;
-  opt.charge = sim::Comp::kSpGemm;
-  opt.merge_charge = sim::Comp::kSpGemm;  // stage-merge is part of the multiply
-  return opt;
-}
-
 align::BatchAligner make_batch_aligner(const PastisConfig& cfg,
                                        const sim::MachineModel& model) {
   align::BatchAligner::Config bcfg;

@@ -9,7 +9,8 @@
 // sketches), then both call the same screen_candidates() (the cascade
 // tiers) and align_and_filter() (flattened host alignment, the ANI/coverage
 // filter, per-rank device accounting), and each keeps only its own modeled
-// charging. The baseline calls the leaf helpers per replicated chunk.
+// charging. The baseline runs align_and_filter on a one-rank RankWork per
+// replicated chunk.
 // Writing the stage logic once keeps all consumers bit-identical by
 // construction — the canonical task orientation, the tier loop, the filter
 // and the modeled device-time formula exist exactly once.
@@ -25,7 +26,6 @@
 #include "align/cascade.hpp"
 #include "core/common_kmers.hpp"
 #include "core/config.hpp"
-#include "dist/summa.hpp"
 #include "io/graph_io.hpp"
 #include "kmer/codec.hpp"
 #include "kmer/nearest.hpp"
@@ -183,25 +183,17 @@ void add_cascade_counters(const obs::Telemetry& telemetry,
 [[nodiscard]] align::BatchAligner make_batch_aligner(
     const PastisConfig& cfg, const sim::MachineModel& model);
 
-/// Local candidate-discovery SpGEMM configured from the search parameters
-/// (kernel choice + two-phase threading knob in one place). Every local
-/// discovery multiply — the engine's shard products, the baselines, ad-hoc
-/// tools — should dispatch through here so a config change reaches all of
-/// them.
+/// Local candidate-discovery SpGEMM: the two-phase kernel on `pool`,
+/// instrumented through cfg.telemetry. Every local discovery multiply —
+/// the engine's shard products, the baselines, ad-hoc tools — goes
+/// through here.
 template <sparse::SemiringLike SR>
 [[nodiscard]] sparse::SpMat<typename SR::value_type> discovery_spgemm(
     const sparse::SpMat<typename SR::left_type>& a,
     const sparse::SpMat<typename SR::right_type>& b, const PastisConfig& cfg,
     sparse::SpGemmStats* stats = nullptr, util::ThreadPool* pool = nullptr) {
-  return sparse::spgemm<SR>(a, b, cfg.spgemm_kernel, stats, pool,
-                            cfg.spgemm_threads, cfg.telemetry);
+  return sparse::spgemm_hash2p<SR>(a, b, stats, pool, cfg.telemetry);
 }
-
-/// SUMMA options for candidate discovery (the distributed analogue of
-/// discovery_spgemm): kernel choice and threading knob configured once for
-/// the pipeline's block loop and any other SUMMA consumer.
-[[nodiscard]] dist::SummaOptions discovery_summa_options(
-    const PastisConfig& cfg, util::ThreadPool* pool);
 
 /// The similarity edge for an aligned pair, or nullopt if it fails the
 /// ANI/coverage thresholds (Table IV: 0.30 / 0.70).

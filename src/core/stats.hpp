@@ -57,13 +57,6 @@ struct SearchStats {
   std::vector<double> block_sparse_s;
   std::vector<double> block_align_s;
 
-  /// Full per-block × per-rank timeline (dilated seconds). Populated only
-  /// when PastisConfig::collect_rank_block_timeline is set — the makespan
-  /// reduction itself streams with O(ranks × depth) state and never needs
-  /// these dense matrices.
-  std::vector<std::vector<double>> rank_block_sparse_s;
-  std::vector<std::vector<double>> rank_block_align_s;
-
   /// Per-rank time spent in the block loop as that rank's own timer would
   /// measure it: with pre-blocking, Σ_b max(align_b, sparse_{b+1}) plus the
   /// unhidden first discovery; without, Σ_b (sparse_b + align_b). Table I's

@@ -235,8 +235,7 @@ template <typename T>
 /// row own consecutive disjoint column ranges, so per-row segments
 /// concatenate in grid-column order straight into sorted DCSR — no sort,
 /// no dedup, values bit-exact. This is the A-side operand assembly of the
-/// gather-stages SUMMA fold (dist/summa.hpp) and of the row-stripe
-/// reshapes below.
+/// gather-stages SUMMA fold (dist/summa.hpp).
 template <typename T>
 [[nodiscard]] SpMat<T> hstack_grid_row(const DistSpMat<T>& A, int gi) {
   const int side = A.grid().side();
@@ -311,58 +310,10 @@ template <typename T>
                                      std::move(vals));
 }
 
-/// Reshapes A from the 2D tiling to one full-width row stripe per rank:
-/// stripe r = global rows [split(M, p, r), split(M, p, r+1)), stripe-local
-/// row ids, global columns. Because p = side², every rank stripe nests
-/// inside exactly one grid row (split(M, side, g) = split(M, p, g·side)),
-/// so the reshape is a grid-row hstack followed by a row cut — exact, no
-/// value reassociation. This is the layout the distributed MCL's
-/// column-local kernels (inflate/prune/chaos over the transposed flow
-/// matrix) need: every flow column whole on one rank. Charges the
-/// all-to-all to `charge`.
-template <typename T>
-[[nodiscard]] std::vector<SpMat<T>> gather_row_stripes(
-    sim::SimRuntime& rt, const DistSpMat<T>& A,
-    sim::Comp charge = sim::Comp::kSparseOther,
-    util::ThreadPool* pool = nullptr) {
-  const sim::ProcGrid& grid = rt.grid();
-  const int side = grid.side();
-  const int p = grid.size();
-  const Index n = A.nrows();
-
-  std::vector<SpMat<T>> row_strips(static_cast<std::size_t>(side));
-  auto build_strip = [&](std::size_t gi) {
-    row_strips[gi] = hstack_grid_row(A, static_cast<int>(gi));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(row_strips.size(), build_strip);
-  } else {
-    for (std::size_t gi = 0; gi < row_strips.size(); ++gi) build_strip(gi);
-  }
-
-  std::vector<SpMat<T>> stripes(static_cast<std::size_t>(p));
-  rt.spmd([&](int rank) {
-    const int gi = rank / side;  // the grid row this rank's stripe nests in
-    const Index r0 = sim::ProcGrid::split_point(n, p, rank);
-    const Index r1 = sim::ProcGrid::split_point(n, p, rank + 1);
-    const Index base = A.row_begin(gi);
-    stripes[static_cast<std::size_t>(rank)] =
-        row_strips[static_cast<std::size_t>(gi)].extract(r0 - base, r1 - base,
-                                                         0, A.ncols());
-    const std::uint64_t b_out = A.local(rank).bytes();
-    const std::uint64_t b_in = stripes[static_cast<std::size_t>(rank)].bytes();
-    rt.clock(rank).charge(charge,
-                          rt.model().sparse_stream_time(b_out + b_in) +
-                              rt.model().p2p_time(b_out));
-    rt.clock(rank).bytes_sent += b_out;
-    rt.clock(rank).bytes_recv += b_in;
-  });
-  return stripes;
-}
-
-/// Inverse of gather_row_stripes: one stripe per rank (stripe-local rows,
-/// global columns) back to the 2D tiling. Exact data movement; charges the
-/// all-to-all to `charge`.
+/// One full-width row stripe per rank (stripe r = global rows
+/// [split(M, p, r), split(M, p, r+1)), stripe-local rows, global columns)
+/// back to the 2D tiling; gather_row_stripes_fused (dist/summa.hpp) is the
+/// inverse. Exact data movement; charges the all-to-all to `charge`.
 template <typename T>
 [[nodiscard]] DistSpMat<T> scatter_row_stripes(
     sim::SimRuntime& rt, const std::vector<SpMat<T>>& stripes, Index ncols,

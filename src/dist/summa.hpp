@@ -24,18 +24,13 @@
 
 namespace pastis::dist {
 
+/// Broadcasts, local multiplies and the stage merge are all charged to
+/// sim::Comp::kSpGemm: the merge is part of the multiply.
 struct SummaOptions {
-  sparse::SpGemmKernel kernel = sparse::SpGemmKernel::kHash2Phase;
-  /// Component the broadcasts + local multiplies are charged to.
-  sim::Comp charge = sim::Comp::kSpGemm;
-  /// Component the stage merge is charged to.
-  sim::Comp merge_charge = sim::Comp::kSpGemm;
   /// Pool the two-phase kernel's row ranges run on (nullptr = in-rank
   /// serial; the rank lambdas themselves already run on the host pool, and
   /// nested parallel_for is safe — idle workers steal chunks).
   util::ThreadPool* pool = nullptr;
-  /// Per-call thread cap for the two-phase kernel (0 = whole pool).
-  int spgemm_threads = 0;
   /// Charge sink: when non-null, per-rank charges and counters go to
   /// `clocks[rank]` instead of the runtime's clocks. The streaming
   /// executor points this at a stage-slot clock frame so concurrently
@@ -86,7 +81,7 @@ template <sparse::SemiringLike SR>
       for (int s = 0; s < side; ++s) {
         const auto& a_tile = A.local(grid.rank_of(gi, s));
         const auto& b_tile = B.local(grid.rank_of(s, gj));
-        clock.charge(opt.charge,
+        clock.charge(sim::Comp::kSpGemm,
                      rt.model().bcast_time(a_tile.bytes(), side) +
                          rt.model().bcast_time(b_tile.bytes(), side));
         clock.bytes_recv += a_tile.bytes() + b_tile.bytes();
@@ -99,13 +94,13 @@ template <sparse::SemiringLike SR>
       auto& out = C.local(rank);
       if (!a_strip.empty() && !b_strip.empty()) {
         sparse::SpGemmStats stage;
-        out = sparse::spgemm<SR>(a_strip, b_strip, opt.kernel, &stage,
-                                 opt.pool, opt.spgemm_threads);
-        clock.charge(opt.charge, rt.model().spgemm_time(stage.products));
+        out = sparse::spgemm_hash2p<SR>(a_strip, b_strip, &stage, opt.pool);
+        clock.charge(sim::Comp::kSpGemm,
+                     rt.model().spgemm_time(stage.products));
         clock.spgemm_products += stage.products;
         rstats.merge(stage);
       }
-      clock.charge(opt.merge_charge,
+      clock.charge(sim::Comp::kSpGemm,
                    rt.model().sparse_stream_time(strip_bytes + out.bytes()));
       return;
     }
@@ -119,18 +114,19 @@ template <sparse::SemiringLike SR>
 
       // Stage broadcasts within the row/column teams (§VI-A: log √p tree
       // depth per stage, charged to everyone in the team).
-      clock.charge(opt.charge, rt.model().bcast_time(a_tile.bytes(), side) +
-                                   rt.model().bcast_time(b_tile.bytes(), side));
+      clock.charge(sim::Comp::kSpGemm,
+                   rt.model().bcast_time(a_tile.bytes(), side) +
+                       rt.model().bcast_time(b_tile.bytes(), side));
       clock.bytes_recv += a_tile.bytes() + b_tile.bytes();
       if (grid.rank_of(gi, s) == rank) clock.bytes_sent += a_tile.bytes();
       if (grid.rank_of(s, gj) == rank) clock.bytes_sent += b_tile.bytes();
 
       if (a_tile.empty() || b_tile.empty()) continue;
       sparse::SpGemmStats stage;
-      parts.push_back(sparse::spgemm<SR>(a_tile, b_tile, opt.kernel, &stage,
-                                         opt.pool, opt.spgemm_threads));
+      parts.push_back(
+          sparse::spgemm_hash2p<SR>(a_tile, b_tile, &stage, opt.pool));
       part_bytes += parts.back().bytes();
-      clock.charge(opt.charge, rt.model().spgemm_time(stage.products));
+      clock.charge(sim::Comp::kSpGemm, rt.model().spgemm_time(stage.products));
       clock.spgemm_products += stage.products;
       rstats.merge(stage);
     }
@@ -142,7 +138,7 @@ template <sparse::SemiringLike SR>
       out = sparse::add_merge(parts, C.local_nrows(rank), C.local_ncols(rank),
                               [](V& acc, const V& v) { SR::add(acc, v); });
     }
-    clock.charge(opt.merge_charge,
+    clock.charge(sim::Comp::kSpGemm,
                  rt.model().sparse_stream_time(part_bytes + out.bytes()));
   });
 
@@ -156,25 +152,28 @@ template <sparse::SemiringLike SR>
   return C;
 }
 
-/// gather_row_stripes with a per-row epilogue fused into the stripe
-/// assembly — the distributed companion of sparse::spgemm_hash2p_fused.
+/// Reshapes A from the 2D tiling to one full-width row stripe per rank,
+/// with a per-row epilogue fused into the stripe assembly — the
+/// distributed companion of sparse::spgemm_hash2p_fused, and the inverse
+/// of scatter_row_stripes under a copy-through epilogue.
 ///
-/// Each rank walks its stripe's rows by merging the <= side tile segments
-/// that cover them (ascending grid column = ascending global column, so the
-/// assembled row is sorted and bit-exactly the row gather_row_stripes would
-/// extract), and instead of materializing the unpruned stripe hands every
-/// assembled row to
+/// Stripe r holds global rows [split(M, p, r), split(M, p, r+1)) with
+/// stripe-local row ids and global columns. Because p = side², every rank
+/// stripe nests inside exactly one grid row, so each rank walks its
+/// stripe's rows by merging the <= side tile segments that cover them
+/// (ascending grid column = ascending global column, so the assembled row
+/// is sorted and exact), and instead of materializing the unpruned stripe
+/// hands every assembled row to
 ///
 ///   kept = epilogue(rank, global_row, cols, vals, nnz, out_cols, out_vals)
 ///
 /// with the same contract as the fused kernel's epilogue: out slots sized
 /// min(nnz, max_row_out) (0 = nnz), survivors written column-ascending,
-/// rows keeping 0 dropped. The returned stripes are exactly
-/// inflate_prune(gather_row_stripes(...)) when the epilogue is the MCL
-/// column pass — without the pre-epilogue stripe ever existing on the
-/// rank. Charges mirror gather_row_stripes, with the UNpruned stripe as
-/// the received bytes (the fold runs receiver-side; the full rows still
-/// cross the wire).
+/// rows keeping 0 dropped. This is the layout the distributed MCL's
+/// column pass needs (every flow column whole on one rank), run without
+/// the pre-epilogue stripe ever existing on the rank. Charges the
+/// all-to-all to `charge`, with the UNpruned stripe as the received bytes
+/// (the fold runs receiver-side; the full rows still cross the wire).
 template <typename T, typename Epilogue>
 [[nodiscard]] std::vector<sparse::SpMat<T>> gather_row_stripes_fused(
     sim::SimRuntime& rt, const DistSpMat<T>& A, Epilogue&& epilogue,

@@ -1,8 +1,9 @@
 // Semiring SpGEMM kernels (one rank's local work).
 //
-// Three kernels are provided, mirroring the CPU SpGEMM literature the
-// paper builds on [Nagasaka et al., ICPP'18; CombBLAS 2.0]:
-//   * hash2p — two-phase symbolic/numeric hash kernel (default): a
+// One kernel runs in the library and two serial kernels stay as its
+// oracles, mirroring the CPU SpGEMM literature the paper builds on
+// [Nagasaka et al., ICPP'18; CombBLAS 2.0]:
+//   * hash2p — two-phase symbolic/numeric hash kernel (the library's): a
 //              count-only symbolic pass computes exact per-row output
 //              sizes, an exact prefix sum pre-sizes the DCSR arrays, and
 //              the numeric pass writes columns/values into their final
@@ -18,7 +19,8 @@
 //              cross-check oracle the two-phase kernel must match).
 //   * heap   — serial k-way merge of B rows (predictable memory; second
 //              oracle and ablation kernel).
-// All are exact over any semiring; tests assert they agree.
+// All are exact over any semiring; tests assert they agree. Tests and the
+// ablation benches call the serial kernels directly.
 #pragma once
 
 #include <algorithm>
@@ -38,10 +40,6 @@
 #include "util/thread_pool.hpp"
 
 namespace pastis::sparse {
-
-enum class SpGemmKernel { kHash, kHeap, kHash2Phase };
-
-[[nodiscard]] std::string to_string(SpGemmKernel k);
 
 /// Work counters for one or more SpGEMM calls. `products` is the number of
 /// semiring multiplies (the "flops" of the paper's cost discussion); the
@@ -388,9 +386,9 @@ struct SpGemmWorkspace {
 };
 
 /// Exact pre-epilogue output shape of one fused call: the (nonempty rows,
-/// nnz) the unfused kernel would have materialized for the rows actually
-/// computed (skip-masked rows excluded). The MCL loop turns these into the
-/// same resident-bytes numbers the unfused path charges.
+/// nnz) the plain product would have materialized for the rows actually
+/// computed (skip-masked rows excluded). The MCL loop turns these into its
+/// per-iteration resident-bytes numbers.
 struct FusedExpandInfo {
   std::uint64_t pre_rows = 0;
   std::uint64_t pre_nnz = 0;
@@ -418,15 +416,14 @@ inline constexpr std::uint64_t kFusedEpilogueWeight = 16;
 /// `chunk` identifies the scheduling chunk for per-chunk caller scratch; it
 /// is scheduling-only, so determinism requires the epilogue's OUTPUT be a
 /// pure function of (row_id, cols, vals, nnz). Under that contract the
-/// result is bit-identical for any pool size, thread cap, or workspace
-/// reuse — the MCL inflate/prune/chaos pass satisfies it by construction.
+/// result is bit-identical for any pool size or workspace reuse — the MCL
+/// inflate/prune/chaos pass satisfies it by construction.
 ///
 /// `on_symbolic(pre_rows, pre_nnz)` is invoked exactly once per call —
 /// after the symbolic pass, before any epilogue runs (with zeros on the
 /// trivially-empty early returns) — and returns max_row_out. This is the
 /// hook the MCL loop uses to make its memory-budget / column-cap decision
-/// from the same pre-epilogue numbers, at the same point, as the unfused
-/// expand-then-prune path.
+/// from the pre-epilogue shape of the expansion, before any row is pruned.
 ///
 /// `skip_rows` (optional; indexed by GLOBAL row id, so size >= A.nrows())
 /// marks rows to exclude entirely: they cost no flops and emit nothing
@@ -438,9 +435,9 @@ inline constexpr std::uint64_t kFusedEpilogueWeight = 16;
 /// per-entry work rivals several hash adds (the "column-balanced"
 /// schedule — A rows are flow-matrix columns in the transposed layout).
 ///
-/// `stats->out_nnz` counts PRE-epilogue nnz (what the unfused kernel would
-/// report), keeping fused and unfused runs' compression factors and stats
-/// comparable; the kept nnz is visible on the returned matrix.
+/// `stats->out_nnz` counts PRE-epilogue nnz (what the plain product would
+/// report), so the stats equal the serial kernels' on A·B; the kept nnz is
+/// visible on the returned matrix.
 template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
 [[nodiscard]] SpMat<typename SR::value_type> spgemm_hash2p_fused(
     const SpMat<typename SR::left_type>& A,
@@ -448,8 +445,7 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
     OnSymbolic&& on_symbolic, const std::uint8_t* skip_rows = nullptr,
     SpGemmWorkspace<typename SR::value_type>* ws = nullptr,
     FusedExpandInfo* info = nullptr, SpGemmStats* stats = nullptr,
-    util::ThreadPool* pool = nullptr, int max_threads = 0,
-    const obs::Telemetry& telem = {}) {
+    util::ThreadPool* pool = nullptr, const obs::Telemetry& telem = {}) {
   using V = typename SR::value_type;
   if (A.ncols() != B.nrows()) {
     throw std::invalid_argument("spgemm: inner dimensions disagree");
@@ -530,9 +526,6 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
   if (total_flops == 0) return empty_result();
 
   std::size_t threads = pool != nullptr ? pool->size() : 1;
-  if (max_threads > 0) {
-    threads = std::min(threads, static_cast<std::size_t>(max_threads));
-  }
   if (total_flops < (1u << 14)) threads = 1;
 
   auto run_chunks = [&](const std::vector<std::size_t>& bounds,
@@ -710,18 +703,16 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
 /// values and copies each row's sorted entries into its final
 /// [offset, offset + nnz) slice — no Triple intermediary, no global
 /// re-sort, no per-row allocations. Both phases are parallelized over
-/// `pool` in contiguous row ranges balanced by accumulated flops
-/// (`max_threads` caps the ranges; 0 means the pool size); every range
-/// writes disjoint state, so the result is bit-identical to spgemm_hash
-/// for ANY thread count, including pool == nullptr (serial). This is
+/// `pool` in contiguous row ranges balanced by accumulated flops; every
+/// range writes disjoint state, so the result is bit-identical to
+/// spgemm_hash for ANY pool size, including pool == nullptr (serial). This is
 /// spgemm_hash2p_fused with a copy-through epilogue: one two-phase body
 /// serves both the discovery multiplies and the MCL expansion.
 template <SemiringLike SR>
 [[nodiscard]] SpMat<typename SR::value_type> spgemm_hash2p(
     const SpMat<typename SR::left_type>& A,
     const SpMat<typename SR::right_type>& B, SpGemmStats* stats = nullptr,
-    util::ThreadPool* pool = nullptr, int max_threads = 0,
-    const obs::Telemetry& telem = {}) {
+    util::ThreadPool* pool = nullptr, const obs::Telemetry& telem = {}) {
   using V = typename SR::value_type;
   auto copy_row = [](std::size_t, Index, const Index* cols, const V* vals,
                      std::size_t n, Index* out_cols, V* out_vals) {
@@ -731,7 +722,7 @@ template <SemiringLike SR>
   };
   return spgemm_hash2p_fused<SR>(
       A, B, copy_row, [](std::uint64_t, std::uint64_t) { return 0u; },
-      nullptr, nullptr, nullptr, stats, pool, max_threads, telem);
+      nullptr, nullptr, nullptr, stats, pool, telem);
 }
 
 /// C = A ·_SR B with a k-way heap merge per output row.
@@ -799,27 +790,6 @@ template <SemiringLike SR>
     ++stats->calls;
   }
   return SpMat<V>::from_triples(A.nrows(), B.ncols(), std::move(out));
-}
-
-/// Kernel-dispatching entry point. `pool`/`max_threads` only apply to the
-/// two-phase kernel (the serial oracles ignore them); `telem` records
-/// phase timings and flop totals for the two-phase kernel only (the
-/// oracles stay uninstrumented — they exist to be compared against).
-template <SemiringLike SR>
-[[nodiscard]] SpMat<typename SR::value_type> spgemm(
-    const SpMat<typename SR::left_type>& A,
-    const SpMat<typename SR::right_type>& B, SpGemmKernel kernel,
-    SpGemmStats* stats = nullptr, util::ThreadPool* pool = nullptr,
-    int max_threads = 0, const obs::Telemetry& telem = {}) {
-  switch (kernel) {
-    case SpGemmKernel::kHash:
-      return spgemm_hash<SR>(A, B, stats);
-    case SpGemmKernel::kHeap:
-      return spgemm_heap<SR>(A, B, stats);
-    case SpGemmKernel::kHash2Phase:
-      break;
-  }
-  return spgemm_hash2p<SR>(A, B, stats, pool, max_threads, telem);
 }
 
 /// Merges partial results (e.g. the √p SUMMA stage outputs) into one matrix,

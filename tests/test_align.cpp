@@ -347,9 +347,11 @@ TEST(Batch, ResultsMatchIndividualCalls) {
   const pa::BatchAligner aligner(scoring(), cfg);
   auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
 
-  pa::BatchStats stats;
-  const auto results = aligner.align_batch(seq_of, tasks, &stats);
-  ASSERT_EQ(results.size(), tasks.size());
+  std::vector<pa::AlignResult> results(tasks.size());
+  aligner.align_tasks(seq_of, tasks, cfg.kind, results, nullptr);
+  pa::LaneScratch scratch;
+  const pa::BatchStats stats =
+      aligner.stats_for(seq_of, tasks, results, scratch);
   std::uint64_t cells = 0;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const auto ref =
@@ -372,12 +374,19 @@ TEST(Batch, DeviceCountDoesNotChangeResults) {
   pa::BatchAligner::Config c1, c6;
   c1.devices = 1;
   c6.devices = 6;
-  const auto r1 = pa::BatchAligner(scoring(), c1).align_batch(seq_of, tasks);
-  const auto r6 = pa::BatchAligner(scoring(), c6).align_batch(seq_of, tasks);
+  const pa::BatchAligner a1(scoring(), c1), a6(scoring(), c6);
+  std::vector<pa::AlignResult> r1(tasks.size()), r6(tasks.size());
+  a1.align_tasks(seq_of, tasks, pa::AlignKind::kFullSW, r1, nullptr);
+  a6.align_tasks(seq_of, tasks, pa::AlignKind::kFullSW, r6, nullptr);
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    EXPECT_EQ(r1[t].score, r6[t].score);
-    EXPECT_EQ(r1[t].matches, r6[t].matches);
+    expect_same_result(r1[t], r6[t], t);
   }
+  // Devices split the accounting, never the totals.
+  pa::LaneScratch s1, s6;
+  const auto st1 = a1.stats_for(seq_of, tasks, r1, s1);
+  const auto st6 = a6.stats_for(seq_of, tasks, r6, s6);
+  EXPECT_EQ(st1.pairs, st6.pairs);
+  EXPECT_EQ(st1.cells, st6.cells);
 }
 
 TEST(Batch, PoolExecutionMatchesInline) {
@@ -391,10 +400,14 @@ TEST(Batch, PoolExecutionMatchesInline) {
   auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
   const pa::BatchAligner aligner(scoring(), {});
   pastis::util::ThreadPool pool(4);
-  const auto inline_res = aligner.align_batch(seq_of, tasks);
-  const auto pooled_res = aligner.align_batch(seq_of, tasks, nullptr, &pool);
+  std::vector<pa::AlignResult> inline_res(tasks.size()),
+      pooled_res(tasks.size());
+  aligner.align_tasks(seq_of, tasks, pa::AlignKind::kFullSW, inline_res,
+                      nullptr);
+  aligner.align_tasks(seq_of, tasks, pa::AlignKind::kFullSW, pooled_res,
+                      &pool);
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    EXPECT_EQ(inline_res[t].score, pooled_res[t].score);
+    expect_same_result(pooled_res[t], inline_res[t], t);
   }
 }
 
@@ -483,8 +496,10 @@ TEST(Batch, BandedModeUsesSeeds) {
   const pa::BatchAligner aligner(scoring(), cfg);
   std::vector<pa::AlignTask> tasks = {{0, 1, 6, 6}};
   std::vector<std::string> seqs = {a, b};
-  const auto res = aligner.align_batch(
-      [&](std::uint32_t id) { return std::string_view(seqs[id]); }, tasks);
+  std::vector<pa::AlignResult> res(tasks.size());
+  aligner.align_tasks(
+      [&](std::uint32_t id) { return std::string_view(seqs[id]); }, tasks,
+      cfg.kind, res, nullptr);
   EXPECT_EQ(res[0].score, 6 * 11);
 }
 

@@ -4,7 +4,11 @@
 // ANY thread-pool size, for both algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -261,30 +265,221 @@ TEST_P(ClusterThreadSweep, AssignmentsBitIdenticalToSerial) {
     EXPECT_DOUBLE_EQ(stats.per_iteration[i].chaos,
                      mcl_ref_stats.per_iteration[i].chaos);
   }
-
-  // max_threads caps below the pool are schedule-only too.
-  pc::MclOptions capped;
-  capped.max_threads = 2;
-  EXPECT_EQ(pc::markov_cluster(g, capped, nullptr, &pool), mcl_ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ClusterThreadSweep,
                          ::testing::Values(1, 2, 8));
 
-// ---- serial kernel oracles drive the same clusters -------------------------
+// ---- serial reference MCL --------------------------------------------------
 
-TEST(Mcl, ExpansionKernelsAgree) {
-  const auto edges = planted_graph(300, 20, 0.5, 60, 17);
-  const auto g = pc::SimilarityGraph::from_edges(300, edges);
-  pastis::util::ThreadPool pool(4);
-  pc::MclOptions opt;  // kHash2Phase default
-  const auto fast = pc::markov_cluster(g, opt, nullptr, &pool);
-  opt.kernel = pastis::sparse::SpGemmKernel::kHash;
-  const auto hash = pc::markov_cluster(g, opt, nullptr, &pool);
-  opt.kernel = pastis::sparse::SpGemmKernel::kHeap;
-  const auto heap = pc::markov_cluster(g, opt, nullptr, &pool);
-  EXPECT_EQ(fast, hash);
-  EXPECT_EQ(fast, heap);
+namespace {
+
+using FloatMat = pastis::sparse::SpMat<float>;
+using Column = std::vector<std::pair<Index, float>>;  // (row, value), sorted
+
+/// One reference run: the clustering plus the series MclStats records.
+struct ReferenceMcl {
+  pc::Clustering clustering;
+  int iterations = 0;
+  bool converged = false;
+  int budget_tightenings = 0;
+  std::uint64_t peak_resident_bytes = 0;
+  pastis::sparse::SpGemmStats spgemm;
+  std::vector<pc::MclIterationStats> per_iteration;
+};
+
+/// The column-stochastic flow matrix, stored transposed (row j holds column
+/// j): every vertex with an edge gets a self-loop of self_loop_scale times
+/// its largest edge weight, and each column is divided by its sum, taken
+/// in row order.
+FloatMat reference_flow(const pc::SimilarityGraph& g,
+                        const pc::MclOptions& opt) {
+  const FloatMat& adj = g.adjacency();
+  std::vector<pastis::sparse::Triple<float>> t;
+  for (std::size_t k = 0; k < adj.n_nonempty_rows(); ++k) {
+    const Index v = adj.row_id(k);
+    Column col;
+    float wmax = 0.0f;
+    for (auto o = adj.row_begin(k); o < adj.row_end(k); ++o) {
+      col.push_back({adj.col(o), adj.val(o)});
+      wmax = std::max(wmax, adj.val(o));
+    }
+    col.push_back(
+        {v, std::max(1e-6f, static_cast<float>(opt.self_loop_scale) * wmax)});
+    std::sort(col.begin(), col.end());
+    float sum = 0.0f;
+    for (const auto& e : col) sum += e.second;
+    for (const auto& [r, w] : col) t.push_back({v, r, w / sum});
+  }
+  return FloatMat::from_triples(g.n_vertices(), g.n_vertices(), std::move(t));
+}
+
+/// Inflates one expanded column, cuts entries below prune_threshold (the
+/// largest entry always stays), keeps the `cap` largest (value descending,
+/// row ascending; 0 = all) and renormalizes the survivors in place.
+/// Returns the column's chaos: its largest entry minus its sum of squares.
+double reference_column(const pc::MclOptions& opt, std::uint32_t cap,
+                        Column& col) {
+  std::vector<double> inflated;
+  double sum = 0.0;
+  for (const auto& e : col) {
+    inflated.push_back(std::pow(static_cast<double>(e.second), opt.inflation));
+    sum += inflated.back();
+  }
+  const auto inv = static_cast<float>(1.0 / sum);
+  Column keep;
+  std::pair<Index, float> best{0, 0.0f};
+  for (std::size_t o = 0; o < col.size(); ++o) {
+    const float v = static_cast<float>(inflated[o]) * inv;
+    if (v > best.second) best = {col[o].first, v};
+    if (v >= opt.prune_threshold) keep.push_back({col[o].first, v});
+  }
+  if (keep.empty()) keep.push_back(best);
+  if (cap != 0 && keep.size() > cap) {
+    std::sort(keep.begin(), keep.end(), [](const auto& x, const auto& y) {
+      return x.second != y.second ? x.second > y.second : x.first < y.first;
+    });
+    keep.resize(cap);
+    std::sort(keep.begin(), keep.end());
+  }
+  float kept = 0.0f;
+  for (const auto& e : keep) kept += e.second;
+  float col_max = 0.0f;
+  double sumsq = 0.0;
+  for (auto& e : keep) {
+    e.second /= kept;
+    col_max = std::max(col_max, e.second);
+    sumsq += static_cast<double>(e.second) * static_cast<double>(e.second);
+  }
+  col = std::move(keep);
+  return static_cast<double>(col_max) - sumsq;
+}
+
+/// Expand-then-prune MCL from public pieces: the serial hash kernel
+/// expands (M²)ᵀ = Mᵀ·Mᵀ, then every column is pruned on its own. An
+/// iteration whose M plus expansion exceeds memory_budget_bytes halves the
+/// column cap (floor 4; an unbounded cap becomes 256) before its prune.
+/// Clusters are the components of the final matrix's symmetrized support.
+ReferenceMcl reference_mcl(const pc::SimilarityGraph& g,
+                           const pc::MclOptions& opt) {
+  using PT = pastis::sparse::PlusTimes<float>;
+  ReferenceMcl ref;
+  const Index n = g.n_vertices();
+  FloatMat M = reference_flow(g, opt);
+  std::uint32_t cap = opt.max_column_entries;
+  for (int it = 0; it < opt.max_iterations; ++it) {
+    pc::MclIterationStats is;
+    const std::uint64_t products_before = ref.spgemm.products;
+    const FloatMat E = pastis::sparse::spgemm_hash<PT>(M, M, &ref.spgemm);
+    is.expansion_products = ref.spgemm.products - products_before;
+    is.expansion_nnz = E.nnz();
+    is.resident_bytes = M.bytes() + E.bytes();
+    ref.peak_resident_bytes =
+        std::max(ref.peak_resident_bytes, is.resident_bytes);
+    if (opt.memory_budget_bytes != 0 &&
+        is.resident_bytes > opt.memory_budget_bytes) {
+      cap = cap == 0 ? 256 : std::max<std::uint32_t>(4, cap / 2);
+      ++ref.budget_tightenings;
+    }
+    is.column_cap = cap;
+
+    std::vector<pastis::sparse::Triple<float>> next;
+    for (std::size_t k = 0; k < E.n_nonempty_rows(); ++k) {
+      Column col;
+      for (auto o = E.row_begin(k); o < E.row_end(k); ++o) {
+        col.push_back({E.col(o), E.val(o)});
+      }
+      is.chaos = std::max(is.chaos, reference_column(opt, cap, col));
+      for (const auto& [r, v] : col) next.push_back({E.row_id(k), r, v});
+    }
+    M = FloatMat::from_triples(n, n, std::move(next));
+    is.pruned_nnz = M.nnz();
+    ref.per_iteration.push_back(is);
+    ++ref.iterations;
+    if (is.chaos < opt.chaos_epsilon) {
+      ref.converged = true;
+      break;
+    }
+  }
+
+  std::vector<pastis::sparse::Triple<float>> support;
+  M.for_each([&](Index j, Index i, float v) {
+    if (i != j && v >= opt.interpret_threshold) {
+      support.push_back({i, j, v});
+      support.push_back({j, i, v});
+    }
+  });
+  ref.clustering = pc::components_of_adjacency(FloatMat::from_triples(
+      n, n, std::move(support),
+      [](float& acc, const float& v) { acc = std::max(acc, v); }));
+  return ref;
+}
+
+void expect_matches_reference(const pc::Clustering& got,
+                              const pc::MclStats& st, const ReferenceMcl& ref,
+                              const std::string& where) {
+  EXPECT_TRUE(got == ref.clustering) << where;
+  EXPECT_EQ(st.iterations, ref.iterations) << where;
+  EXPECT_EQ(st.converged, ref.converged) << where;
+  EXPECT_EQ(st.budget_tightenings, ref.budget_tightenings) << where;
+  EXPECT_EQ(st.peak_resident_bytes, ref.peak_resident_bytes) << where;
+  // The expansion's stats are pre-prune: pruning never leaks into them.
+  EXPECT_EQ(st.spgemm.products, ref.spgemm.products) << where;
+  EXPECT_EQ(st.spgemm.out_nnz, ref.spgemm.out_nnz) << where;
+  EXPECT_EQ(st.spgemm.calls, ref.spgemm.calls) << where;
+  ASSERT_EQ(st.per_iteration.size(), ref.per_iteration.size()) << where;
+  for (std::size_t i = 0; i < ref.per_iteration.size(); ++i) {
+    const auto& a = st.per_iteration[i];
+    const auto& b = ref.per_iteration[i];
+    EXPECT_EQ(a.expansion_products, b.expansion_products) << where << i;
+    EXPECT_EQ(a.expansion_nnz, b.expansion_nnz) << where << i;
+    EXPECT_EQ(a.pruned_nnz, b.pruned_nnz) << where << i;
+    EXPECT_EQ(a.resident_bytes, b.resident_bytes) << where << i;
+    EXPECT_EQ(a.chaos, b.chaos) << where << i;  // bitwise, not approximate
+    EXPECT_EQ(a.column_cap, b.column_cap) << where << i;
+  }
+}
+
+}  // namespace
+
+TEST(Mcl, MatchesSerialReference) {
+  // markov_cluster prunes each column inside the expansion's numeric phase,
+  // on a pool; the reference expands serially and prunes afterwards. The
+  // clustering and every per-iteration statistic must agree exactly, with
+  // and without a memory budget that tightens the column cap.
+  struct Case {
+    Index n, block;
+    double p_intra;
+    std::size_t noise;
+    std::uint64_t seed;
+  };
+  for (const Case& c : {Case{400, 16, 0.5, 120, 21}, Case{300, 30, 0.6, 0, 5}}) {
+    const auto g = pc::SimilarityGraph::from_edges(
+        c.n, planted_graph(c.n, c.block, c.p_intra, c.noise, c.seed));
+    pc::MclOptions free_opt;
+    const ReferenceMcl free_ref = reference_mcl(g, free_opt);
+    ASSERT_GE(free_ref.iterations, 3);
+    pc::MclOptions tight_opt;
+    tight_opt.memory_budget_bytes = free_ref.peak_resident_bytes / 2;
+    const ReferenceMcl tight_ref = reference_mcl(g, tight_opt);
+    ASSERT_GT(tight_ref.budget_tightenings, 0);
+
+    for (const bool tight : {false, true}) {
+      const pc::MclOptions& opt = tight ? tight_opt : free_opt;
+      const ReferenceMcl& ref = tight ? tight_ref : free_ref;
+      for (std::size_t threads : {0u, 1u, 2u, 8u}) {  // 0 = no pool
+        const std::string where = "seed=" + std::to_string(c.seed) +
+                                  " tight=" + std::to_string(tight) +
+                                  " threads=" + std::to_string(threads) +
+                                  " iteration ";
+        pastis::util::ThreadPool pool(std::max<std::size_t>(1, threads));
+        pc::MclStats st;
+        const auto got = pc::markov_cluster(g, opt, &st,
+                                            threads == 0 ? nullptr : &pool);
+        expect_matches_reference(got, st, ref, where);
+      }
+    }
+  }
 }
 
 // ---- end-to-end: run_and_cluster + driver ----------------------------------
@@ -498,41 +693,7 @@ TEST(Config, RunAndClusterInheritsThroughTheChain) {
   EXPECT_TRUE(from_root.clustering.clusters == from_mcl.clustering.clusters);
 }
 
-// ---- fused iteration: epilogue fusion, buffer recycling, dropout -----------
-
-TEST(Mcl, FusedOffIsBitIdenticalToFusedOn) {
-  const auto edges = planted_graph(400, 16, 0.5, 120, 21);
-  const auto g = pc::SimilarityGraph::from_edges(400, edges);
-
-  pc::MclStats fused_stats;
-  const auto fused = pc::markov_cluster(g, {}, &fused_stats);  // fused default
-
-  for (std::size_t threads : {1u, 8u}) {
-    pastis::util::ThreadPool pool(threads);
-    pc::MclOptions opt;
-    opt.fused = false;
-    pc::MclStats stats;
-    const auto got = pc::markov_cluster(g, opt, &stats, &pool);
-    EXPECT_TRUE(got == fused) << "threads=" << threads;
-    EXPECT_EQ(stats.iterations, fused_stats.iterations);
-    // The fused kernel reports PRE-epilogue SpGEMM stats, so the two
-    // paths' counters must coincide exactly — pruning never leaks in.
-    EXPECT_EQ(stats.spgemm.products, fused_stats.spgemm.products);
-    EXPECT_EQ(stats.spgemm.out_nnz, fused_stats.spgemm.out_nnz);
-    EXPECT_EQ(stats.spgemm.calls, fused_stats.spgemm.calls);
-    ASSERT_EQ(stats.per_iteration.size(), fused_stats.per_iteration.size());
-    for (std::size_t i = 0; i < stats.per_iteration.size(); ++i) {
-      EXPECT_EQ(stats.per_iteration[i].expansion_nnz,
-                fused_stats.per_iteration[i].expansion_nnz);
-      EXPECT_EQ(stats.per_iteration[i].pruned_nnz,
-                fused_stats.per_iteration[i].pruned_nnz);
-      EXPECT_EQ(stats.per_iteration[i].resident_bytes,
-                fused_stats.per_iteration[i].resident_bytes);
-      EXPECT_DOUBLE_EQ(stats.per_iteration[i].chaos,
-                       fused_stats.per_iteration[i].chaos);
-    }
-  }
-}
+// ---- fused iteration: buffer recycling, dropout ---------------------------
 
 TEST(Mcl, IterationScratchHighWaterIsFlatAfterIterationTwo) {
   // The recycled workspace (SpGEMM scratch, epilogue lanes, DCSR arrays)
@@ -552,42 +713,38 @@ TEST(Mcl, IterationScratchHighWaterIsFlatAfterIterationTwo) {
   }
 }
 
-TEST(Mcl, DropoutBitIdenticalAcrossPoolsAndFusionModes) {
+TEST(Mcl, DropoutBitIdenticalAcrossPools) {
   const auto edges = planted_graph(400, 16, 0.5, 120, 23);
   const auto g = pc::SimilarityGraph::from_edges(400, edges);
 
   pc::MclOptions dopt;
   dopt.dropout_iterations = 2;
   pc::MclStats ref_stats;
-  const auto ref = pc::markov_cluster(g, dopt, &ref_stats);  // serial fused
+  const auto ref = pc::markov_cluster(g, dopt, &ref_stats);  // serial
 
   std::uint64_t dropped = 0;
   for (const auto& it : ref_stats.per_iteration) dropped += it.dropout_columns;
   EXPECT_GT(dropped, 0u);  // the knob actually engages on this workload
 
   // For a FIXED dropout setting, results are bit-identical across pool
-  // sizes and across the fused/unfused paths — including the mask series.
-  for (bool fuse : {true, false}) {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      pastis::util::ThreadPool pool(threads);
-      pc::MclOptions opt = dopt;
-      opt.fused = fuse;
-      pc::MclStats stats;
-      const auto got = pc::markov_cluster(g, opt, &stats, &pool);
-      EXPECT_TRUE(got == ref) << "fused=" << fuse << " threads=" << threads;
-      EXPECT_EQ(stats.iterations, ref_stats.iterations);
-      EXPECT_EQ(stats.spgemm.products, ref_stats.spgemm.products);
-      ASSERT_EQ(stats.per_iteration.size(), ref_stats.per_iteration.size());
-      for (std::size_t i = 0; i < stats.per_iteration.size(); ++i) {
-        EXPECT_EQ(stats.per_iteration[i].dropout_columns,
-                  ref_stats.per_iteration[i].dropout_columns);
-        EXPECT_EQ(stats.per_iteration[i].reentered_columns,
-                  ref_stats.per_iteration[i].reentered_columns);
-        EXPECT_EQ(stats.per_iteration[i].pruned_nnz,
-                  ref_stats.per_iteration[i].pruned_nnz);
-        EXPECT_DOUBLE_EQ(stats.per_iteration[i].chaos,
-                         ref_stats.per_iteration[i].chaos);
-      }
+  // sizes — including the mask series.
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    pastis::util::ThreadPool pool(threads);
+    pc::MclStats stats;
+    const auto got = pc::markov_cluster(g, dopt, &stats, &pool);
+    EXPECT_TRUE(got == ref) << "threads=" << threads;
+    EXPECT_EQ(stats.iterations, ref_stats.iterations);
+    EXPECT_EQ(stats.spgemm.products, ref_stats.spgemm.products);
+    ASSERT_EQ(stats.per_iteration.size(), ref_stats.per_iteration.size());
+    for (std::size_t i = 0; i < stats.per_iteration.size(); ++i) {
+      EXPECT_EQ(stats.per_iteration[i].dropout_columns,
+                ref_stats.per_iteration[i].dropout_columns);
+      EXPECT_EQ(stats.per_iteration[i].reentered_columns,
+                ref_stats.per_iteration[i].reentered_columns);
+      EXPECT_EQ(stats.per_iteration[i].pruned_nnz,
+                ref_stats.per_iteration[i].pruned_nnz);
+      EXPECT_DOUBLE_EQ(stats.per_iteration[i].chaos,
+                       ref_stats.per_iteration[i].chaos);
     }
   }
 
@@ -620,36 +777,6 @@ TEST(Mcl, DroppedColumnsReenterWhenNeighboursReset) {
   pc::MclStats par;
   EXPECT_TRUE(pc::markov_cluster(g, opt, &par, &pool) == got);
   EXPECT_EQ(par.iterations, stats.iterations);
-}
-
-TEST(Mcl, BindingBudgetTightensIdenticallyFusedAndUnfused) {
-  // The fused kernel's on_symbolic hook fires between the symbolic and
-  // numeric phases with the exact pre-epilogue shape — the same numbers,
-  // hence the same cap decisions, as the expand-then-prune sequence.
-  const auto edges = planted_graph(300, 30, 0.6, 0, 5);
-  const auto g = pc::SimilarityGraph::from_edges(300, edges);
-  pc::MclStats probe;
-  (void)pc::markov_cluster(g, {}, &probe);
-
-  pc::MclOptions opt;
-  opt.memory_budget_bytes = probe.peak_resident_bytes / 2;
-  pc::MclStats fused_stats;
-  const auto fused = pc::markov_cluster(g, opt, &fused_stats);
-  ASSERT_GT(fused_stats.budget_tightenings, 0);
-
-  opt.fused = false;
-  pc::MclStats plain_stats;
-  const auto plain = pc::markov_cluster(g, opt, &plain_stats);
-  EXPECT_TRUE(fused == plain);
-  EXPECT_EQ(fused_stats.budget_tightenings, plain_stats.budget_tightenings);
-  ASSERT_EQ(fused_stats.per_iteration.size(),
-            plain_stats.per_iteration.size());
-  for (std::size_t i = 0; i < fused_stats.per_iteration.size(); ++i) {
-    EXPECT_EQ(fused_stats.per_iteration[i].column_cap,
-              plain_stats.per_iteration[i].column_cap);
-    EXPECT_EQ(fused_stats.per_iteration[i].resident_bytes,
-              plain_stats.per_iteration[i].resident_bytes);
-  }
 }
 
 TEST(DistMcl, DropoutSweepBitIdenticalAcrossGridSides) {

@@ -1,8 +1,8 @@
 // The paper's headline reproducibility claim (§IV): "the PASTIS algorithm
 // gives identical results irrespective of the amount of parallelism utilized
 // and the blocking size chosen." We sweep process counts, blocking factors,
-// load-balancing schemes, SpGEMM kernels and pre-blocking, and require the
-// similarity graph to be bit-identical to a serial reference run.
+// load-balancing schemes and pre-blocking, and require the similarity graph
+// to be bit-identical to a serial reference run.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
@@ -52,7 +52,6 @@ struct DeterminismCase {
   int br, bc;
   pc::LoadBalanceScheme scheme;
   int depth;  // pipeline_depth
-  pastis::sparse::SpGemmKernel kernel;
 };
 
 class DeterminismSweep : public ::testing::TestWithParam<DeterminismCase> {};
@@ -64,40 +63,30 @@ TEST_P(DeterminismSweep, GraphIdenticalToSerialReference) {
   cfg.block_cols = c.bc;
   cfg.load_balance = c.scheme;
   cfg.pipeline_depth = c.depth;
-  cfg.spgemm_kernel = c.kernel;
   pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, c.p);
   const auto result = search.run(shared_dataset());
   expect_identical(result.edges, reference_edges());
 }
 
 using LB = pc::LoadBalanceScheme;
-using K = pastis::sparse::SpGemmKernel;
 
 INSTANTIATE_TEST_SUITE_P(
     AllDecompositions, DeterminismSweep,
-    ::testing::Values(
-        DeterminismCase{1, 1, 1, LB::kTriangularity, 1, K::kHash},
-        DeterminismCase{4, 1, 1, LB::kIndexBased, 1, K::kHash},
-        DeterminismCase{4, 2, 2, LB::kIndexBased, 1, K::kHash},
-        DeterminismCase{4, 2, 2, LB::kTriangularity, 1, K::kHash},
-        DeterminismCase{9, 3, 4, LB::kIndexBased, 1, K::kHash},
-        DeterminismCase{9, 3, 4, LB::kTriangularity, 1, K::kHash},
-        DeterminismCase{16, 8, 8, LB::kIndexBased, 1, K::kHash},
-        DeterminismCase{16, 8, 8, LB::kTriangularity, 1, K::kHash},
-        DeterminismCase{4, 4, 4, LB::kIndexBased, 2, K::kHash},
-        DeterminismCase{4, 4, 4, LB::kTriangularity, 2, K::kHash},
-        DeterminismCase{9, 2, 2, LB::kIndexBased, 1, K::kHeap},
-        DeterminismCase{1, 5, 7, LB::kTriangularity, 1, K::kHeap},
-        DeterminismCase{25, 1, 1, LB::kIndexBased, 1, K::kHash},
-        DeterminismCase{25, 6, 2, LB::kTriangularity, 2, K::kHash},
-        // Two-phase kernel (the default; the serial reference run above
-        // already uses it — these sweep it across decompositions, and the
-        // kHash/kHeap cases prove cross-kernel bit-identity).
-        DeterminismCase{1, 1, 1, LB::kIndexBased, 1, K::kHash2Phase},
-        DeterminismCase{4, 2, 2, LB::kTriangularity, 1, K::kHash2Phase},
-        DeterminismCase{9, 3, 4, LB::kIndexBased, 1, K::kHash2Phase},
-        DeterminismCase{16, 4, 4, LB::kTriangularity, 2,
-                        K::kHash2Phase}));
+    ::testing::Values(DeterminismCase{1, 1, 1, LB::kTriangularity, 1},
+                      DeterminismCase{4, 1, 1, LB::kIndexBased, 1},
+                      DeterminismCase{4, 2, 2, LB::kIndexBased, 1},
+                      DeterminismCase{4, 2, 2, LB::kTriangularity, 1},
+                      DeterminismCase{9, 3, 4, LB::kIndexBased, 1},
+                      DeterminismCase{9, 3, 4, LB::kTriangularity, 1},
+                      DeterminismCase{16, 8, 8, LB::kIndexBased, 1},
+                      DeterminismCase{16, 8, 8, LB::kTriangularity, 1},
+                      DeterminismCase{4, 4, 4, LB::kIndexBased, 2},
+                      DeterminismCase{4, 4, 4, LB::kTriangularity, 2},
+                      DeterminismCase{9, 2, 2, LB::kIndexBased, 1},
+                      DeterminismCase{1, 5, 7, LB::kTriangularity, 1},
+                      DeterminismCase{25, 1, 1, LB::kIndexBased, 1},
+                      DeterminismCase{25, 6, 2, LB::kTriangularity, 2},
+                      DeterminismCase{16, 4, 4, LB::kTriangularity, 2}));
 
 TEST(Determinism, RepeatedRunsAreIdentical) {
   pc::PastisConfig cfg;

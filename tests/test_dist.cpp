@@ -2,6 +2,7 @@
 // semiring-exact against their serial counterparts on any grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/common_kmers.hpp"
@@ -127,19 +128,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SummaCase{25, 55, 71, 33, 0.12, 0.08},
                       SummaCase{16, 10, 200, 10, 0.05, 0.05},
                       SummaCase{9, 33, 33, 33, 0.0, 0.3}));  // empty A
-
-TEST(Summa, HeapKernelAgrees) {
-  const auto ta = random_triples(40, 40, 0.2, 21);
-  const auto tb = random_triples(40, 40, 0.2, 22);
-  psim::SimRuntime rt(9, psim::MachineModel{});
-  auto A = pd::DistSpMat<int>::from_global_triples(rt.grid(), 40, 40, ta);
-  auto B = pd::DistSpMat<int>::from_global_triples(rt.grid(), 40, 40, tb);
-  pd::SummaOptions hash_opt, heap_opt;
-  heap_opt.kernel = ps::SpGemmKernel::kHeap;
-  auto Ch = pd::summa<ps::PlusTimes<int>>(rt, A, B, hash_opt);
-  auto Cp = pd::summa<ps::PlusTimes<int>>(rt, A, B, heap_opt);
-  EXPECT_EQ(to_map(Ch.to_global_triples()), to_map(Cp.to_global_triples()));
-}
 
 TEST(Summa, DimensionMismatchThrows) {
   psim::SimRuntime rt(4, psim::MachineModel{});
@@ -318,11 +306,19 @@ TEST(Stripes, RowStripeSplitIsPoolInvariant) {
 
 TEST(Stripes, GatherScatterRowStripesRoundTrip) {
   const auto triples = random_triples(77, 77, 0.1, 107);
+  // A copy-through epilogue makes the fused gather a plain reshape.
+  auto copy_row = [](std::size_t, ps::Index, const ps::Index* cols,
+                     const int* vals, std::size_t n, ps::Index* out_cols,
+                     int* out_vals) {
+    std::copy_n(cols, n, out_cols);
+    std::copy_n(vals, n, out_vals);
+    return n;
+  };
   for (int p : {1, 4, 9}) {
     psim::SimRuntime rt(p, psim::MachineModel{});
     auto A = pd::DistSpMat<int>::from_global_triples(rt.grid(), 77, 77,
                                                      triples);
-    const auto stripes = pd::gather_row_stripes(rt, A);
+    const auto stripes = pd::gather_row_stripes_fused(rt, A, copy_row, 0);
     ASSERT_EQ(stripes.size(), static_cast<std::size_t>(p));
     // Stripes tile the rows; entries carry global columns.
     ps::Index rows = 0;

@@ -290,7 +290,6 @@ TEST(ExecPipeline, DepthBlockingThreadInvariance) {
         pc::PastisConfig cfg;
         cfg.block_rows = cfg.block_cols = blocks;
         cfg.pipeline_depth = depth;
-        cfg.spgemm_threads = static_cast<int>(threads);
         pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, 4,
                                     &pool);
         const RunFingerprint fp(search.run(data.seqs));
@@ -347,30 +346,14 @@ TEST(ExecPipeline, MemoryBudgetKeepsResultsIdentical) {
   EXPECT_EQ(free_run.stats.candidates, tight_run.stats.candidates);
 }
 
-TEST(ExecPipeline, RankBlockTimelineOnlyOnRequest) {
+TEST(ExecPipeline, BlockTimelineHasOneEntryPerBlock) {
   const auto data = overlap_dataset(150, 43);
   pc::PastisConfig cfg;
   cfg.block_rows = cfg.block_cols = 2;
-  pc::SimilaritySearch lean(cfg, pastis::sim::MachineModel{}, 4);
-  const auto lean_run = lean.run(data.seqs);
-  EXPECT_TRUE(lean_run.stats.rank_block_sparse_s.empty());
-  EXPECT_TRUE(lean_run.stats.rank_block_align_s.empty());
-  EXPECT_EQ(lean_run.stats.block_sparse_s.size(), 4u);  // maxima stay
-
-  cfg.collect_rank_block_timeline = true;
-  pc::SimilaritySearch full(cfg, pastis::sim::MachineModel{}, 4);
-  const auto full_run = full.run(data.seqs);
-  ASSERT_EQ(full_run.stats.rank_block_sparse_s.size(), 4u);
-  ASSERT_EQ(full_run.stats.rank_block_align_s.size(), 4u);
-  for (std::size_t b = 0; b < 4; ++b) {
-    ASSERT_EQ(full_run.stats.rank_block_sparse_s[b].size(), 4u);
-    // The always-on per-block maxima agree with the full timeline.
-    EXPECT_DOUBLE_EQ(
-        full_run.stats.block_sparse_s[b],
-        *std::max_element(full_run.stats.rank_block_sparse_s[b].begin(),
-                          full_run.stats.rank_block_sparse_s[b].end()));
-  }
-  EXPECT_EQ(lean_run.edges, full_run.edges);
+  pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, 4);
+  const auto run = search.run(data.seqs);
+  EXPECT_EQ(run.stats.block_sparse_s.size(), 4u);
+  EXPECT_EQ(run.stats.block_align_s.size(), 4u);
 }
 
 // ---- QueryEngine invariance -------------------------------------------------

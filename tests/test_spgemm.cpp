@@ -1,13 +1,19 @@
 // SpGEMM kernel tests: hash, heap and two-phase kernels against a dense
 // reference, against each other (bit-identical, for every thread count),
-// and over non-arithmetic semirings.
+// and over non-arithmetic semirings, the discovery semirings included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/config.hpp"
+#include "core/stages.hpp"
+#include "gen/protein_gen.hpp"
+#include "index/kmer_index.hpp"
+#include "index/query_engine.hpp"
 #include "sparse/spgemm.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -270,31 +276,6 @@ TEST(SpGemm, SkewedRowsAllKernelsAgree) {
   EXPECT_EQ(sh.products, s2.products);
 }
 
-TEST(SpGemm, DispatcherRoutesAllKernels) {
-  auto A = random_matrix(30, 30, 0.3, 40);
-  auto B = random_matrix(30, 30, 0.3, 41);
-  const auto ref = ps::spgemm_hash<ps::PlusTimes<int>>(A, B);
-  pastis::util::ThreadPool pool(2);
-  for (auto k : {ps::SpGemmKernel::kHash, ps::SpGemmKernel::kHeap,
-                 ps::SpGemmKernel::kHash2Phase}) {
-    EXPECT_TRUE(ps::spgemm<ps::PlusTimes<int>>(A, B, k) == ref);
-    EXPECT_TRUE(ps::spgemm<ps::PlusTimes<int>>(A, B, k, nullptr, &pool, 2) ==
-                ref);
-  }
-}
-
-TEST(SpGemm, ThreadCapKnobDoesNotChangeResults) {
-  auto A = random_matrix(120, 90, 0.2, 50);
-  auto B = random_matrix(90, 110, 0.2, 51);
-  const auto ref = ps::spgemm_hash<ps::PlusTimes<int>>(A, B);
-  pastis::util::ThreadPool pool(7);
-  for (int cap : {0, 1, 2, 3, 100}) {
-    EXPECT_TRUE(ps::spgemm_hash2p<ps::PlusTimes<int>>(A, B, nullptr, &pool,
-                                                      cap) == ref)
-        << "cap=" << cap;
-  }
-}
-
 TEST(SpGemm, AddMergeCombinesParts) {
   auto A = random_matrix(10, 10, 0.3, 20);
   auto B = random_matrix(10, 10, 0.3, 21);
@@ -313,12 +294,6 @@ TEST(SpGemm, AddMergeCombinesParts) {
     });
     EXPECT_EQ(v, expect);
   });
-}
-
-TEST(SpGemm, KernelNames) {
-  EXPECT_EQ(ps::to_string(ps::SpGemmKernel::kHash), "hash");
-  EXPECT_EQ(ps::to_string(ps::SpGemmKernel::kHeap), "heap");
-  EXPECT_EQ(ps::to_string(ps::SpGemmKernel::kHash2Phase), "hash2p");
 }
 
 TEST(SpGemm, RowDirectoryFlatAndHashAgreeWithFindRow) {
@@ -345,6 +320,109 @@ TEST(SpGemm, RowDirectoryFlatAndHashAgreeWithFindRow) {
     EXPECT_EQ(dir.lookup(4000000000u), huge.find_row(4000000000u));
     EXPECT_EQ(dir.lookup(8), ps::detail::RowDirectory::npos);
     EXPECT_EQ(dir.lookup(3999999999u), ps::detail::RowDirectory::npos);
+  }
+}
+
+// ---- the discovery semirings on generated k-mer matrices ------------------
+
+namespace {
+
+using pastis::core::KmerPos;
+
+/// Generated protein families, shuffled so that members spread over any
+/// split of the set: related sequences share many k-mers, so the discovery
+/// semirings' count and min/max-seed folds see long accumulation chains.
+std::vector<std::string> family_proteins(std::uint32_t n, std::uint64_t seed) {
+  pastis::gen::GenConfig g;
+  g.n_sequences = n;
+  g.seed = seed;
+  g.mean_length = 120.0;
+  g.max_length = 400;
+  g.shuffle_order = true;
+  return pastis::gen::generate_proteins(g).seqs;
+}
+
+/// Sequence-by-k-mer matrix of `seqs` as the pipeline extracts it: exact
+/// and substitute k-mers, duplicates keeping the smallest position.
+ps::SpMat<KmerPos> kmer_matrix(const std::vector<std::string>& seqs,
+                               const pastis::core::PastisConfig& cfg) {
+  const pastis::kmer::Alphabet alphabet(cfg.alphabet);
+  const pastis::kmer::KmerCodec codec(alphabet.size(), cfg.k);
+  const pastis::kmer::NeighborGenerator neighbors(
+      alphabet, codec, cfg.make_scoring(), cfg.subs_max_loss);
+  std::vector<ps::Triple<KmerPos>> t;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    (void)pastis::core::extract_sequence_kmers(
+        seqs[i], static_cast<ps::Index>(i), alphabet, codec, neighbors,
+        cfg.subs_kmers, t);
+  }
+  return ps::SpMat<KmerPos>::from_triples(
+      static_cast<ps::Index>(seqs.size()),
+      static_cast<ps::Index>(codec.space()), std::move(t),
+      [](KmerPos& acc, const KmerPos& v) { pastis::core::keep_min_pos(acc, v); });
+}
+
+void expect_same_stats(const ps::SpGemmStats& got, const ps::SpGemmStats& ref,
+                       const std::string& where) {
+  EXPECT_EQ(got.products, ref.products) << where;
+  EXPECT_EQ(got.out_nnz, ref.out_nnz) << where;
+  EXPECT_EQ(got.calls, ref.calls) << where;
+}
+
+/// spgemm_hash2p without a pool and on pools of 1, 2 and 8 threads must
+/// equal both serial kernels bit for bit, SpGemmStats included. The
+/// product is large enough for the two-phase kernel to split its rows
+/// (it runs serially below 2^14 products).
+template <typename SR>
+void expect_kernels_agree(const ps::SpMat<typename SR::left_type>& A,
+                          const ps::SpMat<typename SR::right_type>& B) {
+  ps::SpGemmStats sh, sp;
+  const auto Ch = ps::spgemm_hash<SR>(A, B, &sh);
+  ASSERT_GT(sh.products, 1u << 14);
+  ASSERT_GT(sh.products, Ch.nnz());  // pairs share more than one k-mer
+  EXPECT_TRUE(ps::spgemm_heap<SR>(A, B, &sp) == Ch);
+  expect_same_stats(sp, sh, "heap");
+  ps::SpGemmStats s0;
+  EXPECT_TRUE(ps::spgemm_hash2p<SR>(A, B, &s0) == Ch);
+  expect_same_stats(s0, sh, "hash2p, no pool");
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    pastis::util::ThreadPool pool(threads);
+    ps::SpGemmStats st;
+    EXPECT_TRUE(ps::spgemm_hash2p<SR>(A, B, &st, &pool) == Ch)
+        << "threads=" << threads;
+    expect_same_stats(st, sh, "hash2p, threads=" + std::to_string(threads));
+  }
+}
+
+}  // namespace
+
+TEST(SpGemmDiscovery, OverlapSemiringKernelsAgreeOnKmerMatrix) {
+  // A·Aᵀ of a generated protein set: the search pipeline's discovery.
+  pastis::core::PastisConfig cfg;
+  cfg.subs_kmers = 1;  // substitutes collide with exact k-mers
+  const auto A = kmer_matrix(family_proteins(150, 31), cfg);
+  expect_kernels_agree<pastis::core::OverlapSemiring>(A, A.transposed());
+}
+
+TEST(SpGemmDiscovery, CrossSemiringKernelsAgreeOnQueryBatchTimesShard) {
+  // One query batch against each shard of a reference index: the serving
+  // path's discovery (rows = queries, columns = references).
+  pastis::core::PastisConfig cfg;
+  cfg.subs_kmers = 1;
+  auto seqs = family_proteins(550, 37);
+  const std::vector<std::string> queries(seqs.begin() + 400, seqs.end());
+  seqs.resize(400);
+  constexpr int kShards = 2;
+  pastis::util::ThreadPool build_pool(2);
+  const auto index =
+      pastis::index::KmerIndex::build(seqs, cfg, kShards, &build_pool);
+  const auto Aq = kmer_matrix(queries, cfg);
+  for (int s = 0; s < kShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const auto a_shard = Aq.extract(0, Aq.nrows(), index.shard_begin(s),
+                                    index.shard_begin(s + 1));
+    expect_kernels_agree<pastis::index::CrossSemiring>(a_shard,
+                                                       index.shard(s));
   }
 }
 
