@@ -191,22 +191,4 @@ bool tier1_keep(std::string_view q, std::string_view r, const AlignTask& task,
                       q.size(), r.size(), opt, ts);
 }
 
-bool cascade_keep(std::string_view q, std::string_view r,
-                  const AlignTask& task, std::uint32_t shared_kmers,
-                  std::span<const Seed> seeds, int sketch_overlap,
-                  const BatchAligner& aligner, const CascadeOptions& opt,
-                  CascadeStats& stats) {
-  if (!opt.any()) return true;
-  if (opt.tier0_enabled &&
-      !tier0_keep(q, r, seeds, shared_kmers, sketch_overlap, aligner, opt,
-                  stats.tier0)) {
-    return false;
-  }
-  if (opt.tier1_enabled &&
-      !tier1_keep(q, r, task, aligner, opt, stats.tier1)) {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace pastis::align

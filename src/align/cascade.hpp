@@ -163,16 +163,4 @@ struct UngappedExtension {
                               const BatchAligner& aligner,
                               const CascadeOptions& opt, TierStats& ts);
 
-/// Whole-cascade screen of one candidate (tier 0 then tier 1). With every
-/// tier disabled this is a single branch and the pair always survives —
-/// the exact path by construction.
-[[nodiscard]] bool cascade_keep(std::string_view q, std::string_view r,
-                                const AlignTask& task,
-                                std::uint32_t shared_kmers,
-                                std::span<const Seed> seeds,
-                                int sketch_overlap,
-                                const BatchAligner& aligner,
-                                const CascadeOptions& opt,
-                                CascadeStats& stats);
-
 }  // namespace pastis::align

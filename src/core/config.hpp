@@ -68,7 +68,7 @@ struct PastisConfig {
   /// bit-identical for any depth.
   int pipeline_depth = 1;
   /// Admission gate of the streaming executor: while the in-flight items
-  /// (pipeline overlap blocks; serving-path task batches) hold more
+  /// (pipeline overlap blocks; serving batches' staged work) hold more
   /// registered bytes than this, no new item's discovery is admitted
   /// (0 = unbounded). Bounds the *host* memory of the streaming
   /// execution; the modeled stats (timeline, peak_rank_bytes) assume the
@@ -77,35 +77,24 @@ struct PastisConfig {
   std::uint64_t exec_memory_budget_bytes = 0;
 
   // --- distributed memory model (rank-resident serving + clustering) --------
-  /// Side of the simulated serving grid: the QueryEngine places index
-  /// shards on side² ranks (round-robin by postings bytes + greedy
-  /// rebalance) and serves each batch through SimRuntime rank tasks
-  /// against rank-RESIDENT shard stripes. 0 keeps the legacy
-  /// single-address-space serve; hits are bit-identical either way.
-  int grid_side_serving = 0;
   /// Per-rank resident-bytes budget of the distributed paths: shard
-  /// placements (serving) and per-iteration tile+stripe footprints
-  /// (distributed MCL) whose modeled resident bytes would exceed any
-  /// rank's budget are rejected/tightened. 0 = unbounded; unset inherits
-  /// through the chain documented at effective_rank_memory_budget().
+  /// placements (grid-mode QueryEngine serving) and per-iteration
+  /// tile+stripe footprints (distributed MCL) whose modeled resident bytes
+  /// would exceed any rank's budget are rejected/tightened. 0 = unbounded;
+  /// unset inherits through the chain documented at
+  /// effective_rank_memory_budget().
   std::uint64_t rank_memory_budget_bytes = 0;
-  /// Replication factor of the serving shard placement: each shard stays
-  /// resident on this many distinct ranks. Replicas cost resident bytes on
-  /// their ranks and shrink the modeled query-broadcast team — and under a
-  /// fault plan they TAKE OVER a dead primary's shards (failover), so with
-  /// replication >= 2 a single rank death loses zero hits. Without faults
-  /// replicas never compute and results are unchanged.
-  int shard_replication = 1;
 
   // --- fault tolerance (sim/fault.hpp, exec/retry.hpp) -----------------------
   /// Planned rank faults (deaths / slowdowns / message drops) injected
   /// into the simulated runtime. Consumed by grid-mode serving
   /// (QueryEngine failover + graceful degradation; batch-ordinal
   /// triggers) and by sequential SimRuntime super-step paths
-  /// (advance_to_batch / apply_time_faults). Empty (the default) keeps
-  /// every output bit-identical to a build without the fault layer;
-  /// ignored by the single-address-space serve (there is no rank to
-  /// fail). See docs/ARCHITECTURE.md for the plan grammar.
+  /// (advance_to_batch / apply_time_faults). Empty (the default) leaves
+  /// every rank alive and healthy, which keeps every output bit-identical
+  /// to a build without the fault layer; ignored by the
+  /// single-address-space serve (there is no rank to fail). See
+  /// docs/ARCHITECTURE.md for the plan grammar.
   sim::FaultPlan fault_plan;
   /// Retry/timeout/backoff policy for rank tasks in the serving stream:
   /// transient slow-rank faults retry (per-attempt timeout, exponential

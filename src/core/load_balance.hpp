@@ -52,9 +52,7 @@ class BlockPlan {
   [[nodiscard]] int block_rows() const { return br_; }
   [[nodiscard]] int block_cols() const { return bc_; }
 
-  /// Total blocks the blocking defines (br*bc) vs how many are computed —
-  /// the triangularity saving.
-  [[nodiscard]] int total_blocks() const { return br_ * bc_; }
+  /// How many of the br*bc blocks are computed — the triangularity saving.
   [[nodiscard]] int computed_blocks() const {
     return static_cast<int>(blocks_.size());
   }

@@ -28,57 +28,50 @@ using sparse::Triple;
 
 }  // namespace
 
-/// One in-flight batch streaming through discover → align. Slots are
-/// reused across the batches they serve (executor slot = item % depth), so
-/// the per-rank work buffers keep their capacity instead of being
+/// One in-flight batch streaming through discover → screen → align. Slots
+/// are reused across the batches they serve (executor slot = item % depth),
+/// so the per-rank work buffers keep their capacity instead of being
 /// reallocated per batch.
 struct QueryEngine::BatchSlot {
   std::span<const std::string> queries;
   Index batch_base = 0;
   std::uint64_t ordinal = 0;  // stream position; fixes the owner rank
-  bool distributed = false;
   QueryBatchStats st;
   /// Per align-owner rank: staged candidates, tasks, results and edges
   /// (the shared stage bodies of core/stages.hpp).
   core::RankWork work;
   std::vector<io::SimilarityEdge> hits;
-  /// Distributed mode: the detached per-rank clock frame this batch
-  /// charges while concurrent slots are in flight; the engine merges it
-  /// into the SimRuntime in batch order at retirement.
+  /// Grid mode: the detached per-rank clock frame this batch charges
+  /// while concurrent slots are in flight; the engine merges it into the
+  /// SimRuntime in batch order at retirement.
   std::vector<sim::RankClock> frame;
   /// Fault state of THIS batch — the pure per-ordinal snapshot (so
-  /// concurrently in-flight batches never share mutable fault state) and
-  /// the sequentially precomputed failover recoveries surfacing here.
+  /// concurrently in-flight batches never share mutable fault state; every
+  /// rank alive and healthy without a fault plan) and the sequentially
+  /// precomputed failover recoveries surfacing here.
   sim::FaultSnapshot snap;
-  bool fault_active = false;
   QueryEngine::BatchFaults faults;
-  /// Result-cache state (empty without a cache): per-query hit flag, the
-  /// replayed hit lists (seq_b still carries the ORIGINAL query id; the
-  /// align stage rebases it), and the insert→lookup visibility lag — the
-  /// pipeline depth, so hit/miss is a pure function of stream ordinals,
-  /// never of the schedule.
+  /// Result-cache state (empty without a cache): per-query hit flag and
+  /// the replayed hit lists (seq_b still carries the ORIGINAL query id;
+  /// the align stage rebases it).
   std::vector<char> cached;
   std::vector<std::vector<io::SimilarityEdge>> cached_hits;
-  int visibility_lag = 1;
 
   void reset(std::span<const std::string> q, Index base, std::uint64_t ord,
-             int p, bool dist) {
+             int p, bool grid) {
     const auto np = static_cast<std::size_t>(p);
     queries = q;
     batch_base = base;
     ordinal = ord;
-    distributed = dist;
     st = {};
     st.n_queries = q.size();
     work.reset(p);
     hits.clear();
     snap = {};
-    fault_active = false;
     faults = {};
     cached.clear();
     cached_hits.clear();
-    visibility_lag = 1;
-    if (dist) {
+    if (grid) {
       st.rank_sparse_s.assign(np, 0.0);
       st.rank_align_s.assign(np, 0.0);
       st.rank_workspace_bytes.assign(np, 0);
@@ -88,16 +81,11 @@ struct QueryEngine::BatchSlot {
     }
   }
 
-  /// Dead ranks of this batch's snapshot (empty = all alive).
-  [[nodiscard]] std::span<const char> dead() const {
-    return fault_active ? std::span<const char>(snap.dead)
-                        : std::span<const char>();
-  }
   /// The rank that assembles this batch and selects its top-k: the stream
   /// position mod p, failing over to the next alive rank (-1: all dead).
   [[nodiscard]] int owner(int p) const {
-    const int base = static_cast<int>(ordinal % static_cast<std::uint64_t>(p));
-    return fault_active ? snap.next_alive(base) : base;
+    return snap.next_alive(
+        static_cast<int>(ordinal % static_cast<std::uint64_t>(p)));
   }
 };
 
@@ -141,89 +129,55 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
         "QueryEngine: config discovery parameters disagree with the index "
         "(k / alphabet / substitute-k-mer settings must match)");
   }
-  if (opt_.nprocs < 1) {
-    throw std::invalid_argument("QueryEngine: need nprocs >= 1");
+  if (opt_.nprocs < 1 || opt_.grid_side < 0 || opt_.replication < 1) {
+    throw std::invalid_argument(
+        "QueryEngine: need nprocs >= 1, grid_side >= 0 and replication >= 1");
   }
   cascade_sig_ = cfg_.cascade.fingerprint();
   next_query_id_ = total_refs();
+  if (opt_.grid_side == 0) return;
 
   // ---- rank-resident distributed serving setup ----------------------------
-  // Unset Options inherit the PastisConfig knobs (grid_side_serving /
-  // shard_replication / the effective_rank_memory_budget chain).
-  if (opt_.grid_side == 0) opt_.grid_side = cfg_.grid_side_serving;
-  if (opt_.replication == 0) opt_.replication = cfg_.shard_replication;
-  if (opt_.replication == 0) opt_.replication = 1;
-  if (opt_.grid_side >= 1) {
-    rt_ = std::make_unique<sim::SimRuntime>(
-        opt_.grid_side * opt_.grid_side, model_,
-        pool_ != nullptr ? pool_ : &util::ThreadPool::global());
-    const int p = rt_->nprocs();
-    if (opt_.rank_memory_budget_bytes == 0) {
-      opt_.rank_memory_budget_bytes = cfg_.effective_rank_memory_budget();
-    }
-    placement_ = std::make_unique<ShardPlacement>(
-        ShardPlacement::balance(shard_bytes_all(), p, opt_.replication));
-    // The failover path promotes shards along the holder lists, so the
-    // structural invariants (distinct in-range holders, primary first)
-    // are load-bearing — reject a malformed placement up front.
-    placement_->validate();
+  rt_ = std::make_unique<sim::SimRuntime>(
+      opt_.grid_side * opt_.grid_side, model_,
+      pool_ != nullptr ? pool_ : &util::ThreadPool::global());
+  const int p = rt_->nprocs();
+  placement_ = std::make_unique<ShardPlacement>(
+      ShardPlacement::balance(shard_bytes_all(), p, opt_.replication));
+  // The failover path promotes shards along the holder lists, so the
+  // structural invariants (distinct in-range holders, primary first) are
+  // load-bearing — reject a malformed placement up front.
+  placement_->validate();
 
-    // Static residency: the shards a rank keeps (+ replicas) plus its
-    // slice of the reference residues (the refs whose alignment it owns).
-    static_resident_ = placement_->rank_resident_bytes;
-    ref_slice_bytes_.assign(static_cast<std::size_t>(p), 0);
-    const Index n_refs = total_refs();
-    for (int r = 0; r < p && n_refs > 0; ++r) {
-      const Index r0 = sim::ProcGrid::split_point(n_refs, p, r);
-      const Index r1 = sim::ProcGrid::split_point(n_refs, p, r + 1);
-      std::uint64_t slice = 0;
-      for (Index i = r0; i < r1; ++i) slice += ref_seq(i).size();
-      ref_slice_bytes_[static_cast<std::size_t>(r)] = slice;
-      static_resident_[static_cast<std::size_t>(r)] += slice;
-    }
+  faults_enabled_ = !cfg_.fault_plan.empty();
+  if (faults_enabled_ && delta_ != nullptr) {
+    throw std::runtime_error(
+        "QueryEngine: a DeltaIndex under an active fault plan is "
+        "unsupported (index mutation invalidates the planned failover "
+        "residency bookkeeping)");
+  }
 
-    // Fault layer: validate + install the plan (the runtime enforces the
-    // death contract inside spmd); the engine's own bookkeeping drives
-    // failover recovery deterministically in batch-ordinal order.
-    faults_enabled_ = !cfg_.fault_plan.empty();
-    if (faults_enabled_ && delta_ != nullptr) {
-      throw std::runtime_error(
-          "QueryEngine: a DeltaIndex under an active fault plan is "
-          "unsupported (index mutation invalidates the planned failover "
-          "residency bookkeeping)");
-    }
-    if (faults_enabled_) {
-      rt_->install_faults(cfg_.fault_plan);
-      death_recovered_.assign(cfg_.fault_plan.events.size(), 0);
-      dead_seen_.assign(static_cast<std::size_t>(p), 0);
-      resident_estimate_ = static_resident_;
-    }
+  // Static residency starts at zero in the ledger; the resync places it
+  // and applies the placement gate — no rank may be asked to keep more
+  // resident than its budget (what replaced the whole-index load gate).
+  static_resident_.assign(static_cast<std::size_t>(p), 0);
+  resync_static_residency();
 
-    // The placement gate: no rank may be asked to keep more resident than
-    // its budget — this is what replaced the whole-index load gate.
-    if (opt_.rank_memory_budget_bytes != 0) {
-      for (int r = 0; r < p; ++r) {
-        if (static_resident_[static_cast<std::size_t>(r)] >
-            opt_.rank_memory_budget_bytes) {
-          throw std::runtime_error(
-              "QueryEngine: shard placement needs " +
-              std::to_string(static_resident_[static_cast<std::size_t>(r)]) +
-              " resident bytes on rank " + std::to_string(r) + ", over the " +
-              std::to_string(opt_.rank_memory_budget_bytes) +
-              "-byte per-rank budget");
-        }
-      }
-    }
-    for (int r = 0; r < p; ++r) {
-      rt_->clock(r).add_resident(static_resident_[static_cast<std::size_t>(r)]);
-    }
+  // Fault layer: validate + install the plan (the runtime enforces the
+  // death contract inside spmd); the engine's own bookkeeping drives
+  // failover recovery deterministically in batch-ordinal order.
+  if (faults_enabled_) {
+    rt_->install_faults(cfg_.fault_plan);
+    death_recovered_.assign(cfg_.fault_plan.events.size(), 0);
+    dead_seen_.assign(static_cast<std::size_t>(p), 0);
+    resident_estimate_ = static_resident_;
   }
 }
 
 QueryEngine::BatchFaults QueryEngine::plan_batch_faults(
     std::uint64_t ordinal) {
   BatchFaults bf;
-  if (rt_ == nullptr || !faults_enabled_) return bf;
+  if (!faults_enabled_) return bf;
   const int p = rt_->nprocs();
   const auto np = static_cast<std::size_t>(p);
   bf.recovery_s.assign(np, 0.0);
@@ -323,48 +277,48 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   const std::span<const std::string> queries = slot.queries;
   const Index batch_base = slot.batch_base;
   QueryBatchStats& st = slot.st;
+  // ---- fault state of this batch (pure per-ordinal snapshot) ---------------
+  // Without a fault plan — and always in the single address space — every
+  // rank is alive and healthy, so one code path serves both.
+  slot.snap = faults_enabled_
+                  ? cfg_.fault_plan.snapshot_at_batch(slot.ordinal, p)
+                  : sim::FaultPlan{}.snapshot_at_batch(slot.ordinal, p);
   if (queries.empty() || n_refs == 0) return;
+  if (faults_enabled_) {
+    st.rank_recovery_s.assign(static_cast<std::size_t>(p), 0.0);
+  }
   // The load-balance parity rule (candidate extraction below) is the only
   // per-query input besides content and index epoch that alignment depends
   // on — which is why the cache key carries (hash, epoch, parity).
   const bool parity_scheme =
       cfg_.load_balance == core::LoadBalanceScheme::kIndexBased;
 
-  // ---- fault state of this batch (pure per-ordinal snapshot) ---------------
-  if (slot.distributed && faults_enabled_) {
-    slot.snap = cfg_.fault_plan.snapshot_at_batch(slot.ordinal, p);
-    slot.fault_active = slot.snap.any();
-    st.rank_recovery_s.assign(static_cast<std::size_t>(p), 0.0);
-  }
-
   // ---- the batch's shard → server map --------------------------------------
   // Which rank multiplies shard s: the round-robin rank s mod p in the
-  // single address space, the placement primary in grid mode. Under faults
-  // it is the FIRST ALIVE rank on the shard's holder list (primary first,
-  // so the empty plan reproduces the primary map exactly); a shard with no
-  // surviving holder is degraded (-1): its multiply is skipped and its id
-  // recorded — partial results, never an exception.
+  // single address space; in grid mode the FIRST ALIVE rank on the shard's
+  // holder list (primary first, so with every rank alive it is the
+  // primary). A shard with no surviving holder is degraded (-1): its
+  // multiply is skipped and its id recorded — partial results, never an
+  // exception.
   DiscoveryWork work;
   work.server.assign(static_cast<std::size_t>(n_shards), -1);
   for (int s = 0; s < n_shards; ++s) {
     const auto si = static_cast<std::size_t>(s);
     int& server = work.server[si];
-    if (!slot.distributed) {
+    if (rt_ == nullptr) {
       server = s % p;
-    } else if (!slot.fault_active) {
-      server = placement_->primary[si];
-    } else {
-      for (const int h : placement_->replicas[si]) {
-        if (slot.snap.dead[static_cast<std::size_t>(h)] == 0) {
-          server = h;
-          break;
-        }
+      continue;
+    }
+    for (const int h : placement_->replicas[si]) {
+      if (slot.snap.dead[static_cast<std::size_t>(h)] == 0) {
+        server = h;
+        break;
       }
-      if (server < 0) {
-        st.degraded_shards.push_back(s);
-      } else if (server != placement_->primary[si]) {
-        ++st.failover_shards;
-      }
+    }
+    if (server < 0) {
+      st.degraded_shards.push_back(s);
+    } else if (server != placement_->primary[si]) {
+      ++st.failover_shards;
     }
   }
 
@@ -385,14 +339,18 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   // lookups happen in ordinal order and hit/miss is deterministic. A hit
   // short-circuits the whole cold path for that query — no extraction, no
   // SpGEMM share, no alignment; the align stage replays the stored hits.
+  // The insert→lookup visibility lag is the stream's depth: a batch only
+  // sees entries whose batch provably retired before this discovery could
+  // start, so hit/miss never depends on the schedule.
   if (opt_.result_cache != nullptr) {
+    const int visibility_lag = std::max(1, opt_.pipeline_depth);
     slot.cached.assign(nq, 0);
     slot.cached_hits.assign(nq, {});
     for (std::size_t i = 0; i < nq; ++i) {
       const Index q_global = batch_base + static_cast<Index>(i);
       const std::uint32_t parity = parity_scheme ? (q_global & 1u) : 0u;
       if (opt_.result_cache->lookup(queries[i], served_epoch_, parity,
-                                    slot.ordinal, slot.visibility_lag,
+                                    slot.ordinal, visibility_lag,
                                     slot.cached_hits[i], cascade_sig_)) {
         slot.cached[i] = 1;
         ++st.cache_hits;
@@ -567,13 +525,11 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
       eq.first = ck.first_qr;  // element (query, reference)
       task = core::canonical_task(q_global, rj, eq);
     }
-    int align_owner = sim::ProcGrid::part_of(rj, n_refs, p);
-    if (slot.fault_active) {
-      // A dead rank's reference slice (and its alignment work) belongs to
-      // its cyclic successor — the same rule the recovery handoff charged.
-      align_owner = slot.snap.next_alive(align_owner);
-      if (align_owner < 0) return;  // every rank dead: nothing aligns
-    }
+    // A dead rank's reference slice (and its alignment work) belongs to
+    // its cyclic successor — the same rule the recovery handoff charged.
+    const int align_owner =
+        slot.snap.next_alive(sim::ProcGrid::part_of(rj, n_refs, p));
+    if (align_owner < 0) return;  // every rank dead: nothing aligns
     const auto oi = static_cast<std::size_t>(align_owner);
     if (!cascading) {
       slot.work.tasks[oi].push_back(task);
@@ -599,14 +555,21 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
     }
     slot.work.cands[oi].push_back(c);
   });
-  if (!cascading) return;
+}
 
-  // ---- tier screens (the cascade's screen work, ahead of batch alignment) --
-  // The screens run on the host pool but their MODELED cost is charged per
-  // align-owner rank — tier 0 as a host stream over the scanned diagonal
-  // cells, tier 1 as probe DP on the device — folded into the
-  // discovery-side timeline (so with depth >= 2 the screen of batch b+1
-  // overlaps batch b's alignment, like the rest of discovery).
+void QueryEngine::screen_batch(BatchSlot& slot) const {
+  if (!cfg_.cascade.any() || slot.queries.empty() || total_refs() == 0) {
+    return;
+  }
+  const int p = serving_ranks();
+  QueryBatchStats& st = slot.st;
+  // The tier screens turn discovery's staged candidates into the batch's
+  // alignment tasks. They run on the host pool but their MODELED cost is
+  // charged per align-owner rank — tier 0 as a host stream over the
+  // scanned diagonal cells, tier 1 as probe DP on the device — on the
+  // discovery side of the timeline, after charge_discovery (so with
+  // depth >= 2 the screen of batch b+1 overlaps batch b's alignment, like
+  // the rest of discovery).
   core::screen_candidates(slot.work, seq_accessor(slot), aligner_, cfg_, pool_);
   for (std::size_t ri = 0; ri < static_cast<std::size_t>(p); ++ri) {
     const align::CascadeStats& cs = slot.work.cascade[ri];
@@ -615,17 +578,15 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
     const double ts = t0 + t1;
     if (ts <= 0.0) continue;
     st.t_screen = std::max(st.t_screen, ts);
-    if (slot.distributed) {
-      if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
+    if (rt_ != nullptr && slot.snap.dead[ri] == 0) {
       slot.frame[ri].charge(sim::Comp::kSparseOther, t0);
       slot.frame[ri].charge(sim::Comp::kAlign, t1);
       st.rank_sparse_s[ri] += ts;
       st.t_sparse = std::max(st.t_sparse, st.rank_sparse_s[ri]);
     }
   }
-  if (!slot.distributed) st.t_sparse += st.t_screen;
-  // Tier survivor counters in stream order (the discover stage is
-  // serial), for both search_batch and serve.
+  if (rt_ == nullptr) st.t_sparse += st.t_screen;
+  // Tier survivor counters in stream order (the screen stage is serial).
   core::add_cascade_counters(cfg_.telemetry, st.cascade);
 }
 
@@ -645,14 +606,13 @@ void QueryEngine::charge_discovery(BatchSlot& slot,
   // survivors; dead ranks charge nothing (their clocks are frozen).
   const int owner = slot.owner(p);
   int team = p;
-  if (slot.distributed) {
+  if (rt_ != nullptr) {
     if (owner < 0) return;  // every rank dead: nobody computes
-    const int alive = slot.fault_active ? slot.snap.n_alive() : p;
-    team = (alive + opt_.replication - 1) / opt_.replication;
+    team = (slot.snap.n_alive() + opt_.replication - 1) / opt_.replication;
   }
   for (int r = 0; r < p; ++r) {
     const auto ri = static_cast<std::size_t>(r);
-    if (slot.fault_active && slot.snap.dead[ri] != 0) continue;
+    if (slot.snap.dead[ri] != 0) continue;
     double t = model_.bcast_time(stripe, team) +
                model_.sparse_stream_time(work.query_residues / p);
     std::uint64_t own_bytes = 0;
@@ -671,7 +631,7 @@ void QueryEngine::charge_discovery(BatchSlot& slot,
         products += work.cell_products[cell];
       }
     }
-    if (!slot.distributed) {
+    if (rt_ == nullptr) {
       t += model_.sparse_stream_time(
           (work.overlap_bytes + work.cached_bytes) / p);
       st.t_sparse = std::max(st.t_sparse, t);
@@ -700,25 +660,22 @@ void QueryEngine::charge_discovery(BatchSlot& slot,
       clock.bytes_recv += assembled;
       clock.overlap_nnz += work.overlap_nnz;
     }
-    if (slot.fault_active) {
-      // Transient faults, RPC-style (exec/retry.hpp): a slowed rank's task
-      // dilates and pays the timeout+backoff ladder before its final
-      // patient attempt; a dropped send wastes one attempt and backs off
-      // before the resend. Deaths never reach here — they escalated to
-      // failover in the server map.
-      const std::uint64_t key =
-          slot.ordinal * static_cast<std::uint64_t>(p) +
-          static_cast<std::uint64_t>(r);
-      if (slot.snap.slowdown[ri] > 1.0) {
-        t *= slot.snap.slowdown[ri];
-        const auto pen = cfg_.retry.slow_task_penalty(t, key);
-        t += pen.seconds;
-        st.retries += pen.retries;
-      }
-      if (slot.snap.drop[ri] != 0 && send_s > 0.0) {
-        t += cfg_.retry.drop_resend_penalty_s(send_s, key);
-        ++st.retries;
-      }
+    // Transient faults, RPC-style (exec/retry.hpp): a slowed rank's task
+    // dilates and pays the timeout+backoff ladder before its final patient
+    // attempt; a dropped send wastes one attempt and backs off before the
+    // resend. A healthy rank (factor 1, no drop) pays neither. Deaths never
+    // reach here — they escalated to failover in the server map.
+    const std::uint64_t key = slot.ordinal * static_cast<std::uint64_t>(p) +
+                              static_cast<std::uint64_t>(r);
+    if (slot.snap.slowdown[ri] > 1.0) {
+      t *= slot.snap.slowdown[ri];
+      const auto pen = cfg_.retry.slow_task_penalty(t, key);
+      t += pen.seconds;
+      st.retries += pen.retries;
+    }
+    if (slot.snap.drop[ri] != 0 && send_s > 0.0) {
+      t += cfg_.retry.drop_resend_penalty_s(send_s, key);
+      ++st.retries;
     }
     if (!slot.faults.recovery_s.empty() && slot.faults.recovery_s[ri] > 0.0) {
       // Failover recovery surfacing at this batch: replica promotion,
@@ -751,7 +708,7 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
   if (slot.queries.empty() || total_refs() == 0) return;
 
   // ---- alignment + filter (flattened onto the host pool) -------------------
-  const std::span<const char> dead = slot.dead();
+  const std::span<const char> dead = slot.snap.dead;
   core::align_and_filter(slot.work, seq_accessor(slot), aligner_, cfg_, pool_,
                          dead);
   st.aligned_pairs = slot.work.flat_tasks.size();
@@ -760,13 +717,13 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
   auto& hits = slot.hits;
   for (int r = 0; r < p; ++r) {
     const auto ri = static_cast<std::size_t>(r);
-    if (!dead.empty() && dead[ri] != 0) {
+    if (dead[ri] != 0) {
       continue;  // frozen clock; its tasks went to the cyclic successor
     }
     hits.insert(hits.end(), slot.work.edges[ri].begin(),
                 slot.work.edges[ri].end());
     const align::BatchStats& bstats = slot.work.align[ri];
-    if (!slot.distributed) {
+    if (rt_ == nullptr) {
       st.t_align = std::max(st.t_align,
                             core::modeled_align_seconds(model_, bstats, 1.0));
       continue;
@@ -839,7 +796,7 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
   }
   st.hits = hits.size();
 
-  if (slot.distributed) {
+  if (rt_ != nullptr) {
     // Owner-side top-k + canonical sort: the batch owner gathers the
     // per-rank hit lists and selects — a stream over the hit bytes. The
     // owner role fails over to the next alive rank like everything else.
@@ -881,44 +838,18 @@ void QueryEngine::retire_distributed(BatchSlot& slot) {
 }
 
 void QueryEngine::enforce_rank_budget() const {
-  if (opt_.rank_memory_budget_bytes == 0) return;
+  const std::uint64_t budget = cfg_.effective_rank_memory_budget();
+  if (budget == 0) return;
   const auto peaks = rt_->peak_resident_bytes();
   for (int r = 0; r < rt_->nprocs(); ++r) {
-    if (peaks[static_cast<std::size_t>(r)] > opt_.rank_memory_budget_bytes) {
+    if (peaks[static_cast<std::size_t>(r)] > budget) {
       throw std::runtime_error(
           "QueryEngine: rank " + std::to_string(r) + " peaked at " +
           std::to_string(peaks[static_cast<std::size_t>(r)]) +
-          " resident bytes, over the " +
-          std::to_string(opt_.rank_memory_budget_bytes) +
+          " resident bytes, over the " + std::to_string(budget) +
           "-byte per-rank budget");
     }
   }
-}
-
-std::vector<io::SimilarityEdge> QueryEngine::search_batch(
-    std::span<const std::string> queries, QueryBatchStats* stats) {
-  refresh_epoch();
-  BatchSlot slot;
-  slot.reset(queries, next_query_id_, next_batch_ordinal_++, serving_ranks(),
-             rt_ != nullptr);
-  next_query_id_ += static_cast<Index>(queries.size());
-  slot.faults = plan_batch_faults(slot.ordinal);
-  discover_batch(slot);
-  align_batch(slot);
-  if (rt_ != nullptr) {
-    retire_distributed(slot);
-    // A lone batch is a depth-1 window: its workspace peaks on top of the
-    // static residency, then drains.
-    for (int r = 0; r < serving_ranks(); ++r) {
-      const auto ws =
-          slot.st.rank_workspace_bytes[static_cast<std::size_t>(r)];
-      rt_->clock(r).add_resident(ws);
-      rt_->clock(r).sub_resident(ws);
-    }
-    enforce_rank_budget();
-  }
-  if (stats != nullptr) *stats = slot.st;
-  return std::move(slot.hits);
 }
 
 QueryEngine::Result QueryEngine::serve(
@@ -957,7 +888,7 @@ QueryEngine::Result QueryEngine::serve(
   // the stream starts (planning advances the engine's death/residency
   // bookkeeping); the concurrent stages only read the per-batch results.
   std::vector<BatchFaults> batch_faults;
-  if (rt_ != nullptr && faults_enabled_) {
+  if (faults_enabled_) {
     batch_faults.resize(nb);
     for (std::size_t b = 0; b < nb; ++b) {
       batch_faults[b] = plan_batch_faults(ordinals[b]);
@@ -970,36 +901,39 @@ QueryEngine::Result QueryEngine::serve(
   exec::ResidentWindow window(p, depth);
 
   // ---- the serving stream on the executor ----------------------------------
-  // Same graph as the pipeline's block loop: with depth >= 2, batch b+1's
-  // discovery SpGEMM really overlaps batch b's alignment on the host pool.
-  // The align stage retires batches strictly in order, so appending to the
-  // shared result — and merging the distributed clock frames — needs no
-  // synchronization beyond the scheduler's.
+  // Same {discover, screen, align} graph as the pipeline's block loop: with
+  // depth >= 2, batch b+1's discovery SpGEMM really overlaps batch b's
+  // screens and alignment on the host pool. The align stage retires
+  // batches strictly in order, so appending to the shared result — and
+  // merging the distributed clock frames — needs no synchronization beyond
+  // the scheduler's.
   std::vector<BatchSlot> slots;  // sized from pipe.slot_count() below
   exec::StreamPipeline* gate = nullptr;
   exec::Stage discover{"discover", [&](std::size_t b, std::size_t si) {
                          BatchSlot& slot = slots[si];
                          slot.reset(batches[b], bases[b], ordinals[b], p,
                                     rt_ != nullptr);
-                         // Cache visibility lag = the stream's depth: a
-                         // batch only sees entries whose batch provably
-                         // retired before this discovery can start, so
-                         // hit/miss never depends on the schedule.
-                         slot.visibility_lag = depth;
                          if (!batch_faults.empty()) {
                            slot.faults = std::move(batch_faults[b]);
                          }
                          discover_batch(slot);
-                         // Register this batch's resident footprint with
-                         // the admission gate (the overlap block itself
-                         // dies inside discover; what stays in flight are
-                         // the alignment tasks).
+                         // Register what this batch holds in flight with
+                         // the admission gate: the overlap block dies
+                         // inside discover; the staged candidates and the
+                         // alignment tasks stay.
                          std::uint64_t bytes = 0;
-                         for (const auto& t : slot.work.tasks) {
-                           bytes += t.size() * sizeof(AlignTask);
+                         for (std::size_t r = 0; r < slot.work.tasks.size();
+                              ++r) {
+                           bytes += slot.work.cands[r].size() *
+                                        sizeof(core::ScreenCandidate) +
+                                    slot.work.tasks[r].size() *
+                                        sizeof(AlignTask);
                          }
                          gate->set_resident_bytes(b, bytes);
                        }};
+  exec::Stage screen{"screen", [&](std::size_t, std::size_t si) {
+                       screen_batch(slots[si]);
+                     }};
   exec::Stage align_stage{"align", [&](std::size_t b, std::size_t si) {
                       BatchSlot& slot = slots[si];
                       align_batch(slot);
@@ -1015,7 +949,7 @@ QueryEngine::Result QueryEngine::serve(
                         retire_distributed(slot);
                         window.add(slot.st.rank_workspace_bytes);
                       }
-                      if (rt_ != nullptr && faults_enabled_) {
+                      if (faults_enabled_) {
                         st.rank_deaths += slot.faults.deaths.size();
                         st.failover_shards += slot.st.failover_shards;
                         st.retries += slot.st.retries;
@@ -1041,7 +975,7 @@ QueryEngine::Result QueryEngine::serve(
                         }
                       }
                       if (cfg_.telemetry.metrics != nullptr) {
-                        // Per-batch modeled-latency histograms, sampled at
+                        // Per-batch modeled-seconds histograms, sampled at
                         // retirement (strictly ordered, so no locking
                         // beyond the registry's own).
                         auto& m = *cfg_.telemetry.metrics;
@@ -1065,7 +999,7 @@ QueryEngine::Result QueryEngine::serve(
   exec_opt.pool = pool_;
   exec_opt.telemetry = cfg_.telemetry;
   exec_opt.trace_prefix = "serve";
-  exec::StreamPipeline pipe(nb, {discover, align_stage}, exec_opt);
+  exec::StreamPipeline pipe(nb, {discover, screen, align_stage}, exec_opt);
   gate = &pipe;
   slots.resize(pipe.slot_count());
   pipe.run();
@@ -1074,60 +1008,42 @@ QueryEngine::Result QueryEngine::serve(
   // §VI-C timeline, generalized: the modeled serve time is the makespan of
   // the {discovery (CPU), alignment (device)} software pipeline at the
   // configured depth, with both sides paying the MachineModel's contention
-  // dilations when overlapped (pipeline block loop, Table I).
-  {
-    const bool overlapped = depth >= 2;
-    const double dsd = overlapped ? model_.preblock_sparse_dilation() : 1.0;
-    const double dad = overlapped ? model_.preblock_align_dilation : 1.0;
-    if (rt_ != nullptr) {
-      // Distributed: the SAME recurrence, per rank — the slowest rank's
-      // pipeline makespan is the serve time (exec::OverlapTimeline). With
-      // a tracer, the recurrence also emits each batch's placed stage
-      // intervals as modeled spans on the per-rank tracks (fed from the
-      // batches' RankClock frames via rank_sparse_s/rank_align_s), so the
-      // trace's modeled end IS this makespan.
-      exec::OverlapTimeline timeline(p, depth);
-      timeline.set_tracer(cfg_.telemetry.tracer, "serve.");
-      std::vector<double> sparse_s(static_cast<std::size_t>(p));
-      std::vector<double> align_s(static_cast<std::size_t>(p));
-      for (std::size_t b = 0; b < nb; ++b) {
-        for (int r = 0; r < p; ++r) {
-          const auto ri = static_cast<std::size_t>(r);
-          sparse_s[ri] = st.batches[b].rank_sparse_s[ri] * dsd;
-          align_s[ri] = st.batches[b].rank_align_s[ri] * dad;
-        }
-        timeline.add(sparse_s, align_s);
-        if (cfg_.telemetry.tracer != nullptr &&
-            !st.batches[b].rank_recovery_s.empty()) {
-          // Failover-recovery spans on the modeled rank tracks: recovery
-          // was charged at the head of this batch's discovery, so the
-          // span sits at the placed discovery interval's start.
-          for (int r = 0; r < p; ++r) {
-            const double rec =
-                st.batches[b].rank_recovery_s[static_cast<std::size_t>(r)];
-            if (rec <= 0.0) continue;
-            const double d0 = timeline.last_disc_interval(r).first;
-            cfg_.telemetry.tracer->record_modeled(
-                "serve.failover", r, d0, d0 + rec * dsd,
-                {{"item", static_cast<double>(b)}});
-          }
-        }
-      }
-      st.t_serve = timeline.max_makespan();
-    } else {
-      // Shared path: the same OverlapTimeline loop pipelined_makespan
-      // wraps (bit-identical arithmetic), inlined so the recurrence can
-      // emit the single modeled "rank 0" track when a tracer is present.
-      exec::OverlapTimeline timeline(1, depth);
-      timeline.set_tracer(cfg_.telemetry.tracer, "serve.");
-      for (std::size_t b = 0; b < nb; ++b) {
-        const double s = st.batches[b].t_sparse * dsd;
-        const double a = st.batches[b].t_align * dad;
-        timeline.add({&s, 1}, {&a, 1});
-      }
-      st.t_serve = timeline.makespan(0);
+  // dilations when overlapped (pipeline block loop, Table I). Grid mode
+  // runs the recurrence per rank, fed from the batches' RankClock frames
+  // via rank_sparse_s/rank_align_s, so the slowest rank's makespan is the
+  // serve time; the single address space runs it on one track fed from
+  // t_sparse/t_align. With a tracer, the recurrence emits each batch's
+  // placed stage intervals as modeled spans on those tracks, so the
+  // trace's modeled end IS this makespan.
+  const bool overlapped = depth >= 2;
+  const double dsd = overlapped ? model_.preblock_sparse_dilation() : 1.0;
+  const double dad = overlapped ? model_.preblock_align_dilation : 1.0;
+  const std::size_t tracks = rt_ != nullptr ? static_cast<std::size_t>(p) : 1;
+  exec::OverlapTimeline timeline(static_cast<int>(tracks), depth);
+  timeline.set_tracer(cfg_.telemetry.tracer, "serve.");
+  std::vector<double> sparse_s(tracks);
+  std::vector<double> align_s(tracks);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const QueryBatchStats& bs = st.batches[b];
+    for (std::size_t r = 0; r < tracks; ++r) {
+      sparse_s[r] = (rt_ != nullptr ? bs.rank_sparse_s[r] : bs.t_sparse) * dsd;
+      align_s[r] = (rt_ != nullptr ? bs.rank_align_s[r] : bs.t_align) * dad;
+    }
+    timeline.add(sparse_s, align_s);
+    if (cfg_.telemetry.tracer == nullptr) continue;
+    // Failover-recovery spans on the modeled rank tracks (grid mode under
+    // faults): recovery was charged at the head of this batch's discovery,
+    // so the span sits at the placed discovery interval's start.
+    for (std::size_t r = 0; r < bs.rank_recovery_s.size(); ++r) {
+      const double rec = bs.rank_recovery_s[r];
+      if (rec <= 0.0) continue;
+      const double d0 = timeline.last_disc_interval(static_cast<int>(r)).first;
+      cfg_.telemetry.tracer->record_modeled(
+          "serve.failover", static_cast<int>(r), d0, d0 + rec * dsd,
+          {{"item", static_cast<double>(b)}});
     }
   }
+  st.t_serve = timeline.max_makespan();
 
   // Fold the peak windowed workspace into the ledger high-water marks and
   // enforce the per-rank budget over the whole stream.
@@ -1202,17 +1118,14 @@ void QueryEngine::resync_static_residency() {
     ref_slice_bytes_[static_cast<std::size_t>(r)] = slice;
     fresh[static_cast<std::size_t>(r)] += slice;
   }
-  if (opt_.rank_memory_budget_bytes != 0) {
-    for (int r = 0; r < p; ++r) {
-      if (fresh[static_cast<std::size_t>(r)] >
-          opt_.rank_memory_budget_bytes) {
-        throw std::runtime_error(
-            "QueryEngine: grown placement needs " +
-            std::to_string(fresh[static_cast<std::size_t>(r)]) +
-            " resident bytes on rank " + std::to_string(r) + ", over the " +
-            std::to_string(opt_.rank_memory_budget_bytes) +
-            "-byte per-rank budget");
-      }
+  const std::uint64_t budget = cfg_.effective_rank_memory_budget();
+  for (int r = 0; r < p; ++r) {
+    if (budget != 0 && fresh[static_cast<std::size_t>(r)] > budget) {
+      throw std::runtime_error(
+          "QueryEngine: shard placement needs " +
+          std::to_string(fresh[static_cast<std::size_t>(r)]) +
+          " resident bytes on rank " + std::to_string(r) + ", over the " +
+          std::to_string(budget) + "-byte per-rank budget");
     }
   }
   for (int r = 0; r < p; ++r) {

@@ -17,15 +17,15 @@
 //     The engine tracks both orientation minima in its semiring payload and
 //     replays the scheme's choice exactly (see CrossKmers below).
 //   * §VI-C pre-blocking, generalized: serve() streams query batches
-//     through the same {discover, align} stage graph as the pipeline's
-//     block loop (exec/stream_pipeline.hpp), so with depth >= 2 batch
-//     b+1's SpGEMM (CPU) really runs concurrently with batch b's
-//     alignment (GPU model); the timeline charges the pipeline makespan —
-//     for depth 2 exactly max(align_b, sparse_{b+1}) — with the
-//     MachineModel's contention dilations. Hits are bit-identical for any
-//     depth. The cascade screens, alignment and filter are the pipeline's
-//     own stage bodies (core/stages.hpp); discovery computes the batch's
-//     shard products over one shard → server map, then prices them.
+//     through the same {discover, screen, align} stage graph as the
+//     pipeline's block loop (exec/stream_pipeline.hpp), so with depth >= 2
+//     batch b+1's SpGEMM (CPU) really runs concurrently with batch b's
+//     tier screens and alignment (GPU model); the timeline charges the
+//     pipeline makespan — for depth 2 exactly max(align_b, sparse_{b+1}) —
+//     with the MachineModel's contention dilations. Hits are bit-identical
+//     for any depth. The cascade screens, alignment and filter are the
+//     pipeline's own stage bodies (core/stages.hpp); discovery computes the
+//     batch's shard products over one shard → server map, then prices them.
 #pragma once
 
 #include <memory>
@@ -107,14 +107,16 @@ struct QueryBatchStats {
   /// when the cascade is disabled. aligned_pairs counts survivors only.
   align::CascadeStats cascade;
   /// Modeled screen seconds (max rank): tier-0 host scan + tier-1 probe DP.
-  /// Runs inside the discovery stage, so it is also folded into t_sparse.
+  /// The screen stage runs on the discovery side of the timeline, so it is
+  /// also folded into t_sparse.
   double t_screen = 0.0;
   double t_sparse = 0.0;  // max-rank discovery seconds (bcast + SpGEMM + merge)
   double t_align = 0.0;   // max-rank device alignment seconds
 
   // --- distributed serving only (empty on the shared-memory path) ----------
-  /// Per-rank modeled stage seconds — what the per-rank OverlapTimeline
-  /// recurrence consumes (t_sparse/t_align above are their maxima).
+  /// Per-rank modeled stage seconds — the grid's per-rank OverlapTimeline
+  /// tracks (t_sparse/t_align above are their maxima, and the single
+  /// address space's one track).
   std::vector<double> rank_sparse_s;
   std::vector<double> rank_align_s;
   /// Per-rank transient workspace this batch holds in flight (query
@@ -169,7 +171,7 @@ struct ServeStats {
   std::uint64_t placement_resident_bytes = 0;
   /// Per-rank resident high-water marks from the SimRuntime ledger:
   /// static residency + the peak `depth`-batch workspace window. The
-  /// rank_memory_budget_bytes gate compares against the max of these.
+  /// per-rank budget gate compares against the max of these.
   std::vector<std::uint64_t> rank_peak_resident_bytes;
 
   // --- fault tolerance (all zero under the empty fault plan) ---------------
@@ -208,32 +210,26 @@ class QueryEngine {
     /// 0 keeps all hits (the concatenated-equivalence mode).
     std::uint32_t top_k = 0;
     /// Streaming-executor depth for serve(): maximum query batches in
-    /// flight through discover → align. The default 2 overlaps batch b+1's
-    /// SpGEMM with batch b's alignment (§VI-C); 1 (or less) is the serial
-    /// stream. Hits are bit-identical for any depth.
+    /// flight through discover → screen → align. The default 2 overlaps
+    /// batch b+1's SpGEMM with batch b's screens and alignment (§VI-C); 1
+    /// (or less) is the serial stream. Hits are bit-identical for any depth.
     int pipeline_depth = 2;
 
-    // --- rank-resident distributed serving (PastisConfig knobs:
-    // grid_side_serving / shard_replication / rank_memory_budget_bytes) ------
+    // --- rank-resident distributed serving -----------------------------------
     /// >= 1 serves over a grid_side × grid_side SimRuntime grid: shards
     /// become RANK-RESIDENT (ShardPlacement: round-robin by postings
     /// bytes + greedy rebalance), each batch runs as rank tasks (query
     /// stripe broadcast, per-rank shard multiplies and merge, owner-side
-    /// top-k) and per-rank residency is ledgered and budget-gated. 0
-    /// keeps the single-address-space serve. Hits are bit-identical
-    /// either way, for any grid side.
+    /// top-k) and per-rank residency is ledgered and gated by
+    /// PastisConfig::effective_rank_memory_budget(). 0 keeps the
+    /// single-address-space serve. Hits are bit-identical either way, for
+    /// any grid side.
     int grid_side = 0;
-    /// Copies of each shard kept resident (availability): extra resident
-    /// bytes on the replica ranks, a 1/replication broadcast team for the
-    /// query stripe. Replicas never compute — results are unaffected.
-    /// 0 defers to PastisConfig::shard_replication; an explicit 1 opts
-    /// out of replication regardless of the config.
-    int replication = 0;
-    /// Per-rank resident budget: the engine refuses construction when the
-    /// static placement exceeds it on any rank, and serve() enforces it
-    /// against placement + the depth-windowed batch workspace. 0 defers
-    /// to PastisConfig::effective_rank_memory_budget().
-    std::uint64_t rank_memory_budget_bytes = 0;
+    /// Copies of each shard kept resident (availability, >= 1): extra
+    /// resident bytes on the replica ranks, a 1/replication broadcast team
+    /// for the query stripe. Replicas compute only when a fault plan kills
+    /// a primary (failover) — results are otherwise unaffected.
+    int replication = 1;
 
     // --- serving tier (serve/ subsystem; both default OFF) -----------------
     /// Optional query-result cache (not owned). When set, discover_batch
@@ -249,7 +245,10 @@ class QueryEngine {
 
   /// The engine serves `cfg` against `index`; the discovery parameters of
   /// the two must agree (throws std::invalid_argument otherwise — a k or
-  /// alphabet mismatch would silently change the candidate set).
+  /// alphabet mismatch would silently change the candidate set), and so
+  /// must the serving geometry (nprocs >= 1, grid_side >= 0,
+  /// replication >= 1). Grid mode throws std::runtime_error when the
+  /// static placement exceeds the per-rank budget on any rank.
   QueryEngine(const KmerIndex& index, core::PastisConfig cfg,
               sim::MachineModel model, Options opt,
               util::ThreadPool* pool = &util::ThreadPool::global());
@@ -264,20 +263,19 @@ class QueryEngine {
               sim::MachineModel model, Options opt,
               util::ThreadPool* pool = &util::ThreadPool::global());
 
-  /// Serves one batch. Hits are canonical SimilarityEdges with
-  /// seq_a = reference id and seq_b = n_refs + (stream position of the
-  /// query) — the id a concatenated [references || queries] run would
-  /// assign, so outputs are directly comparable. The stream position
-  /// advances across calls; reset_stream() rewinds it.
-  [[nodiscard]] std::vector<io::SimilarityEdge> search_batch(
-      std::span<const std::string> queries, QueryBatchStats* stats = nullptr);
-
   struct Result {
     std::vector<io::SimilarityEdge> hits;
     ServeStats stats;
   };
 
-  /// Serves a stream of batches with the pre-blocking overlap timeline.
+  /// Serves a stream of batches with the pre-blocking overlap timeline —
+  /// the engine's one way to serve queries. Hits are canonical
+  /// SimilarityEdges with seq_a = reference id and seq_b = n_refs +
+  /// (stream position of the query) — the id a concatenated
+  /// [references || queries] run would assign, so outputs are directly
+  /// comparable. The stream position advances across calls;
+  /// reset_stream() rewinds it. A result cache sees only entries inserted
+  /// at least pipeline_depth batches earlier in the stream.
   [[nodiscard]] Result serve(const std::vector<std::vector<std::string>>& batches);
 
   void reset_stream() {
@@ -295,8 +293,8 @@ class QueryEngine {
 
   /// Syncs the engine to the DeltaIndex's current epoch: rebases the query
   /// id stream to the grown reference set and re-ledgers static residency
-  /// (grid mode). No-op when the epoch is unchanged; serve()/search_batch()
-  /// call it implicitly.
+  /// (grid mode). No-op when the epoch is unchanged; serve() calls it
+  /// implicitly.
   /// Throws std::runtime_error on an epoch change under an active fault
   /// plan (mutation + faults is an unsupported combination).
   void refresh_epoch();
@@ -319,8 +317,9 @@ class QueryEngine {
   /// Recomputes per-rank static residency (placed shards + reference
   /// slices over the CURRENT reference set) and applies the diff to the
   /// runtime ledger, re-checking the rank budget. Grid mode; no-op
-  /// otherwise. Called by refresh_epoch/apply_replacement; the serving
-  /// tier also calls it after a compaction (same epoch, shifted bytes).
+  /// otherwise. The constructor places the initial residency through it;
+  /// refresh_epoch/apply_replacement call it again, and the serving tier
+  /// calls it after a compaction (same epoch, shifted bytes).
   void resync_static_residency();
 
   [[nodiscard]] const KmerIndex& index() const { return *index_; }
@@ -339,7 +338,7 @@ class QueryEngine {
 
  private:
   /// Per-slot state of one in-flight batch (defined in the .cpp); serve()
-  /// keeps one per pipeline slot, search_batch() a transient one.
+  /// keeps one per pipeline slot.
   struct BatchSlot;
   /// One batch's discovery results as pricing needs them (defined in the
   /// .cpp): the shard → server map and the per-cell products and bytes.
@@ -361,10 +360,14 @@ class QueryEngine {
   };
   [[nodiscard]] BatchFaults plan_batch_faults(std::uint64_t ordinal);
 
-  /// The two executor stages every served batch flows through. Both are
-  /// deterministic functions of the slot's (queries, batch_base) — the
-  /// property that makes hits depth- and schedule-invariant.
+  /// The three executor stages every served batch flows through — the
+  /// pipeline's {discover, screen, align} graph. Each is a deterministic
+  /// function of the slot's (queries, batch_base) — the property that
+  /// makes hits depth- and schedule-invariant. screen_batch runs the
+  /// cascade tiers over what discover_batch staged (a no-op with the
+  /// cascade off).
   void discover_batch(BatchSlot& slot) const;
+  void screen_batch(BatchSlot& slot) const;
   void align_batch(BatchSlot& slot) const;
   /// Prices one batch's discovery on the modeled ranks — the broadcast of
   /// the query stripe, each server's shard multiplies, and the assembly of
@@ -379,7 +382,8 @@ class QueryEngine {
   /// ledger (distributed mode; called in batch order).
   void retire_distributed(BatchSlot& slot);
   /// Throws std::runtime_error when any rank's ledgered high-water mark
-  /// exceeds the per-rank budget (no-op with the budget unset).
+  /// exceeds PastisConfig::effective_rank_memory_budget() (no-op with the
+  /// budget unset).
   void enforce_rank_budget() const;
 
   /// Shared construction body; `delta` may be null (plain KmerIndex mode).
@@ -411,7 +415,8 @@ class QueryEngine {
   Index next_query_id_ = 0;
   std::uint64_t next_batch_ordinal_ = 0;
 
-  // Distributed serving state (set iff opt_.grid_side >= 1).
+  // Distributed serving state (set iff opt_.grid_side >= 1); a non-null rt_
+  // is the engine's one grid-mode test.
   std::unique_ptr<sim::SimRuntime> rt_;
   std::unique_ptr<ShardPlacement> placement_;
   /// Static per-rank residency: placed shard bytes + the rank's slice of

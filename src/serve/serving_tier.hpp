@@ -12,9 +12,9 @@
 //
 // Everything is OFF by default: with cache_capacity_bytes == 0,
 // compaction_trigger_ratio <= 0 and online_replacement == false, serve()
-// and search_batch() are bit-identical to a plain QueryEngine over the
-// same index — the tier only ever changes cost, never results. The
-// exactness contract, hard-gated by bench_serving_soak:
+// is bit-identical to a plain QueryEngine over the same index — the tier
+// only ever changes cost, never results. The exactness contract,
+// hard-gated by bench_serving_soak:
 //
 //   * delta path: serving after add_references() returns exactly what a
 //     from-scratch rebuild over the union reference set would, at every
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,7 +43,8 @@
 namespace pastis::serve {
 
 struct TierOptions {
-  /// Engine knobs (nprocs / top_k / depth / grid / replication / budget).
+  /// Engine knobs (nprocs / top_k / depth / grid / replication); the
+  /// per-rank budget comes from the config's budget chain.
   /// `engine.result_cache` is ignored — the tier owns its cache.
   index::QueryEngine::Options engine;
   /// Result-cache capacity; 0 disables the cache entirely.
@@ -76,16 +76,11 @@ class ServingTier {
               sim::MachineModel model, TierOptions opt,
               util::ThreadPool* pool = &util::ThreadPool::global());
 
-  /// Serve a stream / one batch — QueryEngine semantics, with the cache
+  /// Serve a stream of batches — QueryEngine semantics, with the cache
   /// consulted per query and delta segments folded per shard.
   [[nodiscard]] index::QueryEngine::Result serve(
       const std::vector<std::vector<std::string>>& batches) {
     return engine_.serve(batches);
-  }
-  [[nodiscard]] std::vector<io::SimilarityEdge> search_batch(
-      std::span<const std::string> queries,
-      index::QueryBatchStats* stats = nullptr) {
-    return engine_.search_batch(queries, stats);
   }
 
   /// The mutation path: appends a delta segment (the new references are

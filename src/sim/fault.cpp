@@ -76,17 +76,6 @@ FaultSnapshot FaultPlan::snapshot_at_batch(std::uint64_t batch,
   return s;
 }
 
-std::vector<FaultEvent> FaultPlan::deaths_surfacing_at(
-    std::uint64_t batch, std::uint64_t first_batch, int nranks) const {
-  std::vector<FaultEvent> out;
-  for (const auto& e : events) {
-    if (e.kind != FaultKind::kDeath || e.time_triggered()) continue;
-    if (e.rank < 0 || e.rank >= nranks) continue;
-    if (std::max(e.at_batch, first_batch) == batch) out.push_back(e);
-  }
-  return out;
-}
-
 FaultPlan FaultPlan::parse(const std::string& text) {
   FaultPlan plan;
   std::size_t pos = 0;

@@ -114,14 +114,6 @@ struct FaultPlan {
   [[nodiscard]] FaultSnapshot snapshot_at_batch(std::uint64_t batch,
                                                 int nranks) const;
 
-  /// Death events that become visible exactly at `batch` given that the
-  /// stream being served starts at `first_batch` (deaths planned before
-  /// the stream surface at its first batch). This is what failover
-  /// recovery (re-placement, re-replication) is charged against — once per
-  /// death, at a deterministic batch.
-  [[nodiscard]] std::vector<FaultEvent> deaths_surfacing_at(
-      std::uint64_t batch, std::uint64_t first_batch, int nranks) const;
-
   /// Plan grammar (docs/ARCHITECTURE.md "Fault plan grammar"):
   ///   plan    := event (';' event)*
   ///   event   := kind '@' trigger ':' 'r' rank [ 'x' factor ] [ '+' batches ]

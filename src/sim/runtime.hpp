@@ -186,12 +186,6 @@ class SimRuntime {
     return m;
   }
 
-  /// A detached per-rank clock frame (all zeros) for concurrent stage
-  /// slots; fold back with merge_frame.
-  [[nodiscard]] std::vector<RankClock> make_frame() const {
-    return std::vector<RankClock>(static_cast<std::size_t>(nprocs()));
-  }
-
   /// Folds a detached per-rank clock frame (one RankClock per rank) into
   /// the shared clocks. Concurrent stage-slots of the streaming executor
   /// each charge their own frame (race-free; see SummaOptions::clocks)

@@ -1,14 +1,11 @@
 // Small statistics helpers: min/avg/max accumulators (the paper reports load
 // imbalance as the min, average and max attained by the parallel processes),
-// parallel-efficiency helpers, and simple descriptive statistics.
+// parallel-efficiency helpers, and a fixed-width histogram.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
-#include <span>
 #include <vector>
 
 namespace pastis::util {
@@ -83,22 +80,6 @@ template <typename Range>
 /// Parallel efficiency of weak scaling (work grows with p): t_base / t.
 [[nodiscard]] inline double weak_scaling_efficiency(double t_base, double t) {
   return t <= 0.0 ? 0.0 : t_base / t;
-}
-
-/// Arithmetic mean.
-[[nodiscard]] inline double mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return std::accumulate(xs.begin(), xs.end(), 0.0) /
-         static_cast<double>(xs.size());
-}
-
-/// Population standard deviation.
-[[nodiscard]] inline double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
 }
 
 /// Simple fixed-width histogram used by the dataset generator's self-report.

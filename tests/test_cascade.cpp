@@ -221,13 +221,6 @@ TEST(Cascade, DisabledCascadeIsASingleBranch) {
   const pa::CascadeOptions off;
   EXPECT_FALSE(off.any());
   EXPECT_EQ(off.fingerprint(), 0u);
-  pc::PastisConfig cfg;
-  const auto aligner = pc::make_batch_aligner(cfg, pastis::sim::MachineModel{});
-  pa::CascadeStats cs;
-  EXPECT_TRUE(pa::cascade_keep("ARND", "ARND", pa::AlignTask{}, 3, {}, -1,
-                               aligner, off, cs));
-  EXPECT_EQ(cs.tier0.pairs_in, 0u);
-  EXPECT_EQ(cs.tier1.pairs_in, 0u);
 }
 
 TEST(Cascade, FingerprintSeparatesPresets) {
@@ -505,7 +498,7 @@ TEST(Cascade, ServingSketchScreenKeepsNearIdenticalQueries) {
   ccfg.cascade.tier0_min_sketch_overlap = 8;
   pidx::QueryEngine engine(idx, ccfg, pastis::sim::MachineModel{}, {});
   const std::vector<std::string> queries = {refs[3], refs[11]};
-  const auto hits = engine.search_batch(queries);
+  const auto hits = engine.serve({queries}).hits;
   std::set<std::uint32_t> matched;
   for (const auto& e : hits) matched.insert(e.seq_a);
   EXPECT_TRUE(matched.count(3) > 0);

@@ -389,11 +389,11 @@ TEST(ExecQueryEngine, DepthShardThreadInvariance) {
               << "shards=" << shards << " threads=" << threads
               << " depth=" << depth;
         }
-        // serve() and batch-at-a-time search_batch agree.
+        // The whole stream and batch-at-a-time serve() calls agree.
         pi::QueryEngine serial(index, cfg, model, opt, &pool);
         std::vector<pastis::io::SimilarityEdge> one_by_one;
         for (const auto& b : batches) {
-          const auto hits = serial.search_batch(b);
+          const auto hits = serial.serve({b}).hits;
           one_by_one.insert(one_by_one.end(), hits.begin(), hits.end());
         }
         pastis::io::sort_edges(one_by_one);

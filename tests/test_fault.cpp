@@ -151,17 +151,6 @@ TEST(FaultPlan, SnapshotIsAPureFunctionOfTheBatchOrdinal) {
   EXPECT_FALSE(ps::FaultPlan{}.snapshot_at_batch(5, p).any());
 }
 
-TEST(FaultPlan, DeathsSurfaceOnceAtTheStreamHead) {
-  const auto plan = ps::FaultPlan::parse("kill@b1:r0;kill@b7:r2");
-  // A stream starting at batch 3: the batch-1 death surfaces at 3, the
-  // batch-7 death at 7, and neither anywhere else.
-  EXPECT_EQ(plan.deaths_surfacing_at(3, 3, 4).size(), 1u);
-  EXPECT_EQ(plan.deaths_surfacing_at(3, 3, 4)[0].rank, 0);
-  EXPECT_TRUE(plan.deaths_surfacing_at(4, 3, 4).empty());
-  EXPECT_EQ(plan.deaths_surfacing_at(7, 3, 4).size(), 1u);
-  EXPECT_EQ(plan.deaths_surfacing_at(7, 3, 4)[0].rank, 2);
-}
-
 // ---------------------------------------------------------------------------
 // SimRuntime death enforcement
 // ---------------------------------------------------------------------------
@@ -471,7 +460,7 @@ TEST(FaultServe, TransientFaultsCostLatencyNeverResults) {
   EXPECT_GE(drop.stats.t_serve, clean.stats.t_serve);
 }
 
-TEST(FaultServe, SearchBatchAppliesTheSamePlan) {
+TEST(FaultServe, BatchAtATimeServeAppliesTheSamePlan) {
   const auto refs = make_refs();
   const auto queries = make_queries(refs, 20, 305);
   const auto idx = pidx::KmerIndex::build(refs, pc::PastisConfig{}, 5);
@@ -487,11 +476,10 @@ TEST(FaultServe, SearchBatchAppliesTheSamePlan) {
 
   const auto batches = split_batches(queries, 2);
   for (std::size_t b = 0; b < batches.size(); ++b) {
-    pidx::QueryBatchStats fs;
-    pidx::QueryBatchStats cs;
-    const auto fh = faulted.search_batch(batches[b], &fs);
-    const auto ch = clean.search_batch(batches[b], &cs);
-    EXPECT_EQ(fh, ch) << "batch " << b;  // replication 2: zero loss
+    const auto f = faulted.serve({batches[b]});
+    const auto c = clean.serve({batches[b]});
+    EXPECT_EQ(f.hits, c.hits) << "batch " << b;  // replication 2: zero loss
+    const pidx::QueryBatchStats& fs = f.stats.batches[0];
     EXPECT_TRUE(fs.degraded_shards.empty());
     if (b == 1) {
       EXPECT_GT(fs.failover_shards, 0u);

@@ -301,6 +301,27 @@ TEST(QueryEngine, RejectsMismatchedDiscoveryConfig) {
   EXPECT_NO_THROW(pidx::QueryEngine(idx, cfg, {}, {}));
 }
 
+TEST(QueryEngine, RejectsBadServingGeometry) {
+  const auto refs = make_refs(40, 11);
+  pc::PastisConfig cfg;
+  const auto idx = pidx::KmerIndex::build(refs, cfg, 2);
+  for (const int side : {0, 2}) {
+    pidx::QueryEngine::Options opt;
+    opt.grid_side = side;
+    EXPECT_NO_THROW(pidx::QueryEngine(idx, cfg, {}, opt));
+    pidx::QueryEngine::Options bad = opt;
+    bad.nprocs = 0;
+    EXPECT_THROW(pidx::QueryEngine(idx, cfg, {}, bad), std::invalid_argument);
+    bad = opt;
+    bad.replication = 0;
+    EXPECT_THROW(pidx::QueryEngine(idx, cfg, {}, bad), std::invalid_argument);
+  }
+  pidx::QueryEngine::Options negative_grid;
+  negative_grid.grid_side = -1;
+  EXPECT_THROW(pidx::QueryEngine(idx, cfg, {}, negative_grid),
+               std::invalid_argument);
+}
+
 TEST(QueryEngine, MatchesConcatenatedSearchAcrossShardAndProcessCounts) {
   // The acceptance bar: engine hits for [references || queries] are
   // bit-identical to SimilaritySearch::run on the concatenation
@@ -447,15 +468,15 @@ TEST(QueryEngine, EmptyBatchesAndNoCandidates) {
   const auto idx = pidx::KmerIndex::build(refs, cfg, 2);
   pidx::QueryEngine engine(idx, cfg, {}, {});
 
-  pidx::QueryBatchStats st;
-  EXPECT_TRUE(engine.search_batch({}, &st).empty());
-  EXPECT_EQ(st.n_queries, 0u);
+  const auto empty = engine.serve({std::vector<std::string>{}});
+  EXPECT_TRUE(empty.hits.empty());
+  EXPECT_EQ(empty.stats.batches[0].n_queries, 0u);
 
   // A query with no shared k-mers produces no hits but valid stats.
   const std::vector<std::string> alien = {std::string(80, 'W')};
-  const auto hits = engine.search_batch(alien, &st);
-  EXPECT_TRUE(hits.empty());
-  EXPECT_EQ(st.n_queries, 1u);
+  const auto served = engine.serve({alien});
+  EXPECT_TRUE(served.hits.empty());
+  EXPECT_EQ(served.stats.batches[0].n_queries, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -598,21 +619,21 @@ TEST(DistributedServe, LedgerRespectsBudgetAndShrinksWithTheGrid) {
   pc::PastisConfig cfg;
   const auto idx = pidx::KmerIndex::build(refs, cfg, 8);
   const auto batches = split_batches(queries, 4);
+  // Ample budget: the ledger must be ENFORCED (asserted below) yet never
+  // trip on a sane placement.
+  cfg.rank_memory_budget_bytes = 64ull << 20;
 
   std::uint64_t side1_peak = 0;
   for (int side : {1, 3}) {
     pidx::QueryEngine::Options opt;
     opt.grid_side = side;
-    // Ample budget: the ledger must be ENFORCED (asserted below) yet never
-    // trip on a sane placement.
-    opt.rank_memory_budget_bytes = 64ull << 20;
     pidx::QueryEngine engine(idx, cfg, {}, opt);
     const auto result = engine.serve(batches);
     const auto& peaks = result.stats.rank_peak_resident_bytes;
     ASSERT_EQ(peaks.size(), static_cast<std::size_t>(side * side));
     for (const auto b : peaks) {
       EXPECT_GT(b, 0u);
-      EXPECT_LE(b, opt.rank_memory_budget_bytes);
+      EXPECT_LE(b, cfg.rank_memory_budget_bytes);
     }
     if (side == 1) {
       side1_peak = result.stats.max_rank_resident_bytes();
@@ -630,8 +651,15 @@ TEST(DistributedServe, PlacementGateRejectsTinyRankBudget) {
   const auto idx = pidx::KmerIndex::build(refs, cfg, 4);
   pidx::QueryEngine::Options opt;
   opt.grid_side = 2;
-  opt.rank_memory_budget_bytes = 64;  // nothing fits
-  EXPECT_THROW(pidx::QueryEngine(idx, cfg, {}, opt), std::runtime_error);
+  // Nothing fits 64 bytes, whether the rank budget is set directly or
+  // inherited from the budget chain's root (the host admission gate).
+  pc::PastisConfig rank_budget = cfg;
+  rank_budget.rank_memory_budget_bytes = 64;
+  pc::PastisConfig root_budget = cfg;
+  root_budget.exec_memory_budget_bytes = 64;
+  for (const auto& tiny : {rank_budget, root_budget}) {
+    EXPECT_THROW(pidx::QueryEngine(idx, tiny, {}, opt), std::runtime_error);
+  }
 }
 
 TEST(DistributedServe, ReplicationKeepsHitsAndRaisesResidency) {

@@ -4,7 +4,8 @@
 // artifact round-trips through the strict util::json parser (the same
 // contract CI's `python3 -m json.tool` validation enforces), and the
 // modeled rank tracks of an instrumented QueryEngine::serve reproduce the
-// OverlapTimeline makespan exactly.
+// OverlapTimeline makespan exactly, and both streams (serve and the search
+// pipeline) run the cascade tiers inside their screen stage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "align/cascade.hpp"
 #include "core/config.hpp"
+#include "core/pipeline.hpp"
 #include "exec/timeline.hpp"
 #include "gen/protein_gen.hpp"
 #include "index/kmer_index.hpp"
@@ -26,6 +29,7 @@
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pobs = pastis::obs;
 namespace pj = pastis::util::json;
@@ -208,6 +212,7 @@ struct FlatEvent {
   int tid = 0;
   double ts = 0.0;
   double dur = 0.0;
+  double item = -1.0;  // the executor's item argument; -1 = none
 };
 
 std::vector<FlatEvent> complete_events(const pj::Value& doc) {
@@ -221,6 +226,9 @@ std::vector<FlatEvent> complete_events(const pj::Value& doc) {
     f.tid = static_cast<int>(e.at("tid").as_number());
     f.ts = e.at("ts").as_number();
     f.dur = e.at("dur").as_number();
+    if (e.contains("args") && e.at("args").contains("item")) {
+      f.item = e.at("args").at("item").as_number();
+    }
     out.push_back(std::move(f));
   }
   return out;
@@ -482,4 +490,87 @@ TEST(Telemetry, GridServeModeledTracksReproduceMakespan) {
   EXPECT_DOUBLE_EQ(served.stats.t_serve, base.stats.t_serve);
   EXPECT_NEAR(tr.modeled_end_seconds(), served.stats.t_serve,
               1e-9 + 1e-9 * served.stats.t_serve);
+}
+
+namespace {
+
+/// The {discover, screen, align} stage graph of a `prefix` stream of
+/// `n_items` items: each item has exactly one measured span per stage, and
+/// every cascade tier span lies inside a `<prefix>.screen` span on the same
+/// thread.
+void expect_screen_stage_graph(const pobs::Tracer& tr,
+                               const std::string& prefix,
+                               std::size_t n_items) {
+  std::vector<FlatEvent> spans;
+  for (auto& e : complete_events(pj::parse(tr.to_json()))) {
+    if (e.pid == pobs::Tracer::kMeasuredPid) spans.push_back(std::move(e));
+  }
+  for (const std::string stage : {"discover", "screen", "align"}) {
+    std::vector<int> per_item(n_items, 0);
+    for (const auto& s : spans) {
+      if (s.name != prefix + "." + stage) continue;
+      ASSERT_GE(s.item, 0.0) << s.name;
+      ASSERT_LT(s.item, static_cast<double>(n_items)) << s.name;
+      ++per_item[static_cast<std::size_t>(s.item)];
+    }
+    for (std::size_t i = 0; i < n_items; ++i) {
+      EXPECT_EQ(per_item[i], 1) << prefix << "." << stage << " item " << i;
+    }
+  }
+  std::size_t tier_spans = 0;
+  for (const auto& t : spans) {
+    if (t.name != "cascade.tier0" && t.name != "cascade.tier1") continue;
+    ++tier_spans;
+    bool inside = false;
+    for (const auto& s : spans) {
+      // The tolerance absorbs the rounding of ts + dur.
+      inside = inside || (s.name == prefix + ".screen" && s.tid == t.tid &&
+                          s.ts <= t.ts &&
+                          t.ts + t.dur <= s.ts + s.dur + 1e-3);
+    }
+    EXPECT_TRUE(inside) << t.name << " at " << t.ts << " us on thread "
+                        << t.tid << " is outside every " << prefix
+                        << ".screen span";
+  }
+  EXPECT_GT(tier_spans, 0u);
+}
+
+}  // namespace
+
+TEST(Telemetry, ServeRunsTheTierScreensInItsScreenStage) {
+  const auto refs = obs_refs(90, 41);
+  const auto batches = obs_batches(refs, 3, 12, 57);
+  pastis::core::PastisConfig cfg;
+  cfg.cascade = pastis::align::CascadeOptions::fast();
+  const auto idx = pastis::index::KmerIndex::build(refs, cfg, 3);
+  pastis::util::ThreadPool pool(3);
+  for (const int side : {0, 2}) {
+    SCOPED_TRACE("grid side " + std::to_string(side));
+    pobs::Tracer tr;
+    pastis::core::PastisConfig obs_cfg = cfg;
+    obs_cfg.telemetry = pobs::Telemetry{nullptr, &tr};
+    pastis::index::QueryEngine::Options opt;
+    opt.nprocs = 4;
+    opt.grid_side = side;
+    opt.pipeline_depth = 2;
+    pastis::index::QueryEngine engine(idx, obs_cfg, {}, opt, &pool);
+    const auto served = engine.serve(batches);
+    ASSERT_GT(served.stats.cascade.tier0.pairs_in, 0u);
+    expect_screen_stage_graph(tr, "serve", batches.size());
+  }
+}
+
+TEST(Telemetry, PipelineRunsTheTierScreensInItsScreenStage) {
+  pastis::core::PastisConfig cfg;
+  cfg.cascade = pastis::align::CascadeOptions::fast();
+  cfg.block_rows = cfg.block_cols = 2;
+  cfg.pipeline_depth = 2;
+  pastis::util::ThreadPool pool(3);
+  pobs::Tracer tr;
+  cfg.telemetry = pobs::Telemetry{nullptr, &tr};
+  const pastis::core::SimilaritySearch search(cfg, {}, 4, &pool);
+  const auto run = search.run(obs_refs(150, 61));
+  ASSERT_GT(run.stats.cascade.tier0.pairs_in, 0u);
+  expect_screen_stage_graph(tr, "pipeline",
+                            static_cast<std::size_t>(cfg.n_blocks()));
 }

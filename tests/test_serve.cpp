@@ -339,7 +339,7 @@ TEST(QueryEngine, ShardServerMapFollowsPlacementAndFaults) {
   // clock to the target's, and nothing else.
   {
     pidx::QueryEngine engine(idx, cfg, pastis::sim::MachineModel{}, opt);
-    const auto hits_before = engine.search_batch(queries);
+    const auto hits_before = engine.serve({queries}).hits;
     const auto before = rank_products(engine);
     const int donor = static_cast<int>(
         std::max_element(before.begin(), before.end()) - before.begin());
@@ -356,7 +356,7 @@ TEST(QueryEngine, ShardServerMapFollowsPlacementAndFaults) {
     (void)engine.apply_replacement(moved, {&migration, 1});
 
     engine.reset_stream();
-    const auto hits_after = engine.search_batch(queries);
+    const auto hits_after = engine.serve({queries}).hits;
     const auto after = products_since(engine, before);
     EXPECT_EQ(hits_after, hits_before);
     EXPECT_EQ(total(after), total(before));
@@ -390,7 +390,7 @@ TEST(QueryEngine, ShardServerMapFollowsPlacementAndFaults) {
     for (int b = 0; b < 3; ++b) {
       const auto f0 = rank_products(faulty);
       const auto h0 = rank_products(healthy);
-      EXPECT_EQ(faulty.search_batch(queries), healthy.search_batch(queries));
+      EXPECT_EQ(faulty.serve({queries}).hits, healthy.serve({queries}).hits);
       const auto f = products_since(faulty, f0);
       const auto h = products_since(healthy, h0);
       if (b == 0) {
