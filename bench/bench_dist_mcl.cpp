@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
                      "modeled (s)", "clusters", "bit-identical"});
   for (int side : {1, 2, 3}) {
     cluster::MclOptions opt;
-    opt.distributed = true;
     opt.grid_side = side;
     cluster::MclStats stats;
     util::Timer w;

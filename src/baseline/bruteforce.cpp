@@ -32,11 +32,7 @@ std::vector<io::SimilarityEdge> brute_force_search(
     }
     cells.fetch_add(row_cells, std::memory_order_relaxed);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(n, row_task);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) row_task(i);
-  }
+  util::parallel_for(pool, n, row_task);
 
   std::vector<io::SimilarityEdge> edges;
   for (auto& row : per_row) {

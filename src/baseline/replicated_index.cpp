@@ -167,11 +167,7 @@ std::vector<io::SimilarityEdge> replicated_index_search(
     rank_cells[qr] = work.align[0].cells;
     rank_edges[qr] = std::move(work.edges[0]);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(nprocs), rank_task);
-  } else {
-    for (int q = 0; q < nprocs; ++q) rank_task(static_cast<std::size_t>(q));
-  }
+  util::parallel_for(pool, static_cast<std::size_t>(nprocs), rank_task);
 
   std::vector<io::SimilarityEdge> edges;
   for (auto& v : rank_edges) edges.insert(edges.end(), v.begin(), v.end());

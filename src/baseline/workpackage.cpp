@@ -84,11 +84,7 @@ std::vector<io::SimilarityEdge> work_package_search(
     }
     out.hit_bytes = out.aligned * 32;  // staged hits written to the FS
   };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(n_packages), run_package);
-  } else {
-    for (int k = 0; k < n_packages; ++k) run_package(static_cast<std::size_t>(k));
-  }
+  util::parallel_for(pool, static_cast<std::size_t>(n_packages), run_package);
 
   std::vector<io::SimilarityEdge> edges;
   for (auto& o : outcomes) {

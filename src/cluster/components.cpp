@@ -6,17 +6,6 @@ namespace pastis::cluster {
 
 namespace {
 
-/// parallel_for that degrades to a serial loop without a pool. Results
-/// never depend on which branch runs — every callee writes disjoint slots.
-template <typename Fn>
-void for_each_index(util::ThreadPool* pool, std::size_t n, Fn&& fn) {
-  if (pool == nullptr || pool->size() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  } else {
-    pool->parallel_for(n, fn);
-  }
-}
-
 Clustering propagate_min_labels(const sparse::SpMat<float>& adj,
                                 util::ThreadPool* pool) {
   const std::size_t n = adj.nrows();
@@ -35,7 +24,7 @@ Clustering propagate_min_labels(const sparse::SpMat<float>& adj,
   for (;;) {
     // Neighbour-min pass (Jacobi: reads cur, writes next once per vertex).
     std::copy(cur.begin(), cur.end(), next.begin());
-    for_each_index(pool, n_rows, [&](std::size_t k) {
+    util::parallel_for(pool, n_rows, [&](std::size_t k) {
       const Index v = adj.row_id(k);
       Index m = cur[v];
       for (Offset o = adj.row_begin(k); o < adj.row_end(k); ++o) {
@@ -51,7 +40,7 @@ Clustering propagate_min_labels(const sparse::SpMat<float>& adj,
     // chain to its root. next[v] <= v throughout, so chains strictly
     // decrease and terminate; the chase reads the completed next array
     // only, so it parallelizes with one write per vertex.
-    for_each_index(pool, n, [&](std::size_t v) {
+    util::parallel_for(pool, n, [&](std::size_t v) {
       Index r = next[v];
       while (next[r] != r) r = next[r];
       cur[v] = r;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "cluster/components.hpp"
@@ -19,8 +21,8 @@ namespace {
 
 using sparse::SpMat;
 
-/// One iteration's telemetry sample (both MCL paths): the chaos gauge plus
-/// the per-iteration nnz / resident-bytes series as min-avg-max streams.
+/// One iteration's telemetry sample: the chaos gauge plus the
+/// per-iteration nnz / resident-bytes series as min-avg-max streams.
 void record_iteration(const obs::Telemetry& telem,
                       const MclIterationStats& is) {
   if (telem.metrics == nullptr) return;
@@ -49,15 +51,6 @@ std::vector<std::size_t> row_chunks(std::size_t n_rows, std::size_t parts) {
     bounds[c] = n_rows * c / parts;
   }
   return bounds;
-}
-
-template <typename Fn>
-void run_chunks(util::ThreadPool* pool, std::size_t n_chunks, Fn&& fn) {
-  if (pool == nullptr || pool->size() <= 1 || n_chunks <= 1) {
-    for (std::size_t c = 0; c < n_chunks; ++c) fn(c);
-  } else {
-    pool->parallel_for(n_chunks, fn);
-  }
 }
 
 std::size_t pool_threads(util::ThreadPool* pool) {
@@ -139,15 +132,15 @@ struct EpiScratch {
 /// shaped as the fused-SpGEMM epilogue contract (spgemm_hash2p_fused):
 /// given the column's sorted pre-epilogue entries it writes the survivors
 /// and returns their count. The same functor runs inside the fused numeric
-/// phase and the distributed gather fold — one float-op sequence, so both
-/// paths are bit-identical.
+/// phase and the grid's gather fold — one float-op sequence, so both
+/// expansions are bit-identical.
 ///
 /// Side outputs (col_chaos, dropout streaks) are per-column slots indexed
 /// by the global column id `row` (both callers pass global row ids): one
 /// writer per slot under any scheduling, keeping the pass deterministic
 /// and race-free. The column cap is read through a pointer because the
-/// budget feedback may tighten it between an iteration's symbolic and
-/// numeric phases.
+/// budget feedback may tighten it between an iteration's multiply and its
+/// prune.
 struct ColumnEpilogue {
   double inflation;
   float prune_threshold;
@@ -261,26 +254,25 @@ struct MaskCounts {
   std::uint64_t reentered = 0;
 };
 
-/// Builds this iteration's dropout mask over the rows of M (stripe-local
-/// ids + row_offset = global column ids): column j skips recompute when
-/// its own streak AND every support column's streak reached `after`.
+/// Builds this iteration's dropout mask over the rows of M (= the flow
+/// columns): column j skips recompute when its own streak AND every
+/// support column's streak reached `after`.
 /// The pass reads only LAST iteration's streaks, so a neighbour's reset
 /// reaches dependants one iteration later — that lag is the re-entry rule.
 /// One writer per skip/prev_skip slot; streaks are read-only here (the
 /// frozen columns' streak bump is a separate pass, else the mask pass
 /// would race with it).
-MaskCounts build_skip_mask(const SpMat<float>& M, Index row_offset,
-                           std::uint32_t after, MclBuffers& buf,
-                           util::ThreadPool* pool) {
+MaskCounts build_skip_mask(const SpMat<float>& M, std::uint32_t after,
+                           MclBuffers& buf, util::ThreadPool* pool) {
   const std::size_t n_rows = M.n_nonempty_rows();
   const std::vector<std::size_t> bounds =
       row_chunks(n_rows, pool_threads(pool));
   const std::size_t n_chunks = bounds.empty() ? 0 : bounds.size() - 1;
   std::vector<MaskCounts> parts(n_chunks);
-  run_chunks(pool, n_chunks, [&](std::size_t c) {
+  util::parallel_for(pool, n_chunks, [&](std::size_t c) {
     MaskCounts& mc = parts[c];
     for (std::size_t k = bounds[c]; k < bounds[c + 1]; ++k) {
-      const Index g = M.row_id(k) + row_offset;
+      const Index g = M.row_id(k);
       bool frozen = buf.streak[g] >= after;
       for (Offset o = M.row_begin(k); frozen && o < M.row_end(k); ++o) {
         frozen = buf.streak[M.col(o)] >= after;
@@ -307,10 +299,9 @@ MaskCounts build_skip_mask(const SpMat<float>& M, Index row_offset,
 /// Frozen columns' streaks keep growing (their chaos is definitionally
 /// unchanged below epsilon); active columns' streaks are updated by the
 /// epilogue itself. Runs strictly AFTER the mask build — see above.
-void bump_frozen_streaks(const SpMat<float>& M, Index row_offset,
-                         MclBuffers& buf) {
+void bump_frozen_streaks(const SpMat<float>& M, MclBuffers& buf) {
   for (std::size_t k = 0; k < M.n_nonempty_rows(); ++k) {
-    const Index g = M.row_id(k) + row_offset;
+    const Index g = M.row_id(k);
     if (buf.skip[g] != 0) ++buf.streak[g];
   }
 }
@@ -321,7 +312,7 @@ void bump_frozen_streaks(const SpMat<float>& M, Index row_offset,
 /// M lands in exactly one of the two sources (the expansion of an active
 /// column is never empty — every referenced column is stochastic).
 SpMat<float> stitch_frozen(const SpMat<float>& P, const SpMat<float>& M,
-                           const std::uint8_t* skip, Index row_offset,
+                           const std::uint8_t* skip,
                            std::vector<Index>&& row_ids,
                            std::vector<Offset>&& row_ptr,
                            std::vector<Index>&& cols,
@@ -334,7 +325,7 @@ SpMat<float> stitch_frozen(const SpMat<float>& P, const SpMat<float>& M,
   std::size_t kp = 0;
   for (std::size_t k = 0; k < M.n_nonempty_rows(); ++k) {
     const Index id = M.row_id(k);
-    if (skip[id + row_offset] != 0) {
+    if (skip[id] != 0) {
       const Offset b = M.row_begin(k);
       const Offset e = M.row_end(k);
       row_ids.push_back(id);
@@ -361,24 +352,29 @@ SpMat<float> stitch_frozen(const SpMat<float>& P, const SpMat<float>& M,
 /// chaos slots. With dropout, frozen columns contribute their last
 /// computed (sub-epsilon) value; without, every slot was written this
 /// iteration, reproducing the fold the old per-chunk max computed.
-double chaos_of(const SpMat<float>& M, Index row_offset,
-                const std::vector<double>& col_chaos) {
+double chaos_of(const SpMat<float>& M, const std::vector<double>& col_chaos) {
   double chaos = 0.0;
   for (std::size_t k = 0; k < M.n_nonempty_rows(); ++k) {
-    chaos = std::max(chaos, col_chaos[M.row_id(k) + row_offset]);
+    chaos = std::max(chaos, col_chaos[M.row_id(k)]);
   }
   return chaos;
 }
 
 /// Logical DCSR bytes of a non-empty float matrix with `nonempty_rows`
 /// rows in the directory and `nnz` stored entries — exactly
-/// SpMat<float>::bytes(), so the distributed path can reproduce the
-/// shared-memory path's global resident-bytes numbers (and hence its
-/// budget-tightening decisions) bit-for-bit from stripe counts alone.
+/// SpMat<float>::bytes(), so the resident-bytes numbers (and hence the
+/// budget decisions) come from shape counts alone, before the matrix they
+/// describe exists.
 std::uint64_t dcsr_bytes(std::uint64_t nonempty_rows, std::uint64_t nnz) {
   if (nnz == 0) return 0;  // empty SpMat stores nothing, not even row_ptr
   return nonempty_rows * sizeof(Index) + (nonempty_rows + 1) * sizeof(Offset) +
          nnz * (sizeof(Index) + sizeof(float));
+}
+
+/// The column-cap rule of both memory budgets: a binding budget halves the
+/// per-column entry cap (floor 4; an unbounded cap drops to 256).
+std::uint32_t halved_cap(std::uint32_t cap) {
+  return cap == 0 ? 256 : std::max<std::uint32_t>(4, cap / 2);
 }
 
 /// (rows, nnz) of rank `rank`'s row stripe of the 2D-tiled `A`, computed
@@ -420,26 +416,35 @@ void stripe_pre_counts(const sim::ProcGrid& grid,
 }
 
 /// Vertically concatenates per-rank row stripes (stripe r = global rows
-/// [split(n, p, r), split(n, p, r+1)), stripe-local ids) back into one
-/// global matrix. Rows ascend across stripes, so the DCSR arrays
-/// concatenate directly — exact values, no sort.
+/// [split(n, p, r), split(n, p, r+1)), stripe-local ids) into one global
+/// matrix. Rows ascend across stripes, so the DCSR arrays concatenate
+/// directly — exact values, no sort.
 SpMat<float> concat_row_stripes(const std::vector<SpMat<float>>& stripes,
                                 Index n) {
+  std::size_t rows = 0;
+  std::size_t nnz = 0;
+  for (const auto& s : stripes) {
+    rows += s.n_nonempty_rows();
+    nnz += s.nnz();
+  }
   std::vector<Index> row_ids;
   std::vector<Offset> row_ptr;
   std::vector<Index> cols;
   std::vector<float> vals;
+  row_ids.reserve(rows);
+  row_ptr.reserve(rows + 1);
+  cols.reserve(nnz);
+  vals.reserve(nnz);
   row_ptr.push_back(0);
   Index offset = 0;
   for (const auto& s : stripes) {
+    const Offset base = cols.size();
     for (std::size_t k = 0; k < s.n_nonempty_rows(); ++k) {
       row_ids.push_back(s.row_id(k) + offset);
-      for (Offset o = s.row_begin(k); o < s.row_end(k); ++o) {
-        cols.push_back(s.col(o));
-        vals.push_back(s.val(o));
-      }
-      row_ptr.push_back(static_cast<Offset>(cols.size()));
+      row_ptr.push_back(base + s.row_end(k));
     }
+    cols.insert(cols.end(), s.col_data(0), s.col_data(s.nnz()));
+    vals.insert(vals.end(), s.val_data(0), s.val_data(s.nnz()));
     offset += s.nrows();
   }
   return SpMat<float>::from_sorted_parts(n, n, std::move(row_ids),
@@ -464,336 +469,241 @@ Clustering interpret(const SpMat<float>& M, Index n, float threshold,
   return components_of_adjacency(adj, pool);
 }
 
-/// The distributed MCL loop (HipMCL's shape over the simulated grid): the
-/// transposed flow matrix lives as per-rank row stripes (every flow column
-/// whole on one rank — the layout inflate/prune/chaos need), expansion
-/// scatters to the 2D tiling and runs the gather-stages SUMMA (bitwise
-/// equal to the local kernel — dist/summa.hpp), and the expanded matrix
-/// gathers back to stripes with the ColumnEpilogue folded into the gather
-/// itself (gather_row_stripes_fused), so each column is pruned as it is
-/// assembled and only the pruned stripe materializes. All
-/// result-affecting decisions (per-column prune, global budget
-/// tightening, dropout masks) are bit-compatible with the shared-memory
-/// loop, so assignments are identical for any grid side; the per-rank
-/// ledger and clocks are what the grid changes.
-Clustering markov_cluster_distributed(const SimilarityGraph& g,
-                                      const MclOptions& opt, MclStats& st,
-                                      util::ThreadPool* pool) {
-  const int side = std::max(1, opt.grid_side);
-  sim::SimRuntime rt(side * side, opt.machine,
-                     pool != nullptr ? pool : &util::ThreadPool::global());
-  const int p = rt.nprocs();
-  const sim::ProcGrid& grid = rt.grid();
-  st.grid_side = side;
-
-  SpMat<float> M0 = build_flow_matrix(g, opt.self_loop_scale);
-  const Index n = g.n_vertices();
-  if (M0.empty()) {
-    st.converged = true;
-    st.rank_peak_resident_bytes.assign(static_cast<std::size_t>(p), 0);
-    std::vector<Index> labels(g.n_vertices());
-    std::iota(labels.begin(), labels.end(), 0);
-    return canonicalize(labels);
+/// The simulated process grid an MCL run expands on when
+/// MclOptions::grid_side >= 1 (HipMCL's layout). Rank r owns the row
+/// stripe [split(n, p, r), split(n, p, r+1)) of the transposed flow matrix
+/// — every flow column whole on one rank, the layout the column pass
+/// needs. Stripes nest inside grid rows (p = side²), so each is a row range
+/// of the one global matrix the loop keeps; the grid swaps in only the
+/// expansion (a gather-stages SUMMA over the 2D tiling, bitwise equal to
+/// the local kernel — dist/summa.hpp) and prices every step on the ranks'
+/// clocks and resident-bytes ledger. Assignments are bit-identical to the
+/// one-address-space run for any grid side.
+class MclGrid {
+ public:
+  MclGrid(const MclOptions& opt, util::ThreadPool* pool, MclStats& st)
+      : rt_(opt.grid_side * opt.grid_side, opt.machine,
+            pool != nullptr ? pool : &util::ThreadPool::global()),
+        pool_(pool),
+        rank_budget_(opt.rank_memory_budget_bytes),
+        st_(st) {
+    st_.grid_side = opt.grid_side;
   }
 
-  // Initial distribution: stripe r (global rows [split(n,p,r), split(n,p,r+1))
-  // of the transposed flow matrix) becomes rank r's resident state.
-  std::vector<SpMat<float>> stripes(static_cast<std::size_t>(p));
-  rt.spmd([&](int r) {
-    const Index r0 = sim::ProcGrid::split_point(n, p, r);
-    const Index r1 = sim::ProcGrid::split_point(n, p, r + 1);
-    stripes[static_cast<std::size_t>(r)] = M0.extract(r0, r1, 0, n);
-    const std::uint64_t b = stripes[static_cast<std::size_t>(r)].bytes();
-    auto& clock = rt.clock(r);
-    clock.charge(sim::Comp::kSparseOther,
-                 rt.model().sparse_stream_time(b) + rt.model().p2p_time(b));
-    clock.bytes_recv += b;
-    clock.add_resident(b);
-  });
-  M0 = SpMat<float>();
+  [[nodiscard]] int nprocs() const { return rt_.nprocs(); }
 
-  const bool dropout = opt.dropout_iterations != 0;
-  const double drop_eps =
-      opt.dropout_epsilon > 0.0 ? opt.dropout_epsilon : opt.chaos_epsilon;
-
-  MclBuffers buf;
-  buf.col_chaos.assign(n, 0.0);
-  if (dropout) {
-    buf.streak.assign(n, 0);
-    buf.skip.assign(n, 0);
-    buf.prev_skip.assign(n, 0);
+  /// Initial distribution: rank r receives its stripe of M.
+  void distribute(const SpMat<float>& M) {
+    rt_.spmd([&](int r) {
+      const std::uint64_t b = stripe_bytes(M, r);
+      auto& clock = rt_.clock(r);
+      clock.charge(sim::Comp::kSparseOther,
+                   rt_.model().sparse_stream_time(b) + rt_.model().p2p_time(b));
+      clock.bytes_recv += b;
+      clock.add_resident(b);
+    });
   }
-  // One epilogue lane per rank: the gather fold passes the rank as the lane.
-  buf.lanes.resize(static_cast<std::size_t>(p));
 
-  std::uint32_t cap = opt.max_column_entries;
-  const ColumnEpilogue epi{opt.inflation,
-                           opt.prune_threshold,
-                           &cap,
-                           drop_eps,
-                           buf.col_chaos.data(),
-                           dropout ? buf.streak.data() : nullptr,
-                           &buf.lanes};
+  /// The grid's M·M with the column epilogue `epi` folded into the gather
+  /// back to stripes: returns what spgemm_hash2p_fused returns on one
+  /// address space (the pruned rows, skip-masked rows excluded). Calls
+  /// `tighten(pre_rows, pre_nnz)` — the loop's budget hook, returning the
+  /// live column cap — at the fused kernel's point (after the multiply,
+  /// before any prune), then applies the per-rank budget to that cap.
+  template <typename Tighten>
+  SpMat<float> expand(const SpMat<float>& M, const std::uint8_t* skip,
+                      const ColumnEpilogue& epi, Tighten&& tighten,
+                      MclIterationStats& is) {
+    const sim::ProcGrid& grid = rt_.grid();
+    const int side = grid.side();
+    const auto p = static_cast<std::size_t>(grid.size());
+    const Index n = M.nrows();
 
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    MclIterationStats is;
-    MaskCounts mc;
-    if (dropout) {
-      // Mask pass (reads last iteration's streaks only; skip/prev_skip
-      // slots are rank-disjoint), then the serial frozen-streak bump.
-      std::vector<MaskCounts> rank_mc(static_cast<std::size_t>(p));
-      rt.spmd([&](int r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const Index r0 = sim::ProcGrid::split_point(n, p, r);
-        rank_mc[ri] = build_skip_mask(stripes[ri], r0,
-                                      opt.dropout_iterations, buf, nullptr);
-      });
-      std::size_t total_rows = 0;
-      for (int r = 0; r < p; ++r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const Index r0 = sim::ProcGrid::split_point(n, p, r);
-        bump_frozen_streaks(stripes[ri], r0, buf);
-        mc.skipped += rank_mc[ri].skipped;
-        mc.frozen_nnz += rank_mc[ri].frozen_nnz;
-        mc.reentered += rank_mc[ri].reentered;
-        total_rows += stripes[ri].n_nonempty_rows();
-      }
-      if (mc.skipped == total_rows) {
-        // Every column froze below the dropout epsilon: the flow is
-        // settled even if the (stale) chaos gauge still reads above
-        // chaos_epsilon — only reachable when dropout_epsilon exceeds it.
-        st.converged = true;
-        break;
-      }
-      is.dropout_columns = static_cast<std::uint32_t>(mc.skipped);
-      is.reentered_columns = static_cast<std::uint32_t>(mc.reentered);
-    }
-    const bool masked = dropout && mc.skipped != 0;
-
-    // Global (rows, nnz) of M from the stripes — the shared-memory
-    // resident-bytes numbers, reproduced exactly.
-    std::uint64_t m_rows = 0, m_nnz = 0;
-    for (const auto& s : stripes) {
-      m_rows += s.n_nonempty_rows();
-      m_nnz += s.nnz();
-    }
-
-    // Expand: stripes → 2D tiles → gather-stages SUMMA → E stripes.
-    auto Md = dist::scatter_row_stripes(rt, stripes, n,
-                                        sim::Comp::kSparseOther, pool);
-    std::vector<std::uint64_t> stripe_bytes(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      stripe_bytes[static_cast<std::size_t>(r)] =
-          stripes[static_cast<std::size_t>(r)].bytes();
-    }
-    // Under an active mask the stripes stay resident for the frozen-row
-    // stitch; the ledger still swaps them out at expand time (the frozen
-    // carry-over is not double-counted — a deliberate approximation).
-    if (!masked) {
-      for (auto& s : stripes) s = SpMat<float>();
-    }
+    // Stripes → 2D tiles: rank r ships its stripe out and receives tile r.
+    dist::DistSpMat<float> Md(grid, n, n);
+    rt_.spmd([&](int r) {
+      const int gi = grid.row_of(r);
+      const int gj = grid.col_of(r);
+      Md.local(r) = M.extract(Md.row_begin(gi), Md.row_begin(gi + 1),
+                              Md.col_begin(gj), Md.col_begin(gj + 1));
+      const std::uint64_t b_out = stripe_bytes(M, r);
+      const std::uint64_t b_in = Md.local(r).bytes();
+      auto& clock = rt_.clock(r);
+      clock.charge(sim::Comp::kSparseOther,
+                   rt_.model().sparse_stream_time(b_out + b_in) +
+                       rt_.model().p2p_time(b_out));
+      clock.bytes_sent += b_out;
+      clock.bytes_recv += b_in;
+    });
 
     // A-side dropout masking is tile-local filtering: the mask is globally
     // known, so no extra wire traffic — each rank drops its frozen tile
     // rows before the SUMMA. B stays the full Md (frozen columns still
     // feed active products).
     dist::DistSpMat<float> Ad;
-    std::vector<std::uint64_t> ad_tile_bytes(static_cast<std::size_t>(p), 0);
-    if (masked) {
+    std::vector<std::uint64_t> ad_b(p, 0);
+    if (skip != nullptr) {
       Ad = dist::DistSpMat<float>(grid, n, n);
-      rt.spmd([&](int r) {
+      rt_.spmd([&](int r) {
         const Index base = Md.row_begin(grid.row_of(r));
-        Ad.local(r) = Md.local(r).pruned([&](Index rr, Index, float) {
-          return buf.skip[rr + base] == 0;
-        });
+        Ad.local(r) = Md.local(r).pruned(
+            [&](Index rr, Index, float) { return skip[rr + base] == 0; });
         const std::uint64_t b = Ad.local(r).bytes();
-        ad_tile_bytes[static_cast<std::size_t>(r)] = b;
+        ad_b[static_cast<std::size_t>(r)] = b;
         // Transient: streamed once, never entered into the resident ledger
         // (it is charged against the rank budget below instead).
-        rt.clock(r).charge(
+        rt_.clock(r).charge(
             sim::Comp::kSparseOther,
-            rt.model().sparse_stream_time(Md.local(r).bytes() + b));
+            rt_.model().sparse_stream_time(Md.local(r).bytes() + b));
       });
     }
-    const dist::DistSpMat<float>& A_op = masked ? Ad : Md;
+    const dist::DistSpMat<float>& A = skip != nullptr ? Ad : Md;
 
     // Ledger: the stripe is shipped out, the tile plus the gathered SUMMA
     // strips (the rank's full grid-row of A and grid-column of B) come in.
-    std::vector<std::uint64_t> strip_bytes(static_cast<std::size_t>(p), 0);
-    rt.spmd([&](int r) {
+    // Under a mask the loop keeps M for the frozen-column stitch; the
+    // ledger still swaps the stripe out here (the frozen carry-over is not
+    // double-counted — a deliberate approximation).
+    std::vector<std::uint64_t> strip_b(p, 0);
+    rt_.spmd([&](int r) {
       const int gi = grid.row_of(r);
       const int gj = grid.col_of(r);
       std::uint64_t b = 0;
       for (int s = 0; s < side; ++s) {
-        b += A_op.local(grid.rank_of(gi, s)).bytes() +
+        b += A.local(grid.rank_of(gi, s)).bytes() +
              Md.local(grid.rank_of(s, gj)).bytes();
       }
-      strip_bytes[static_cast<std::size_t>(r)] = b;
-      auto& clock = rt.clock(r);
-      clock.sub_resident(stripe_bytes[static_cast<std::size_t>(r)]);
+      strip_b[static_cast<std::size_t>(r)] = b;
+      auto& clock = rt_.clock(r);
+      clock.sub_resident(stripe_bytes(M, r));
       clock.add_resident(Md.local(r).bytes() + b);
     });
 
-    const std::uint64_t products_before = st.spgemm.products;
     dist::SummaOptions sopt;
-    sopt.pool = pool;
+    sopt.pool = pool_;
     sopt.gather_stages = true;  // bitwise-exact float fold (see summa.hpp)
-    auto Ed = dist::summa<sparse::PlusTimes<float>>(rt, A_op, Md, sopt,
-                                                    &st.spgemm);
-
-    rt.spmd([&](int r) {
-      rt.clock(r).add_resident(Ed.local(r).bytes());
-      rt.clock(r).sub_resident(strip_bytes[static_cast<std::size_t>(r)]);
+    const auto Ed = dist::summa<sparse::PlusTimes<float>>(rt_, A, Md, sopt,
+                                                          &st_.spgemm);
+    rt_.spmd([&](int r) {
+      rt_.clock(r).add_resident(Ed.local(r).bytes());
+      rt_.clock(r).sub_resident(strip_b[static_cast<std::size_t>(r)]);
     });
 
-    std::vector<std::uint64_t> md_tile_bytes(static_cast<std::size_t>(p));
-    std::vector<std::uint64_t> ed_tile_bytes(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      md_tile_bytes[static_cast<std::size_t>(r)] = Md.local(r).bytes();
-      ed_tile_bytes[static_cast<std::size_t>(r)] = Ed.local(r).bytes();
-    }
-
-    // Pre-gather stripe shapes from the tile directories: the budget
-    // feedback fires BEFORE the gather fold, mirroring the shared-memory
-    // fused kernel's symbolic→tighten→numeric ordering — and the counts
-    // equal the pre-epilogue stripes' exactly, so the decisions match the
-    // shared-memory loop's bit-for-bit.
-    std::vector<std::uint64_t> pre_rows_r(static_cast<std::size_t>(p));
-    std::vector<std::uint64_t> pre_nnz_r(static_cast<std::size_t>(p));
+    // Pre-gather stripe shapes from the tile directories: the budget hook
+    // fires BEFORE the gather fold, as the fused kernel's does between its
+    // phases, with counts equal to the pre-epilogue stripes' exactly.
+    std::vector<std::uint64_t> pre_rows(p);
+    std::vector<std::uint64_t> pre_nnz(p);
     std::vector<std::uint8_t> seen;
-    std::uint64_t e_rows = 0, e_nnz = 0;
-    for (int r = 0; r < p; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      stripe_pre_counts(grid, Ed, r, seen, &pre_rows_r[ri], &pre_nnz_r[ri]);
-      e_rows += pre_rows_r[ri];
-      e_nnz += pre_nnz_r[ri];
+    std::uint64_t e_rows = 0;
+    std::uint64_t e_nnz = 0;
+    for (std::size_t r = 0; r < p; ++r) {
+      stripe_pre_counts(grid, Ed, static_cast<int>(r), seen, &pre_rows[r],
+                        &pre_nnz[r]);
+      e_rows += pre_rows[r];
+      e_nnz += pre_nnz[r];
     }
+    std::uint32_t& cap = tighten(e_rows, e_nnz);
 
-    is.expansion_products = st.spgemm.products - products_before;
-    is.expansion_nnz = e_nnz;
-    is.resident_bytes = dcsr_bytes(m_rows, m_nnz) + dcsr_bytes(e_rows, e_nnz);
-    st.peak_resident_bytes =
-        std::max(st.peak_resident_bytes, is.resident_bytes);
-    // Global budget feedback: the SAME decision, from the SAME numbers, as
-    // the shared-memory loop — this is what keeps assignments identical
-    // across grid sides under a binding global budget.
-    if (opt.memory_budget_bytes != 0 &&
-        is.resident_bytes > opt.memory_budget_bytes) {
-      cap = cap == 0 ? 256 : std::max<std::uint32_t>(4, cap / 2);
-      ++st.budget_tightenings;
-    }
-    // Per-rank budget feedback (tile + strips during expansion, tile +
-    // stripe around the gather): deterministic, but grid-side-dependent —
-    // see MclOptions::rank_memory_budget_bytes.
+    // Per-rank budget (tile + strips during expansion, tile + stripe
+    // around the gather): deterministic, but grid-side-dependent — see
+    // MclOptions::rank_memory_budget_bytes.
     std::uint64_t max_rank = 0;
-    for (int r = 0; r < p; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const std::uint64_t f_expand = md_tile_bytes[ri] + ad_tile_bytes[ri] +
-                                     strip_bytes[ri] + ed_tile_bytes[ri];
-      const std::uint64_t f_gather =
-          md_tile_bytes[ri] + ed_tile_bytes[ri] +
-          dcsr_bytes(pre_rows_r[ri], pre_nnz_r[ri]);
-      max_rank = std::max({max_rank, f_expand, f_gather});
+    for (std::size_t r = 0; r < p; ++r) {
+      const auto ri = static_cast<int>(r);
+      const std::uint64_t tiles = Md.local(ri).bytes() + Ed.local(ri).bytes();
+      max_rank = std::max({max_rank, tiles + ad_b[r] + strip_b[r],
+                           tiles + dcsr_bytes(pre_rows[r], pre_nnz[r])});
     }
     is.max_rank_resident_bytes = max_rank;
-    if (opt.rank_memory_budget_bytes != 0 &&
-        max_rank > opt.rank_memory_budget_bytes) {
-      cap = cap == 0 ? 256 : std::max<std::uint32_t>(4, cap / 2);
-      ++st.rank_budget_tightenings;
-    }
-    is.column_cap = cap;
-
-    // Inflate + prune + chaos via the shared ColumnEpilogue, fused into
-    // the gather fold: each column is pruned as its tile segments merge,
-    // and only the pruned stripe materializes. Row-identical to the
-    // shared-memory pass.
-    std::vector<SpMat<float>> pruned_stripes;
-    {
-      obs::Span fspan(opt.telemetry.tracer, "mcl.fused_epilogue");
-      fspan.arg("pre_nnz", static_cast<double>(e_nnz));
-      fspan.arg("dropout_columns", static_cast<double>(is.dropout_columns));
-      pruned_stripes =
-          dist::gather_row_stripes_fused(rt, Ed, epi, cap,
-                                         sim::Comp::kSparseOther);
-      rt.spmd([&](int r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const std::uint64_t pruned_b = pruned_stripes[ri].bytes();
-        auto& clock = rt.clock(r);
-        clock.charge(sim::Comp::kSparseOther,
-                     rt.model().sparse_stream_time(pruned_b));
-        clock.add_resident(pruned_b);
-        clock.sub_resident(md_tile_bytes[ri] + ed_tile_bytes[ri]);
-      });
-    }
-    Md = dist::DistSpMat<float>();
-    Ed = dist::DistSpMat<float>();
-    Ad = dist::DistSpMat<float>();
-
-    if (masked) {
-      // Merge the recomputed active columns with the frozen carry-over.
-      rt.spmd([&](int r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const Index r0 = sim::ProcGrid::split_point(n, p, r);
-        SpMat<float> prev = std::move(stripes[ri]);
-        const std::uint64_t pruned_b = pruned_stripes[ri].bytes();
-        stripes[ri] = stitch_frozen(pruned_stripes[ri], prev,
-                                    buf.skip.data(), r0, {}, {}, {}, {});
-        pruned_stripes[ri] = SpMat<float>();
-        auto& clock = rt.clock(r);
-        const std::uint64_t b = stripes[ri].bytes();
-        clock.charge(sim::Comp::kSparseOther,
-                     rt.model().sparse_stream_time(b));
-        clock.add_resident(b);
-        clock.sub_resident(pruned_b);
-      });
-    } else {
-      stripes = std::move(pruned_stripes);
+    if (rank_budget_ != 0 && max_rank > rank_budget_) {
+      cap = halved_cap(cap);
+      ++st_.rank_budget_tightenings;
     }
 
-    double chaos = 0.0;
-    std::uint64_t pruned = 0;
-    for (int r = 0; r < p; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const Index r0 = sim::ProcGrid::split_point(n, p, r);
-      chaos = std::max(chaos, chaos_of(stripes[ri], r0, buf.col_chaos));
-      pruned += stripes[ri].nnz();
-    }
-    is.pruned_nnz = pruned;
-    is.chaos = chaos;
-    record_iteration(opt.telemetry, is);
-    st.per_iteration.push_back(is);
-    ++st.iterations;
-    st.final_chaos = chaos;
-    if (chaos < opt.chaos_epsilon) {
-      st.converged = true;
-      break;
+    // Inflate + prune + chaos fused into the gather fold: each column is
+    // pruned as its tile segments merge, and only the pruned stripe
+    // materializes.
+    const auto stripes = dist::gather_row_stripes_fused(
+        rt_, Ed, epi, cap, sim::Comp::kSparseOther);
+    rt_.spmd([&](int r) {
+      const std::uint64_t b = stripes[static_cast<std::size_t>(r)].bytes();
+      auto& clock = rt_.clock(r);
+      clock.charge(sim::Comp::kSparseOther, rt_.model().sparse_stream_time(b));
+      clock.add_resident(b);
+      clock.sub_resident(Md.local(r).bytes() + Ed.local(r).bytes());
+    });
+    return concat_row_stripes(stripes, n);
+  }
+
+  /// Prices the frozen-column stitch that rebuilt M from the expansion's
+  /// pruned rows P: each rank streams its stitched stripe, which replaces
+  /// its stripe of P in the ledger.
+  void stitch(const SpMat<float>& P, const SpMat<float>& M) {
+    rt_.spmd([&](int r) {
+      const std::uint64_t b = stripe_bytes(M, r);
+      auto& clock = rt_.clock(r);
+      clock.charge(sim::Comp::kSparseOther, rt_.model().sparse_stream_time(b));
+      clock.add_resident(b);
+      clock.sub_resident(stripe_bytes(P, r));
+    });
+  }
+
+  /// Reports the per-rank high-water marks and the slowest rank's seconds.
+  void finish() {
+    st_.rank_peak_resident_bytes = rt_.peak_resident_bytes();
+    for (int r = 0; r < rt_.nprocs(); ++r) {
+      st_.modeled_seconds = std::max(st_.modeled_seconds, rt_.clock(r).total());
     }
   }
 
-  st.rank_peak_resident_bytes = rt.peak_resident_bytes();
-  for (int r = 0; r < p; ++r) {
-    st.modeled_seconds = std::max(st.modeled_seconds, rt.clock(r).total());
+ private:
+  /// DCSR bytes of rank r's stripe of M, read off M's row directory.
+  [[nodiscard]] std::uint64_t stripe_bytes(const SpMat<float>& M,
+                                           int r) const {
+    const Index n = M.nrows();
+    const int p = rt_.nprocs();
+    const auto ids = M.row_ids();
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(),
+                         sim::ProcGrid::split_point(n, p, r)) -
+        ids.begin());
+    const auto hi = static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(),
+                         sim::ProcGrid::split_point(n, p, r + 1)) -
+        ids.begin());
+    if (lo == hi) return 0;
+    return dcsr_bytes(hi - lo, M.row_begin(hi) - M.row_begin(lo));
   }
-  return interpret(concat_row_stripes(stripes, n), n,
-                   opt.interpret_threshold, pool);
-}
+
+  sim::SimRuntime rt_;
+  util::ThreadPool* pool_;
+  std::uint64_t rank_budget_;
+  MclStats& st_;
+};
 
 }  // namespace
 
 Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
                           MclStats* stats, util::ThreadPool* pool) {
+  if (opt.grid_side < 0) {
+    throw std::invalid_argument("markov_cluster: grid_side must be >= 0");
+  }
   MclStats local;
   MclStats& st = stats != nullptr ? *stats : local;
   st = MclStats{};
-  if (opt.distributed) return markov_cluster_distributed(g, opt, st, pool);
+  std::optional<MclGrid> grid;
+  if (opt.grid_side >= 1) grid.emplace(opt, pool, st);
 
   SpMat<float> M = build_flow_matrix(g, opt.self_loop_scale);
   if (M.empty()) {
     st.converged = true;
+    if (grid) grid->finish();
     std::vector<Index> labels(g.n_vertices());
     std::iota(labels.begin(), labels.end(), 0);
     return canonicalize(labels);
   }
+  if (grid) grid->distribute(M);
 
   const bool dropout = opt.dropout_iterations != 0;
   const double drop_eps =
@@ -807,9 +717,10 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     buf.skip.assign(n, 0);
     buf.prev_skip.assign(n, 0);
   }
-  // One epilogue lane per kernel chunk; the kernel runs at most one chunk
-  // per pool thread.
-  buf.lanes.resize(std::max<std::size_t>(1, pool_threads(pool)));
+  // One epilogue lane per kernel chunk (at most one per pool thread), or
+  // per rank on the grid, whose gather fold passes the rank as the lane.
+  buf.lanes.resize(grid ? static_cast<std::size_t>(grid->nprocs())
+                        : std::max<std::size_t>(1, pool_threads(pool)));
 
   std::uint32_t cap = opt.max_column_entries;
   const ColumnEpilogue epi{opt.inflation,
@@ -828,8 +739,8 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     MclIterationStats is;
     MaskCounts mc;
     if (dropout) {
-      mc = build_skip_mask(M, 0, opt.dropout_iterations, buf, pool);
-      bump_frozen_streaks(M, 0, buf);
+      mc = build_skip_mask(M, opt.dropout_iterations, buf, pool);
+      bump_frozen_streaks(M, buf);
       if (mc.skipped == M.n_nonempty_rows()) {
         // Every column froze below the dropout epsilon: the flow is
         // settled even if the (stale) chaos gauge still reads above
@@ -840,7 +751,8 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
       is.dropout_columns = static_cast<std::uint32_t>(mc.skipped);
       is.reentered_columns = static_cast<std::uint32_t>(mc.reentered);
     }
-    const bool masked = dropout && mc.skipped != 0;
+    const bool masked = mc.skipped != 0;
+    const std::uint8_t* skip = masked ? buf.skip.data() : nullptr;
 
     const std::uint64_t m_rows = M.n_nonempty_rows();
     const std::uint64_t m_nnz = M.nnz();
@@ -848,10 +760,13 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
 
     // Memory-budget feedback: a too-fat iteration tightens the column cap
     // for this and all later prunes (deterministic — byte counts are). It
-    // runs BETWEEN the symbolic and numeric phases (the on_symbolic hook),
-    // fed the exact pre-epilogue shape of M², so the tightened cap already
-    // applies to this iteration's prune.
-    auto tighten = [&](std::uint64_t e_rows, std::uint64_t e_nnz) {
+    // runs between the expansion's multiply and its prune (the fused
+    // kernel's on_symbolic hook; the grid calls it before its gather
+    // fold), fed the exact pre-epilogue shape of M², so the tightened cap
+    // already applies to this iteration's prune. It returns the live cap,
+    // which the grid's per-rank budget may tighten further.
+    auto tighten = [&](std::uint64_t e_rows,
+                       std::uint64_t e_nnz) -> std::uint32_t& {
       is.expansion_nnz = e_nnz;
       is.resident_bytes =
           dcsr_bytes(m_rows, m_nnz) + dcsr_bytes(e_rows, e_nnz);
@@ -859,28 +774,28 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
           std::max(st.peak_resident_bytes, is.resident_bytes);
       if (opt.memory_budget_bytes != 0 &&
           is.resident_bytes > opt.memory_budget_bytes) {
-        cap = cap == 0 ? 256 : std::max<std::uint32_t>(4, cap / 2);
+        cap = halved_cap(cap);
         ++st.budget_tightenings;
       }
-      is.column_cap = cap;
       return cap;
     };
 
     // Expand M ← M² ((M²)ᵀ = Mᵀ·Mᵀ, so the transposed storage multiplies
-    // by itself unchanged) with inflate/prune/chaos inside the numeric
-    // phase: one DCSR write per iteration.
+    // by itself unchanged) with inflate/prune/chaos fused in: one DCSR
+    // write of the pruned update per iteration.
     SpMat<float> P;  // the pruned update (active columns only when masked)
     {
       obs::Span fspan(opt.telemetry.tracer, "mcl.fused_epilogue");
-      sparse::FusedExpandInfo finfo;
-      P = sparse::spgemm_hash2p_fused<sparse::PlusTimes<float>>(
-          M, M, epi, tighten, dropout ? buf.skip.data() : nullptr, &buf.ws,
-          &finfo, &st.spgemm, pool, opt.telemetry);
-      fspan.arg("pre_nnz", static_cast<double>(finfo.pre_nnz));
+      P = grid ? grid->expand(M, skip, epi, tighten, is)
+               : sparse::spgemm_hash2p_fused<sparse::PlusTimes<float>>(
+                     M, M, epi, tighten, skip, &buf.ws, &st.spgemm, pool,
+                     opt.telemetry);
+      fspan.arg("pre_nnz", static_cast<double>(is.expansion_nnz));
       fspan.arg("kept_nnz", static_cast<double>(P.nnz()));
       fspan.arg("dropout_columns", static_cast<double>(is.dropout_columns));
     }
     is.expansion_products = st.spgemm.products - products_before;
+    is.column_cap = cap;
 
     // Install the new flow matrix, donating the dying arrays back to the
     // recycled workspace (two DCSR array sets alternate between the live
@@ -891,9 +806,10 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
       Mold.release_parts(buf.ws.out_row_ids, buf.ws.out_row_ptr,
                          buf.ws.out_cols, buf.ws.out_vals);
     } else {
-      M = stitch_frozen(P, Mold, buf.skip.data(), 0,
-                        std::move(buf.sp_row_ids), std::move(buf.sp_row_ptr),
-                        std::move(buf.sp_cols), std::move(buf.sp_vals));
+      M = stitch_frozen(P, Mold, skip, std::move(buf.sp_row_ids),
+                        std::move(buf.sp_row_ptr), std::move(buf.sp_cols),
+                        std::move(buf.sp_vals));
+      if (grid) grid->stitch(P, M);
       P.release_parts(buf.ws.out_row_ids, buf.ws.out_row_ptr,
                       buf.ws.out_cols, buf.ws.out_vals);
       Mold.release_parts(buf.sp_row_ids, buf.sp_row_ptr, buf.sp_cols,
@@ -901,7 +817,7 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     }
 
     is.pruned_nnz = M.nnz();
-    const double chaos = chaos_of(M, 0, buf.col_chaos);
+    const double chaos = chaos_of(M, buf.col_chaos);
     is.chaos = chaos;
     scratch_hw = std::max(scratch_hw, buf.capacity_bytes());
     is.scratch_high_water_bytes = scratch_hw;
@@ -917,7 +833,8 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
       break;
     }
   }
-  return interpret(M, g.n_vertices(), opt.interpret_threshold, pool);
+  if (grid) grid->finish();
+  return interpret(M, n, opt.interpret_threshold, pool);
 }
 
 }  // namespace pastis::cluster

@@ -7,7 +7,10 @@
 // iteration here is one sparse::spgemm_hash2p_fused call over the
 // conventional (+, *) semiring: each flow column is inflated, pruned,
 // renormalized and chaos-accumulated inside the numeric phase while hot,
-// so the flow matrix is written to DCSR exactly once per iteration.
+// so the flow matrix is written to DCSR exactly once per iteration. On a
+// simulated process grid (MclOptions::grid_side >= 1) the same loop swaps
+// that call for a SUMMA expansion whose gather folds in the same column
+// pass.
 //
 // Storage convention: the column-stochastic flow matrix M is held
 // TRANSPOSED, i.e. DCSR row j stores column j of M. Expansion is then
@@ -72,32 +75,32 @@ struct MclOptions {
   /// (0 = use chaos_epsilon).
   double dropout_epsilon = 0.0;
 
-  // --- distributed expansion (HipMCL-style; PastisConfig::mcl.distributed) --
-  /// Run the expansion through the sparse SUMMA over a simulated
-  /// grid_side × grid_side process grid: the transposed flow matrix
-  /// becomes a DistSpMat<float>, M·M a gather-stages SUMMA (bitwise equal
-  /// to the local kernel — see dist/summa.hpp), and inflate/prune/chaos
-  /// rank-local column scans over per-rank row stripes. Assignments are
-  /// bit-identical to the shared-memory path for ANY grid side; what
-  /// changes is the modeled per-rank memory and time.
-  bool distributed = false;
-  /// Side of the process grid for the distributed path (ranks = side²).
-  int grid_side = 1;
-  /// Per-rank resident-bytes budget of the distributed path: when any
-  /// rank's modeled iteration footprint (tile + gathered strips + stripe)
-  /// exceeds it, the column cap is halved exactly like the global budget.
+  // --- grid expansion (HipMCL-style) ---------------------------------------
+  /// 0 (the default) runs in one address space. >= 1 runs the expansion
+  /// through the sparse SUMMA over a simulated grid_side × grid_side
+  /// process grid: each rank owns a row stripe of the transposed flow
+  /// matrix, M·M is a gather-stages SUMMA (bitwise equal to the local
+  /// kernel — see dist/summa.hpp), and inflate/prune/chaos fold into the
+  /// gather back to stripes. It is the same iteration loop either way:
+  /// assignments are bit-identical for ANY grid side; what the grid adds
+  /// is the modeled per-rank memory and time. < 0 throws
+  /// std::invalid_argument (as QueryEngine::Options::grid_side).
+  int grid_side = 0;
+  /// Per-rank resident-bytes budget of grid runs: when any rank's modeled
+  /// iteration footprint (tile + gathered strips + stripe) exceeds it, the
+  /// column cap is halved exactly like the global budget.
   /// CAUTION: per-rank footprints depend on the grid side, so — unlike
   /// every other knob — a *binding* rank budget can make assignments
   /// differ across grid sides. 0 = unbounded.
   std::uint64_t rank_memory_budget_bytes = 0;
-  /// Machine the distributed path charges (wire + SpGEMM + stream time).
+  /// Machine grid runs charge (wire + SpGEMM + stream time).
   sim::MachineModel machine;
 
   /// Telemetry sinks (null = off). With metrics, every iteration records
   /// the chaos gauge and the resident-bytes / nnz min-avg-max series (and
-  /// the expansion inherits SpGEMM phase instrumentation); with a tracer,
-  /// each shared-path iteration is a measured "mcl.iteration" span carrying
-  /// chaos / nnz / resident-bytes args. Results are unaffected —
+  /// a one-address-space expansion inherits SpGEMM phase instrumentation);
+  /// with a tracer, each iteration is a measured "mcl.iteration" span
+  /// carrying chaos / nnz / resident-bytes args. Results are unaffected —
   /// SimilaritySearch::run_and_cluster inherits PastisConfig::telemetry
   /// here like the other knobs.
   obs::Telemetry telemetry;
@@ -109,8 +112,8 @@ struct MclIterationStats {
   std::uint64_t expansion_nnz = 0;       // nnz of M² before pruning
   std::uint64_t pruned_nnz = 0;          // nnz kept after inflate+prune
   std::uint64_t resident_bytes = 0;      // M + M² live simultaneously
-  /// Distributed path only: the busiest rank's modeled resident bytes
-  /// this iteration (tile + gathered strips / stripe footprint).
+  /// Grid runs only: the busiest rank's modeled resident bytes this
+  /// iteration (tile + gathered strips / stripe footprint).
   std::uint64_t max_rank_resident_bytes = 0;
   double chaos = 0.0;
   std::uint32_t column_cap = 0;          // cap in force this iteration
@@ -123,7 +126,7 @@ struct MclIterationStats {
   /// Running high-water of the recycled iteration scratch (SpGEMM
   /// workspace + epilogue lanes + dropout arrays + stitch spares) — the
   /// buffer-churn gauge: flat from iteration 2 on means no per-iteration
-  /// reallocation growth (asserted in tests). Shared-memory path only.
+  /// reallocation growth (asserted in tests).
   std::uint64_t scratch_high_water_bytes = 0;
 };
 
@@ -136,8 +139,8 @@ struct MclStats {
   sparse::SpGemmStats spgemm;
   std::vector<MclIterationStats> per_iteration;
 
-  // --- distributed path (empty/zero on the shared-memory path) -------------
-  int grid_side = 0;  // 0 = shared-memory run
+  // --- grid runs (empty/zero in one address space) --------------------------
+  int grid_side = 0;  // 0 = one address space
   /// Per-rank resident-bytes high-water marks from the SimRuntime ledger.
   std::vector<std::uint64_t> rank_peak_resident_bytes;
   /// Cap tightenings forced by rank_memory_budget_bytes (as opposed to the

@@ -79,21 +79,20 @@ struct PastisConfig {
   // --- distributed memory model (rank-resident serving + clustering) --------
   /// Per-rank resident-bytes budget of the distributed paths: shard
   /// placements (grid-mode QueryEngine serving) and per-iteration
-  /// tile+stripe footprints (distributed MCL) whose modeled resident bytes
+  /// tile+stripe footprints (MCL on a grid) whose modeled resident bytes
   /// would exceed any rank's budget are rejected/tightened. 0 = unbounded;
   /// unset inherits through the chain documented at
   /// effective_rank_memory_budget().
   std::uint64_t rank_memory_budget_bytes = 0;
 
   // --- fault tolerance (sim/fault.hpp, exec/retry.hpp) -----------------------
-  /// Planned rank faults (deaths / slowdowns / message drops) injected
-  /// into the simulated runtime. Consumed by grid-mode serving
-  /// (QueryEngine failover + graceful degradation; batch-ordinal
-  /// triggers) and by sequential SimRuntime super-step paths
-  /// (advance_to_batch / apply_time_faults). Empty (the default) leaves
-  /// every rank alive and healthy, which keeps every output bit-identical
-  /// to a build without the fault layer; ignored by the
-  /// single-address-space serve (there is no rank to fail). See
+  /// Planned rank faults (deaths / slowdowns / message drops, each firing
+  /// at a serving-batch ordinal) injected into the simulated runtime.
+  /// Consumed by grid-mode serving (QueryEngine failover + graceful
+  /// degradation), which validates it at construction. Empty (the
+  /// default) leaves every rank alive and healthy, which keeps every
+  /// output bit-identical to a build without the fault layer; ignored by
+  /// the single-address-space serve (there is no rank to fail). See
   /// docs/ARCHITECTURE.md for the plan grammar.
   sim::FaultPlan fault_plan;
   /// Retry/timeout/backoff policy for rank tasks in the serving stream:
@@ -122,7 +121,9 @@ struct PastisConfig {
   obs::Telemetry telemetry;
 
   /// MCL knobs for cluster::Method::kMarkov. A memory budget left at its
-  /// default inherits exec_memory_budget_bytes (see run_and_cluster).
+  /// default inherits exec_memory_budget_bytes (see run_and_cluster); with
+  /// mcl.grid_side >= 1 an unset rank budget inherits
+  /// effective_rank_memory_budget().
   /// Caution: unlike everywhere else, a memory budget changes MCL
   /// *results* — it deterministically tightens the per-column prune cap
   /// when an iteration's resident bytes exceed it.
@@ -144,7 +145,7 @@ struct PastisConfig {
   //                                          distributed serving/MCL paths)
   //
   // Call sites must use these helpers instead of re-implementing the
-  // fallbacks (run_and_cluster, QueryEngine and the distributed MCL all
+  // fallbacks (run_and_cluster, QueryEngine and grid-mode MCL all
   // resolve through here).
 
   /// mcl.memory_budget_bytes, falling back to exec_memory_budget_bytes.

@@ -38,11 +38,7 @@ dist::DistSpMat<KmerPos> build_kmer_matrix(sim::SimRuntime& rt,
     exact.fetch_add(n_exact, std::memory_order_relaxed);
     subs.fetch_add(n_subs, std::memory_order_relaxed);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(nrows, extract_one);
-  } else {
-    for (std::size_t i = 0; i < nrows; ++i) extract_one(i);
-  }
+  util::parallel_for(pool, nrows, extract_one);
 
   std::vector<sparse::Triple<KmerPos>> triples;
   std::size_t total = 0;

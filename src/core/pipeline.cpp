@@ -438,7 +438,7 @@ ClusteredSearchResult SimilaritySearch::run_and_cluster(
   cluster::MclOptions mcl = config_.mcl;
   if (!mcl.telemetry.enabled()) mcl.telemetry = config_.telemetry;
   mcl.memory_budget_bytes = config_.effective_mcl_memory_budget();
-  if (mcl.distributed && mcl.rank_memory_budget_bytes == 0) {
+  if (mcl.grid_side >= 1 && mcl.rank_memory_budget_bytes == 0) {
     mcl.rank_memory_budget_bytes = config_.effective_rank_memory_budget();
   }
   out.clustering =

@@ -74,11 +74,7 @@ class DistSpMat {
           m.local_ncols(static_cast<int>(rank)), std::move(buckets[rank]),
           combine);
     };
-    if (pool != nullptr) {
-      pool->parallel_for(buckets.size(), build_one);
-    } else {
-      for (std::size_t r = 0; r < buckets.size(); ++r) build_one(r);
-    }
+    util::parallel_for(pool, buckets.size(), build_one);
     return m;
   }
 
@@ -308,80 +304,6 @@ template <typename T>
   return SpMat<T>::from_sorted_parts(B.nrows(), C, std::move(row_ids),
                                      std::move(row_ptr), std::move(cols),
                                      std::move(vals));
-}
-
-/// One full-width row stripe per rank (stripe r = global rows
-/// [split(M, p, r), split(M, p, r+1)), stripe-local rows, global columns)
-/// back to the 2D tiling; gather_row_stripes_fused (dist/summa.hpp) is the
-/// inverse. Exact data movement; charges the all-to-all to `charge`.
-template <typename T>
-[[nodiscard]] DistSpMat<T> scatter_row_stripes(
-    sim::SimRuntime& rt, const std::vector<SpMat<T>>& stripes, Index ncols,
-    sim::Comp charge = sim::Comp::kSparseOther,
-    util::ThreadPool* pool = nullptr) {
-  const sim::ProcGrid& grid = rt.grid();
-  const int side = grid.side();
-  const int p = grid.size();
-  if (stripes.size() != static_cast<std::size_t>(p)) {
-    throw std::invalid_argument(
-        "scatter_row_stripes: need exactly one stripe per rank");
-  }
-  Index n = 0;
-  for (const auto& s : stripes) n += s.nrows();
-
-  DistSpMat<T> out(grid, n, ncols);
-  auto build_tile = [&](std::size_t rank) {
-    const int gi = grid.row_of(static_cast<int>(rank));
-    const int gj = grid.col_of(static_cast<int>(rank));
-    const Index c0 = out.col_begin(gj);
-    const Index c1 = out.col_begin(gj + 1);
-    const Index base = out.row_begin(gi);
-    // The tile's rows come from the side consecutive stripes nested in
-    // grid row gi, in stripe order (ascending global rows).
-    std::vector<Index> row_ids;
-    std::vector<Offset> row_ptr;
-    std::vector<Index> cols;
-    std::vector<T> vals;
-    row_ptr.push_back(0);
-    for (int q = gi * side; q < (gi + 1) * side; ++q) {
-      const auto& stripe = stripes[static_cast<std::size_t>(q)];
-      const Index offset = sim::ProcGrid::split_point(n, p, q) - base;
-      for (std::size_t k = 0; k < stripe.n_nonempty_rows(); ++k) {
-        const std::size_t row_start = cols.size();
-        for (Offset o = stripe.row_begin(k); o < stripe.row_end(k); ++o) {
-          if (stripe.col(o) >= c0 && stripe.col(o) < c1) {
-            cols.push_back(stripe.col(o) - c0);
-            vals.push_back(stripe.val(o));
-          }
-        }
-        if (cols.size() > row_start) {
-          row_ids.push_back(stripe.row_id(k) + offset);
-          row_ptr.push_back(static_cast<Offset>(cols.size()));
-        }
-      }
-    }
-    out.local(static_cast<int>(rank)) = SpMat<T>::from_sorted_parts(
-        out.local_nrows(static_cast<int>(rank)),
-        out.local_ncols(static_cast<int>(rank)), std::move(row_ids),
-        std::move(row_ptr), std::move(cols), std::move(vals));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(p), build_tile);
-  } else {
-    for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
-      build_tile(r);
-    }
-  }
-  rt.spmd([&](int rank) {
-    const std::uint64_t b_out = stripes[static_cast<std::size_t>(rank)].bytes();
-    const std::uint64_t b_in = out.local(rank).bytes();
-    rt.clock(rank).charge(charge,
-                          rt.model().sparse_stream_time(b_out + b_in) +
-                              rt.model().p2p_time(b_out));
-    rt.clock(rank).bytes_sent += b_out;
-    rt.clock(rank).bytes_recv += b_in;
-  });
-  return out;
 }
 
 }  // namespace pastis::dist

@@ -154,8 +154,9 @@ template <sparse::SemiringLike SR>
 
 /// Reshapes A from the 2D tiling to one full-width row stripe per rank,
 /// with a per-row epilogue fused into the stripe assembly — the
-/// distributed companion of sparse::spgemm_hash2p_fused, and the inverse
-/// of scatter_row_stripes under a copy-through epilogue.
+/// distributed companion of sparse::spgemm_hash2p_fused. Under a
+/// copy-through epilogue, stripe r is A's row range r re-indexed to
+/// stripe-local rows.
 ///
 /// Stripe r holds global rows [split(M, p, r), split(M, p, r+1)) with
 /// stripe-local row ids and global columns. Because p = side², every rank

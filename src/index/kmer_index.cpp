@@ -101,11 +101,7 @@ void KmerIndex::build_sketches(int sketch_len, util::ThreadPool* pool) {
               sketches_.begin() +
                   static_cast<std::ptrdiff_t>(i * std::size_t(sketch_len)));
   };
-  if (pool != nullptr) {
-    pool->parallel_for(n, sketch_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) sketch_one(i);
-  }
+  util::parallel_for(pool, n, sketch_one);
 }
 
 void KmerIndex::set_sketches(int sketch_len, std::vector<std::uint64_t> table) {
@@ -157,11 +153,7 @@ KmerIndex KmerIndex::build(std::vector<std::string> refs,
     exact.fetch_add(n_exact, std::memory_order_relaxed);
     subs.fetch_add(n_subs, std::memory_order_relaxed);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(n, extract_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) extract_one(i);
-  }
+  util::parallel_for(pool, n, extract_one);
 
   // Route each posting to its k-mer-range shard, transposing on the fly
   // into the Aᵀ orientation (row = shard-local k-mer code, col = ref id).
@@ -186,11 +178,7 @@ KmerIndex KmerIndex::build(std::vector<std::string> refs,
         rows, idx.n_refs(), std::move(per_shard[s]),
         [](KmerPos& acc, const KmerPos& v) { core::keep_min_pos(acc, v); });
   };
-  if (pool != nullptr) {
-    pool->parallel_for(per_shard.size(), build_shard);
-  } else {
-    for (std::size_t s = 0; s < per_shard.size(); ++s) build_shard(s);
-  }
+  util::parallel_for(pool, per_shard.size(), build_shard);
 
   idx.stats_.nnz = idx.nnz();
   idx.stats_.exact_kmers = exact.load();

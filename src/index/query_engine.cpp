@@ -163,11 +163,12 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
   static_resident_.assign(static_cast<std::size_t>(p), 0);
   resync_static_residency();
 
-  // Fault layer: validate + install the plan (the runtime enforces the
-  // death contract inside spmd); the engine's own bookkeeping drives
-  // failover recovery deterministically in batch-ordinal order.
+  // Fault layer: validate the plan (plans built in code skip the parser's
+  // checks); the engine's own bookkeeping drives failover recovery
+  // deterministically in batch-ordinal order, and the runtime enforces
+  // each death inside spmd once the engine applies it.
   if (faults_enabled_) {
-    rt_->install_faults(cfg_.fault_plan);
+    cfg_.fault_plan.validate();
     death_recovered_.assign(cfg_.fault_plan.events.size(), 0);
     dead_seen_.assign(static_cast<std::size_t>(p), 0);
     resident_estimate_ = static_resident_;
@@ -188,7 +189,7 @@ QueryEngine::BatchFaults QueryEngine::plan_batch_faults(
   // multiple deaths surfacing together recover in plan-event order.
   for (std::size_t ei = 0; ei < events.size(); ++ei) {
     const auto& e = events[ei];
-    if (e.kind != sim::FaultKind::kDeath || e.time_triggered()) continue;
+    if (e.kind != sim::FaultKind::kDeath) continue;
     if (e.rank < 0 || e.rank >= p) continue;
     if (e.at_batch > ordinal || death_recovered_[ei] != 0) continue;
     death_recovered_[ei] = 1;

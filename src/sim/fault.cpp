@@ -2,23 +2,52 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 
 namespace pastis::sim {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what, const std::string& text) {
-  throw std::invalid_argument("FaultPlan: " + what + " in \"" + text + "\"");
+constexpr auto npos = std::string_view::npos;
+
+[[noreturn]] void bad(const std::string& what, std::string_view tok) {
+  throw std::invalid_argument("FaultPlan: " + what + " in \"" +
+                              std::string(tok) + "\"");
 }
 
-std::string trimmed(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
-  return s.substr(b, e - b);
+std::string_view trimmed(std::string_view s) {
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  while (!s.empty() && space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && space(s.back())) s.remove_suffix(1);
+  return s;
+}
+
+/// Parses ALL of `field` into `out`: no sign on unsigned types, no leading
+/// '+' or space, no trailing text, and no value outside T's range.
+template <typename T>
+bool parse_whole(std::string_view field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Why `e` is malformed, or nullptr.
+const char* event_error(const FaultEvent& e) {
+  if (e.rank < 0) return "event rank must be >= 0";
+  if (e.kind == FaultKind::kSlowdown &&
+      !(std::isfinite(e.factor) && e.factor >= 1.0)) {
+    return "slowdown factor must be finite and >= 1";
+  }
+  if (e.kind != FaultKind::kSlowdown && e.factor != 1.0) {
+    return "only slowdown events carry a factor";
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -34,16 +63,8 @@ int FaultSnapshot::next_alive(int rank) const {
 
 void FaultPlan::validate() const {
   for (const auto& e : events) {
-    if (e.rank < 0) {
-      throw std::invalid_argument("FaultPlan: event rank must be >= 0");
-    }
-    if (e.kind == FaultKind::kSlowdown && e.factor < 1.0) {
-      throw std::invalid_argument(
-          "FaultPlan: slowdown factor must be >= 1");
-    }
-    if (e.kind != FaultKind::kSlowdown && e.factor != 1.0) {
-      throw std::invalid_argument(
-          "FaultPlan: only slowdown events carry a factor");
+    if (const char* why = event_error(e)) {
+      throw std::invalid_argument(std::string("FaultPlan: ") + why);
     }
   }
 }
@@ -56,7 +77,7 @@ FaultSnapshot FaultPlan::snapshot_at_batch(std::uint64_t batch,
   s.slowdown.assign(n, 1.0);
   s.drop.assign(n, 0);
   for (const auto& e : events) {
-    if (e.rank < 0 || e.rank >= nranks || e.time_triggered()) continue;
+    if (e.rank < 0 || e.rank >= nranks) continue;
     if (batch < e.at_batch) continue;
     const bool active =
         e.for_batches == 0 || batch < e.at_batch + e.for_batches;
@@ -78,21 +99,21 @@ FaultSnapshot FaultPlan::snapshot_at_batch(std::uint64_t batch,
 
 FaultPlan FaultPlan::parse(const std::string& text) {
   FaultPlan plan;
+  const std::string_view all(text);
   std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t semi = text.find(';', pos);
-    const std::string tok = trimmed(
-        text.substr(pos, semi == std::string::npos ? semi : semi - pos));
-    pos = semi == std::string::npos ? text.size() + 1 : semi + 1;
+  while (pos <= all.size()) {
+    const std::size_t semi = all.find(';', pos);
+    const std::string_view tok =
+        trimmed(all.substr(pos, semi == npos ? npos : semi - pos));
+    pos = semi == npos ? all.size() + 1 : semi + 1;
     if (tok.empty()) continue;
 
-    FaultEvent e;
+    // kind '@' 'b' batch ':' 'r' rank [ 'x' factor ] [ '+' batches ]
     const std::size_t at = tok.find('@');
-    const std::size_t colon = tok.find(':', at == std::string::npos ? 0 : at);
-    if (at == std::string::npos || colon == std::string::npos) {
-      bad("expected kind@trigger:rank", tok);
-    }
-    const std::string kind = tok.substr(0, at);
+    const std::size_t colon = tok.find(':', at == npos ? 0 : at);
+    if (at == npos || colon == npos) bad("expected kind@b<batch>:r<rank>", tok);
+    FaultEvent e;
+    const std::string_view kind = tok.substr(0, at);
     if (kind == "kill") {
       e.kind = FaultKind::kDeath;
     } else if (kind == "slow") {
@@ -100,59 +121,33 @@ FaultPlan FaultPlan::parse(const std::string& text) {
     } else if (kind == "drop") {
       e.kind = FaultKind::kDropMessages;
     } else {
-      bad("unknown fault kind '" + kind + "'", tok);
+      bad("unknown fault kind '" + std::string(kind) + "'", tok);
     }
 
-    const std::string trig = tok.substr(at + 1, colon - at - 1);
-    if (trig.size() < 2 || (trig[0] != 'b' && trig[0] != 't')) {
-      bad("trigger must be b<batch> or t<seconds>", tok);
+    const std::string_view trig = tok.substr(at + 1, colon - at - 1);
+    if (trig.empty() || trig[0] != 'b' ||
+        !parse_whole(trig.substr(1), e.at_batch)) {
+      bad("trigger must be b<batch>", tok);
     }
-    try {
-      if (trig[0] == 'b') {
-        e.at_batch = std::stoull(trig.substr(1));
-      } else {
-        e.at_time_s = std::stod(trig.substr(1));
-        if (e.at_time_s < 0.0) bad("time trigger must be >= 0", tok);
+    std::string_view rest = tok.substr(colon + 1);
+    if (const std::size_t plus = rest.find('+'); plus != npos) {
+      if (!parse_whole(rest.substr(plus + 1), e.for_batches)) {
+        bad("duration must be +<batches>", tok);
       }
-    } catch (const std::invalid_argument&) {
-      bad("unparseable trigger value", tok);
+      rest = rest.substr(0, plus);
     }
-
-    std::string rest = tok.substr(colon + 1);
-    if (rest.empty() || rest[0] != 'r') bad("rank must be r<id>", tok);
-    rest = rest.substr(1);
-    // r<digits> [x<factor>] [+<batches>]
-    std::size_t i = 0;
-    while (i < rest.size() &&
-           std::isdigit(static_cast<unsigned char>(rest[i])) != 0) {
-      ++i;
-    }
-    if (i == 0) bad("rank must be r<id>", tok);
-    e.rank = std::stoi(rest.substr(0, i));
-    rest = rest.substr(i);
-    if (!rest.empty() && rest[0] == 'x') {
-      const std::size_t plus = rest.find('+');
-      const std::string f =
-          rest.substr(1, plus == std::string::npos ? plus : plus - 1);
-      try {
-        e.factor = std::stod(f);
-      } catch (const std::invalid_argument&) {
-        bad("unparseable slowdown factor", tok);
+    if (const std::size_t x = rest.find('x'); x != npos) {
+      if (!parse_whole(rest.substr(x + 1), e.factor)) {
+        bad("factor must be x<number>", tok);
       }
-      rest = plus == std::string::npos ? std::string() : rest.substr(plus);
+      rest = rest.substr(0, x);
     }
-    if (!rest.empty() && rest[0] == '+') {
-      try {
-        e.for_batches = std::stoull(rest.substr(1));
-      } catch (const std::invalid_argument&) {
-        bad("unparseable duration", tok);
-      }
-      rest.clear();
+    if (rest.empty() || rest[0] != 'r' || !parse_whole(rest.substr(1), e.rank)) {
+      bad("rank must be r<id>", tok);
     }
-    if (!rest.empty()) bad("trailing garbage '" + rest + "'", tok);
+    if (const char* why = event_error(e)) bad(why, tok);
     plan.events.push_back(e);
   }
-  plan.validate();
   return plan;
 }
 
@@ -162,13 +157,7 @@ std::string FaultPlan::to_string() const {
   for (const auto& e : events) {
     if (!out.empty()) out += ';';
     out += fault_kind_name(e.kind);
-    out += '@';
-    if (e.time_triggered()) {
-      std::snprintf(buf, sizeof(buf), "t%g", e.at_time_s);
-      out += buf;
-    } else {
-      out += 'b' + std::to_string(e.at_batch);
-    }
+    out += "@b" + std::to_string(e.at_batch);
     out += ":r" + std::to_string(e.rank);
     if (e.kind == FaultKind::kSlowdown) {
       std::snprintf(buf, sizeof(buf), "x%g", e.factor);

@@ -4,20 +4,15 @@
 // regime where rank loss is the norm, not the exception. This module
 // describes *planned* faults: a FaultPlan is a list of events that kill a
 // rank, slow it down, or drop its outbound messages, each firing at a
-// specific serving-stream batch ordinal or at a specific modeled time.
-// Faults are data, not randomness: for a fixed plan the outcome of every
-// consumer (serving failover, degraded masks, modeled makespans) is
-// bit-identical regardless of host thread count, and the empty plan is
-// bit-identical to a build without the fault layer at all.
+// specific serving-stream batch ordinal. Faults are data, not randomness:
+// for a fixed plan the outcome of every consumer (serving failover,
+// degraded masks, modeled makespans) is bit-identical regardless of host
+// thread count, and the empty plan is bit-identical to a build without the
+// fault layer at all.
 //
-// Two trigger kinds, two consumers:
-//   * batch triggers (`at_batch`) are consumed by the streaming serving
-//     path (index::QueryEngine): the fault state seen by batch b is the
-//     pure function `snapshot_at_batch(b)`, so concurrently in-flight
-//     batches never race on mutable fault state;
-//   * modeled-time triggers (`at_time_s`) are consumed by the sequential
-//     super-step paths through SimRuntime::apply_time_faults(), which
-//     compares each rank's modeled clock total between super-steps.
+// The consumer is the streaming serving path (index::QueryEngine): the
+// fault state seen by batch b is the pure function `snapshot_at_batch(b)`,
+// so concurrently in-flight batches never race on mutable fault state.
 #pragma once
 
 #include <cstdint>
@@ -55,19 +50,14 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kDeath;
   int rank = 0;
   /// Batch-ordinal trigger: the event is in effect from serving-stream
-  /// batch `at_batch` onwards (ignored when `at_time_s` >= 0).
+  /// batch `at_batch` onwards.
   std::uint64_t at_batch = 0;
-  /// Modeled-time trigger: fires once the rank's modeled clock total
-  /// reaches this many seconds (< 0 = batch-triggered, the default).
-  double at_time_s = -1.0;
-  /// kSlowdown only: the modeled-seconds dilation factor (>= 1).
+  /// kSlowdown only: the modeled-seconds dilation factor (finite, >= 1).
   double factor = 1.0;
   /// Transient window in batches for kSlowdown / kDropMessages: active for
   /// [at_batch, at_batch + for_batches). 0 = active forever. Deaths are
   /// always permanent.
   std::uint64_t for_batches = 0;
-
-  [[nodiscard]] bool time_triggered() const { return at_time_s >= 0.0; }
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
@@ -105,22 +95,24 @@ struct FaultPlan {
   [[nodiscard]] bool empty() const { return events.empty(); }
 
   /// Throws std::invalid_argument for malformed events (negative rank,
-  /// slowdown factor < 1, non-slowdown events carrying a factor).
+  /// slowdown factor not finite or < 1, non-slowdown events carrying a
+  /// factor).
   void validate() const;
 
   /// Fault state in effect for serving batch `batch` on an `nranks` grid.
-  /// Batch-triggered events only; time-triggered events and events naming
-  /// ranks outside the grid are ignored. Pure and schedule-independent.
+  /// Events naming ranks outside the grid are ignored. Pure and
+  /// schedule-independent.
   [[nodiscard]] FaultSnapshot snapshot_at_batch(std::uint64_t batch,
                                                 int nranks) const;
 
   /// Plan grammar (docs/ARCHITECTURE.md "Fault plan grammar"):
   ///   plan    := event (';' event)*
-  ///   event   := kind '@' trigger ':' 'r' rank [ 'x' factor ] [ '+' batches ]
+  ///   event   := kind '@' 'b' batch ':' 'r' rank [ 'x' factor ] [ '+' batches ]
   ///   kind    := 'kill' | 'slow' | 'drop'
-  ///   trigger := 'b' batch-ordinal | 't' modeled-seconds
-  /// e.g. "kill@b2:r3;slow@b1:r0x4+2;drop@b0:r1+3". Whitespace around
-  /// tokens is ignored. Throws std::invalid_argument on malformed input.
+  /// e.g. "kill@b2:r3;slow@b1:r0x4+2;drop@b0:r1+3". Every number spans its
+  /// whole field: batch, rank and batches are unsigned integers that fit
+  /// their types, factor a finite decimal. Whitespace around tokens is
+  /// ignored. Throws std::invalid_argument naming the offending token.
   [[nodiscard]] static FaultPlan parse(const std::string& text);
   [[nodiscard]] std::string to_string() const;
 

@@ -8,18 +8,13 @@
 // are bit-identical regardless of host core count, which is the property
 // the paper claims for PASTIS itself.
 //
-// Fault tolerance (sim/fault.hpp): the runtime enforces planned rank
-// deaths — a dead rank's spmd task is skipped, its clock frozen
-// (merge_frame ignores it), and its resident bytes released at the moment
-// of death. Slowdown and message-drop faults are *advisory* here: the
-// charging call sites consult slowdown()/drops_messages() because only
-// they know which modeled seconds a fault dilates. Batch-triggered events
-// advance via advance_to_batch() (sequential consumers) or are read as
-// pure per-batch snapshots straight off the plan (the streaming serving
-// path); time-triggered events fire in apply_time_faults(), called
-// between super-steps. The death mask is atomic so a sequential consumer
-// may mark deaths while a concurrent spmd super-step reads it — every
-// other fault field is owned by sequential code.
+// Rank deaths (sim/fault.hpp): a dead rank's spmd task is skipped, its
+// clock frozen (merge_frame ignores it), and its resident bytes released at
+// the moment of death. The consumers read their per-batch fault state
+// (deaths, slowdowns, drops) as pure FaultPlan::snapshot_at_batch
+// snapshots and apply deaths here through kill_rank(). The death mask is
+// atomic so a sequential consumer may mark deaths while a concurrent spmd
+// super-step reads it.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +24,6 @@
 #include <vector>
 
 #include "sim/clock.hpp"
-#include "sim/fault.hpp"
 #include "sim/grid.hpp"
 #include "sim/machine_model.hpp"
 #include "util/thread_pool.hpp"
@@ -41,9 +35,7 @@ class SimRuntime {
   SimRuntime(int p, MachineModel model,
              util::ThreadPool* pool = &util::ThreadPool::global())
       : grid_(p), model_(model), clocks_(static_cast<std::size_t>(p)),
-        pool_(pool), dead_(static_cast<std::size_t>(p)),
-        slowdown_(static_cast<std::size_t>(p), 1.0),
-        drop_(static_cast<std::size_t>(p), 0) {}
+        pool_(pool), dead_(static_cast<std::size_t>(p)) {}
 
   [[nodiscard]] const ProcGrid& grid() const { return grid_; }
   [[nodiscard]] const MachineModel& model() const { return model_; }
@@ -71,60 +63,7 @@ class SimRuntime {
                         });
   }
 
-  /// Sequential variant (used where determinism debugging is needed).
-  void spmd_serial(const std::function<void(int)>& fn) {
-    for (int r = 0; r < nprocs(); ++r) {
-      if (alive(r)) fn(r);
-    }
-  }
-
-  // ---- fault injection (sim/fault.hpp) ------------------------------------
-  /// Installs the plan and resets transient fault state (deaths already
-  /// applied are NOT revived — death is permanent).
-  void install_faults(FaultPlan plan) {
-    plan_ = std::move(plan);
-    plan_.validate();
-    std::fill(slowdown_.begin(), slowdown_.end(), 1.0);
-    std::fill(drop_.begin(), drop_.end(), 0);
-  }
-  [[nodiscard]] const FaultPlan& fault_plan() const { return plan_; }
-
-  /// Applies the plan's batch-triggered events as of serving batch
-  /// `batch`: fires deaths, sets the transient slowdown/drop windows.
-  /// Sequential consumers only (the streaming serving path reads pure
-  /// FaultPlan::snapshot_at_batch snapshots instead).
-  void advance_to_batch(std::uint64_t batch) {
-    if (plan_.empty()) return;
-    const FaultSnapshot s = plan_.snapshot_at_batch(batch, nprocs());
-    for (int r = 0; r < nprocs(); ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      if (s.dead[ri] != 0 && alive(r)) kill_rank(r);
-      slowdown_[ri] = s.slowdown[ri];
-      drop_[ri] = s.drop[ri];
-    }
-  }
-
-  /// Fires time-triggered events whose rank's modeled clock total has
-  /// reached the trigger. Call between super-steps (sequential contexts).
-  void apply_time_faults() {
-    for (const auto& e : plan_.events) {
-      if (!e.time_triggered() || e.rank < 0 || e.rank >= nprocs()) continue;
-      const auto ri = static_cast<std::size_t>(e.rank);
-      if (clocks_[ri].total() < e.at_time_s) continue;
-      switch (e.kind) {
-        case FaultKind::kDeath:
-          if (alive(e.rank)) kill_rank(e.rank);
-          break;
-        case FaultKind::kSlowdown:
-          slowdown_[ri] = std::max(slowdown_[ri], e.factor);
-          break;
-        case FaultKind::kDropMessages:
-          drop_[ri] = 1;
-          break;
-      }
-    }
-  }
-
+  // ---- rank deaths (sim/fault.hpp) ----------------------------------------
   /// Kills `rank` now: its spmd tasks are skipped from here on, its clock
   /// frozen (merge_frame ignores it), and its ledgered resident bytes
   /// released (the high-water mark keeps the history). Idempotent.
@@ -143,16 +82,6 @@ class SimRuntime {
     for (int r = 0; r < nprocs(); ++r) n += alive(r) ? 1 : 0;
     return n;
   }
-  /// Modeled dilation of this rank's task seconds (>= 1; advisory — the
-  /// charging call sites apply it).
-  [[nodiscard]] double slowdown(int rank) const {
-    return slowdown_[static_cast<std::size_t>(rank)];
-  }
-  /// Whether messages FROM this rank are currently dropped (advisory; the
-  /// sending call sites charge the resend through exec::RetryPolicy).
-  [[nodiscard]] bool drops_messages(int rank) const {
-    return drop_[static_cast<std::size_t>(rank)] != 0;
-  }
 
   /// Sum/max helpers over per-rank modeled component times.
   [[nodiscard]] double max_over_ranks(Comp c) const {
@@ -170,20 +99,15 @@ class SimRuntime {
     for (auto& c : clocks_) c = RankClock{};
   }
 
-  /// Resident-bytes ledger reductions (see RankClock::add_resident): the
-  /// per-rank high-water marks and their max — the quantity a
-  /// rank_memory_budget_bytes gate compares against.
+  /// Per-rank resident-bytes high-water marks (see
+  /// RankClock::add_resident) — what a rank_memory_budget_bytes gate
+  /// compares against.
   [[nodiscard]] std::vector<std::uint64_t> peak_resident_bytes() const {
     std::vector<std::uint64_t> out(clocks_.size());
     for (std::size_t r = 0; r < clocks_.size(); ++r) {
       out[r] = clocks_[r].peak_memory_bytes;
     }
     return out;
-  }
-  [[nodiscard]] std::uint64_t max_peak_resident_bytes() const {
-    std::uint64_t m = 0;
-    for (const auto& c : clocks_) m = std::max(m, c.peak_memory_bytes);
-    return m;
   }
 
   /// Folds a detached per-rank clock frame (one RankClock per rank) into
@@ -206,13 +130,9 @@ class SimRuntime {
   std::vector<RankClock> clocks_;
   util::ThreadPool* pool_;
 
-  // Fault state. The death mask is atomic (spmd reads it while a
-  // sequential consumer fires deaths); slowdown/drop are owned by
-  // sequential code and advisory to charging call sites.
-  FaultPlan plan_;
+  // Death mask: atomic because spmd reads it while a sequential consumer
+  // fires deaths.
   std::vector<std::atomic<std::uint8_t>> dead_;
-  std::vector<double> slowdown_;
-  std::vector<char> drop_;
 };
 
 }  // namespace pastis::sim

@@ -385,15 +385,6 @@ struct SpGemmWorkspace {
   }
 };
 
-/// Exact pre-epilogue output shape of one fused call: the (nonempty rows,
-/// nnz) the plain product would have materialized for the rows actually
-/// computed (skip-masked rows excluded). The MCL loop turns these into its
-/// per-iteration resident-bytes numbers.
-struct FusedExpandInfo {
-  std::uint64_t pre_rows = 0;
-  std::uint64_t pre_nnz = 0;
-};
-
 /// Relative cost of one output entry's epilogue work (pow + select + write)
 /// vs one semiring product, used to re-balance the numeric-phase chunks.
 /// Scheduling only — never affects results.
@@ -444,7 +435,7 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
     const SpMat<typename SR::right_type>& B, Epilogue&& epilogue,
     OnSymbolic&& on_symbolic, const std::uint8_t* skip_rows = nullptr,
     SpGemmWorkspace<typename SR::value_type>* ws = nullptr,
-    FusedExpandInfo* info = nullptr, SpGemmStats* stats = nullptr,
+    SpGemmStats* stats = nullptr,
     util::ThreadPool* pool = nullptr, const obs::Telemetry& telem = {}) {
   using V = typename SR::value_type;
   if (A.ncols() != B.nrows()) {
@@ -489,7 +480,6 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
     }
   };
   auto empty_result = [&] {
-    if (info != nullptr) *info = {};
     (void)on_symbolic(0, 0);
     finish_stats(0, 0);
     return SpMat<V>(A.nrows(), B.ncols());
@@ -575,10 +565,6 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
   for (std::size_t ka = 0; ka < nka; ++ka) {
     pre_rows += w.row_nnz[ka] != 0;
     pre_nnz += w.row_nnz[ka];
-  }
-  if (info != nullptr) {
-    info->pre_rows = pre_rows;
-    info->pre_nnz = pre_nnz;
   }
   const std::uint32_t max_row_out = on_symbolic(pre_rows, pre_nnz);
 
@@ -722,7 +708,7 @@ template <SemiringLike SR>
   };
   return spgemm_hash2p_fused<SR>(
       A, B, copy_row, [](std::uint64_t, std::uint64_t) { return 0u; },
-      nullptr, nullptr, nullptr, stats, pool, telem);
+      nullptr, nullptr, stats, pool, telem);
 }
 
 /// C = A ·_SR B with a k-way heap merge per output row.

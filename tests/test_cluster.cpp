@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "cluster/cluster.hpp"
 #include "core/pipeline.hpp"
 #include "gen/protein_gen.hpp"
+#include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -549,7 +552,6 @@ TEST(DistMcl, AssignmentsBitIdenticalAcrossGridAndPoolSweep) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       pastis::util::ThreadPool pool(threads);
       pc::MclOptions opt;
-      opt.distributed = true;
       opt.grid_side = side;
       pc::MclStats stats;
       const auto got = pc::markov_cluster(g, opt, &stats, &pool);
@@ -580,7 +582,6 @@ TEST(DistMcl, GlobalBudgetTightensIdenticallyToSharedMemory) {
   const auto expected = pc::markov_cluster(g, opt, &shared_stats);
   ASSERT_GT(shared_stats.budget_tightenings, 0);
 
-  opt.distributed = true;
   opt.grid_side = 2;
   pc::MclStats dist_stats;
   const auto got = pc::markov_cluster(g, opt, &dist_stats);
@@ -595,7 +596,6 @@ TEST(DistMcl, RankLedgerShrinksWithTheGridAndRespectsBudget) {
   std::uint64_t side1_peak = 0;
   for (int side : {1, 3}) {
     pc::MclOptions opt;
-    opt.distributed = true;
     opt.grid_side = side;
     opt.rank_memory_budget_bytes = 1ull << 30;  // ample: must never trip
     pc::MclStats stats;
@@ -624,7 +624,6 @@ TEST(DistMcl, RankBudgetTighteningIsDeterministic) {
   const auto g = pc::SimilarityGraph::from_edges(120, edges);
 
   pc::MclOptions opt;
-  opt.distributed = true;
   opt.grid_side = 2;
   pc::MclStats probe;
   (void)pc::markov_cluster(g, opt, &probe);
@@ -780,34 +779,93 @@ TEST(Mcl, DroppedColumnsReenterWhenNeighboursReset) {
 }
 
 TEST(DistMcl, DropoutSweepBitIdenticalAcrossGridSides) {
+  // One iteration loop serves both modes, so every per-iteration field both
+  // report must agree — with and without dropout, and under a binding
+  // global budget (no rank budget: that one is grid-side-dependent by
+  // design). SpGemmStats::calls differs by design: the grid makes one
+  // local multiply per rank per iteration.
   const auto edges = planted_graph(160, 9, 0.7, 120, 77);
   const auto g = pc::SimilarityGraph::from_edges(160, edges);
+  pc::MclStats probe;
+  (void)pc::markov_cluster(g, {}, &probe);
 
-  for (std::uint32_t drop : {0u, 2u}) {
-    pc::MclOptions sopt;
-    sopt.dropout_iterations = drop;
-    pc::MclStats shared_stats;
-    const auto expected = pc::markov_cluster(g, sopt, &shared_stats);
+  for (std::uint64_t budget : {std::uint64_t{0}, probe.peak_resident_bytes / 2}) {
+    for (std::uint32_t drop : {0u, 2u}) {
+      pc::MclOptions sopt;
+      sopt.dropout_iterations = drop;
+      sopt.memory_budget_bytes = budget;
+      pc::MclStats shared_stats;
+      const auto expected = pc::markov_cluster(g, sopt, &shared_stats);
+      if (budget != 0) {
+        ASSERT_GT(shared_stats.budget_tightenings, 0);
+      }
 
-    for (int side : {1, 2, 3}) {
-      pc::MclOptions opt = sopt;
-      opt.distributed = true;
-      opt.grid_side = side;
-      pc::MclStats stats;
-      const auto got = pc::markov_cluster(g, opt, &stats);
-      EXPECT_TRUE(got == expected) << "side=" << side << " dropout=" << drop;
-      EXPECT_EQ(stats.iterations, shared_stats.iterations);
-      ASSERT_EQ(stats.per_iteration.size(),
-                shared_stats.per_iteration.size());
-      for (std::size_t i = 0; i < stats.per_iteration.size(); ++i) {
-        EXPECT_EQ(stats.per_iteration[i].dropout_columns,
-                  shared_stats.per_iteration[i].dropout_columns)
-            << "side=" << side << " dropout=" << drop << " iter=" << i;
-        EXPECT_EQ(stats.per_iteration[i].pruned_nnz,
-                  shared_stats.per_iteration[i].pruned_nnz);
-        EXPECT_DOUBLE_EQ(stats.per_iteration[i].chaos,
-                         shared_stats.per_iteration[i].chaos);
+      for (int side : {1, 2, 3}) {
+        pc::MclOptions opt = sopt;
+        opt.grid_side = side;
+        pc::MclStats stats;
+        const auto got = pc::markov_cluster(g, opt, &stats);
+        const std::string where = "side=" + std::to_string(side) +
+                                  " dropout=" + std::to_string(drop) +
+                                  " budget=" + std::to_string(budget);
+        EXPECT_TRUE(got == expected) << where;
+        EXPECT_EQ(stats.iterations, shared_stats.iterations) << where;
+        EXPECT_EQ(stats.budget_tightenings, shared_stats.budget_tightenings)
+            << where;
+        EXPECT_EQ(stats.spgemm.products, shared_stats.spgemm.products)
+            << where;
+        EXPECT_EQ(stats.spgemm.out_nnz, shared_stats.spgemm.out_nnz)
+            << where;
+        ASSERT_EQ(stats.per_iteration.size(),
+                  shared_stats.per_iteration.size());
+        for (std::size_t i = 0; i < stats.per_iteration.size(); ++i) {
+          const auto& a = stats.per_iteration[i];
+          const auto& b = shared_stats.per_iteration[i];
+          EXPECT_EQ(a.expansion_products, b.expansion_products)
+              << where << " iter=" << i;
+          EXPECT_EQ(a.expansion_nnz, b.expansion_nnz) << where << " iter=" << i;
+          EXPECT_EQ(a.pruned_nnz, b.pruned_nnz) << where << " iter=" << i;
+          EXPECT_EQ(a.resident_bytes, b.resident_bytes)
+              << where << " iter=" << i;
+          EXPECT_EQ(a.column_cap, b.column_cap) << where << " iter=" << i;
+          EXPECT_EQ(a.dropout_columns, b.dropout_columns)
+              << where << " iter=" << i;
+          EXPECT_EQ(a.reentered_columns, b.reentered_columns)
+              << where << " iter=" << i;
+          EXPECT_DOUBLE_EQ(a.chaos, b.chaos) << where << " iter=" << i;
+        }
       }
     }
   }
+}
+
+TEST(Mcl, RejectsNegativeGridSide) {
+  const auto g = pc::SimilarityGraph::from_edges(8, two_cliques_with_bridge());
+  pc::MclOptions opt;
+  opt.grid_side = -1;
+  EXPECT_THROW((void)pc::markov_cluster(g, opt), std::invalid_argument);
+}
+
+TEST(DistMcl, GridRunEmitsOneIterationSpanPerIteration) {
+  // Grid runs go through the same loop as one-address-space runs, so they
+  // trace every iteration too.
+  const auto edges = planted_graph(120, 10, 0.8, 60, 81);
+  const auto g = pc::SimilarityGraph::from_edges(120, edges);
+  pastis::obs::Tracer tr;
+  pc::MclOptions opt;
+  opt.grid_side = 2;
+  opt.telemetry.tracer = &tr;
+  pc::MclStats stats;
+  (void)pc::markov_cluster(g, opt, &stats);
+  ASSERT_GT(stats.iterations, 0);
+
+  int spans = 0;
+  const auto doc = pastis::util::json::parse(tr.to_json());
+  for (const auto& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "X" &&
+        e.at("name").as_string() == "mcl.iteration") {
+      ++spans;
+    }
+  }
+  EXPECT_EQ(spans, stats.iterations);
 }

@@ -304,7 +304,7 @@ TEST(Stripes, RowStripeSplitIsPoolInvariant) {
 
 // ---- row-stripe reshapes (the distributed MCL layout) ----------------------
 
-TEST(Stripes, GatherScatterRowStripesRoundTrip) {
+TEST(Stripes, GatherRowStripesTilesTheRows) {
   const auto triples = random_triples(77, 77, 0.1, 107);
   // A copy-through epilogue makes the fused gather a plain reshape.
   auto copy_row = [](std::size_t, ps::Index, const ps::Index* cols,
@@ -331,11 +331,6 @@ TEST(Stripes, GatherScatterRowStripesRoundTrip) {
     }
     EXPECT_EQ(rows, 77u);
     EXPECT_EQ(to_map(merged), to_map(triples));
-
-    const auto back = pd::scatter_row_stripes(rt, stripes, 77);
-    for (int r = 0; r < p; ++r) {
-      EXPECT_TRUE(back.local(r) == A.local(r)) << "p=" << p << " rank=" << r;
-    }
     // The reshape's wire time was charged.
     if (p > 1) {
       EXPECT_GT(rt.sum_over_ranks(psim::Comp::kSparseOther), 0.0);

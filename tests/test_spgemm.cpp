@@ -475,17 +475,24 @@ TEST(SpGemmFused, IdentityEpilogueMatchesTwoPhase) {
   ps::SpGemmStats sref;
   auto Cref = ps::spgemm_hash<ps::PlusTimes<int>>(A, B, &sref);
   ps::SpGemmStats sf;
-  ps::FusedExpandInfo info;
+  // The on_symbolic hook receives the exact pre-epilogue shape.
+  std::uint64_t pre_rows = 0;
+  std::uint64_t pre_nnz = 0;
+  auto capture = [&](std::uint64_t rows, std::uint64_t nnz) {
+    pre_rows = rows;
+    pre_nnz = nnz;
+    return std::uint32_t{0};
+  };
   auto Cf = ps::spgemm_hash2p_fused<ps::PlusTimes<int>>(
-      A, B, IdentityEpilogue{}, no_cap, nullptr, nullptr, &info, &sf);
+      A, B, IdentityEpilogue{}, capture, nullptr, nullptr, &sf);
   EXPECT_TRUE(Cf == Cref);
   // The fused kernel reports PRE-epilogue stats — with an identity
   // epilogue they coincide with the serial oracle's exactly.
   EXPECT_EQ(sf.products, sref.products);
   EXPECT_EQ(sf.out_nnz, sref.out_nnz);
   EXPECT_EQ(sf.calls, sref.calls);
-  EXPECT_EQ(info.pre_rows, Cref.n_nonempty_rows());
-  EXPECT_EQ(info.pre_nnz, Cref.nnz());
+  EXPECT_EQ(pre_rows, Cref.n_nonempty_rows());
+  EXPECT_EQ(pre_nnz, Cref.nnz());
 }
 
 TEST(SpGemmFused, TopKEpilogueMatchesPostPrune) {
@@ -511,7 +518,7 @@ TEST(SpGemmFused, TopKEpilogueMatchesPostPrune) {
   ps::SpGemmStats sf;
   auto Cf = ps::spgemm_hash2p_fused<ps::PlusTimes<int>>(
       A, B, topk, [](std::uint64_t, std::uint64_t) { return kKeep; },
-      nullptr, nullptr, nullptr, &sf);
+      nullptr, nullptr, &sf);
 
   // Reference: full product, then the same selection per row.
   std::vector<ps::Triple<int>> expect;
@@ -542,7 +549,7 @@ TEST(SpGemmFused, SkipMaskDropsRowsAndTheirFlops) {
   auto Cref = ps::spgemm_hash2p<ps::PlusTimes<int>>(Aact, B, &sref);
   ps::SpGemmStats sf;
   auto Cf = ps::spgemm_hash2p_fused<ps::PlusTimes<int>>(
-      A, B, IdentityEpilogue{}, no_cap, skip.data(), nullptr, nullptr, &sf);
+      A, B, IdentityEpilogue{}, no_cap, skip.data(), nullptr, &sf);
   EXPECT_TRUE(Cf == Cref);
   EXPECT_EQ(sf.products, sref.products);
   EXPECT_EQ(sf.out_nnz, sref.out_nnz);
@@ -559,8 +566,7 @@ TEST(SpGemmFused, WorkspaceReuseAndThreadCountBitIdentical) {
     pastis::util::ThreadPool pool(threads);
     for (int rep = 0; rep < 3; ++rep) {
       auto C = ps::spgemm_hash2p_fused<ps::PlusTimes<int>>(
-          A, B, IdentityEpilogue{}, no_cap, nullptr, &ws, nullptr, nullptr,
-          &pool);
+          A, B, IdentityEpilogue{}, no_cap, nullptr, &ws, nullptr, &pool);
       EXPECT_TRUE(C == Cref) << "threads=" << threads << " rep=" << rep;
       // Donate the result's arrays back, as the MCL loop does.
       C.release_parts(ws.out_row_ids, ws.out_row_ptr, ws.out_cols,
