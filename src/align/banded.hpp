@@ -23,7 +23,7 @@ namespace pastis::align {
 /// and the result is score 0 with 0 cells, even where later rows' bands
 /// enter it (the swapped orientation finds the alignment). This is a known
 /// defect, kept because the benchmark's recorded digests depend on it; its
-/// fix is on ROADMAP item 4.
+/// fix is on ROADMAP item 1(b).
 [[nodiscard]] AlignResult banded_smith_waterman(std::string_view query,
                                                 std::string_view reference,
                                                 const Scoring& scoring,

@@ -415,43 +415,6 @@ void stripe_pre_counts(const sim::ProcGrid& grid,
   *nnz_out = nnz;
 }
 
-/// Vertically concatenates per-rank row stripes (stripe r = global rows
-/// [split(n, p, r), split(n, p, r+1)), stripe-local ids) into one global
-/// matrix. Rows ascend across stripes, so the DCSR arrays concatenate
-/// directly — exact values, no sort.
-SpMat<float> concat_row_stripes(const std::vector<SpMat<float>>& stripes,
-                                Index n) {
-  std::size_t rows = 0;
-  std::size_t nnz = 0;
-  for (const auto& s : stripes) {
-    rows += s.n_nonempty_rows();
-    nnz += s.nnz();
-  }
-  std::vector<Index> row_ids;
-  std::vector<Offset> row_ptr;
-  std::vector<Index> cols;
-  std::vector<float> vals;
-  row_ids.reserve(rows);
-  row_ptr.reserve(rows + 1);
-  cols.reserve(nnz);
-  vals.reserve(nnz);
-  row_ptr.push_back(0);
-  Index offset = 0;
-  for (const auto& s : stripes) {
-    const Offset base = cols.size();
-    for (std::size_t k = 0; k < s.n_nonempty_rows(); ++k) {
-      row_ids.push_back(s.row_id(k) + offset);
-      row_ptr.push_back(base + s.row_end(k));
-    }
-    cols.insert(cols.end(), s.col_data(0), s.col_data(s.nnz()));
-    vals.insert(vals.end(), s.val_data(0), s.val_data(s.nnz()));
-    offset += s.nrows();
-  }
-  return SpMat<float>::from_sorted_parts(n, n, std::move(row_ids),
-                                         std::move(row_ptr), std::move(cols),
-                                         std::move(vals));
-}
-
 /// Clusters = connected components of the converged flow's symmetrized
 /// support (entries >= interpret_threshold).
 Clustering interpret(const SpMat<float>& M, Index n, float threshold,
@@ -633,7 +596,11 @@ class MclGrid {
       clock.add_resident(b);
       clock.sub_resident(Md.local(r).bytes() + Ed.local(r).bytes());
     });
-    return concat_row_stripes(stripes, n);
+    // Stripe r holds rows [split(n, p, r), split(n, p, r+1)): stacked in
+    // rank order they are the one matrix the fused kernel returns.
+    std::vector<const SpMat<float>*> parts;
+    for (const auto& stripe : stripes) parts.push_back(&stripe);
+    return sparse::vstack(parts);
   }
 
   /// Prices the frozen-column stitch that rebuilt M from the expansion's

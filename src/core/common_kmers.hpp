@@ -34,7 +34,6 @@ struct SeedPair {
   friend bool operator<(const SeedPair& x, const SeedPair& y) {
     return x.pos_a != y.pos_a ? x.pos_a < y.pos_a : x.pos_b < y.pos_b;
   }
-  [[nodiscard]] SeedPair swapped() const { return {pos_b, pos_a}; }
 };
 
 /// Payload of the overlap matrix C(i,j).

@@ -1,6 +1,5 @@
 #include "core/kmer_matrix.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "core/stages.hpp"
@@ -8,52 +7,90 @@
 
 namespace pastis::core {
 
+std::vector<sparse::SpMat<KmerPos>> kmer_matrix_blocks(
+    sparse::Index n_seqs,
+    const std::function<std::string_view(sparse::Index)>& seq_of,
+    int seq_parts, int kmer_parts, bool transposed, const PastisConfig& cfg,
+    util::ThreadPool* pool) {
+  using sim::ProcGrid;
+  if (seq_parts < 1 || kmer_parts < 1) {
+    throw std::invalid_argument("kmer_matrix_blocks: need >= 1 part per side");
+  }
+  const kmer::Alphabet alphabet(cfg.alphabet);
+  const kmer::KmerCodec codec(alphabet.size(), cfg.k);
+  if (codec.space() > std::uint64_t(Index(-1))) {
+    throw std::invalid_argument(
+        "kmer_matrix_blocks: k-mer space exceeds 32-bit indices");
+  }
+  const auto space = static_cast<Index>(codec.space());
+  const kmer::NeighborGenerator neighbors(alphabet, codec, cfg.make_scoring(),
+                                          cfg.subs_max_loss);
+
+  std::vector<std::vector<sparse::Triple<KmerPos>>> per_seq(n_seqs);
+  util::parallel_for(pool, n_seqs, [&](std::size_t i) {
+    const auto id = static_cast<Index>(i);
+    extract_sequence_kmers(seq_of(id), id, alphabet, codec, neighbors,
+                           cfg.subs_kmers, per_seq[i]);
+  });
+
+  // Route every nonzero to its block, re-indexed to block-local (and, for
+  // Aᵀ, swapped) coordinates. Each sequence part fills only its own row of
+  // blocks, in sequence order, so the parts route in parallel.
+  const auto kp = static_cast<std::size_t>(kmer_parts);
+  std::vector<std::vector<sparse::Triple<KmerPos>>> routed(
+      static_cast<std::size_t>(seq_parts) * kp);
+  auto route_part = [&](std::size_t si) {
+    const int part = static_cast<int>(si);
+    const Index r0 = ProcGrid::split_point(n_seqs, seq_parts, part);
+    const Index r1 = ProcGrid::split_point(n_seqs, seq_parts, part + 1);
+    for (Index i = r0; i < r1; ++i) {
+      for (const auto& t : per_seq[i]) {
+        const int kj = ProcGrid::part_of(t.col, space, kmer_parts);
+        const Index row = t.row - r0;
+        const Index col = t.col - ProcGrid::split_point(space, kmer_parts, kj);
+        routed[si * kp + static_cast<std::size_t>(kj)].push_back(
+            transposed ? sparse::Triple<KmerPos>{col, row, t.val}
+                       : sparse::Triple<KmerPos>{row, col, t.val});
+      }
+      per_seq[i].clear();
+      per_seq[i].shrink_to_fit();
+    }
+  };
+  util::parallel_for(pool, static_cast<std::size_t>(seq_parts), route_part);
+
+  std::vector<sparse::SpMat<KmerPos>> blocks(routed.size());
+  util::parallel_for(pool, blocks.size(), [&](std::size_t b) {
+    const int si = static_cast<int>(b / kp);
+    const int kj = static_cast<int>(b % kp);
+    const Index rows = ProcGrid::split_point(n_seqs, seq_parts, si + 1) -
+                       ProcGrid::split_point(n_seqs, seq_parts, si);
+    const Index cols = ProcGrid::split_point(space, kmer_parts, kj + 1) -
+                       ProcGrid::split_point(space, kmer_parts, kj);
+    blocks[b] = sparse::SpMat<KmerPos>::from_triples(
+        transposed ? cols : rows, transposed ? rows : cols,
+        std::move(routed[b]),
+        [](KmerPos& acc, const KmerPos& v) { keep_min_pos(acc, v); });
+  });
+  return blocks;
+}
+
 dist::DistSpMat<KmerPos> build_kmer_matrix(sim::SimRuntime& rt,
                                            const DistSeqStore& store,
                                            const PastisConfig& cfg,
                                            KmerMatrixInfo* info,
                                            util::ThreadPool* pool) {
-  const kmer::Alphabet alphabet(cfg.alphabet);
-  const kmer::KmerCodec codec(alphabet.size(), cfg.k);
-  if (codec.space() > std::uint64_t(sparse::Index(-1))) {
-    throw std::invalid_argument(
-        "build_kmer_matrix: k-mer space exceeds 32-bit column indices");
+  const int side = rt.grid().side();
+  auto tiles = kmer_matrix_blocks(
+      store.size(), [&](Index i) { return store.seq(i); }, side, side,
+      /*transposed=*/false, cfg, pool);
+  Index ncols = 0;
+  for (int gj = 0; gj < side; ++gj) {
+    ncols += tiles[static_cast<std::size_t>(gj)].ncols();
   }
-  const auto ncols = static_cast<sparse::Index>(codec.space());
-  const sparse::Index nrows = store.size();
-
-  const align::Scoring scoring = cfg.make_scoring();
-  const kmer::NeighborGenerator neighbors(alphabet, codec, scoring,
-                                          cfg.subs_max_loss);
-
-  // Extract per sequence (parallel), then flatten deterministically.
-  std::vector<std::vector<sparse::Triple<KmerPos>>> per_seq(nrows);
-  std::atomic<std::uint64_t> exact{0}, subs{0};
-
-  auto extract_one = [&](std::size_t i) {
-    const auto id = static_cast<sparse::Index>(i);
-    const auto [n_exact, n_subs] =
-        extract_sequence_kmers(store.seq(id), id, alphabet, codec, neighbors,
-                               cfg.subs_kmers, per_seq[i]);
-    exact.fetch_add(n_exact, std::memory_order_relaxed);
-    subs.fetch_add(n_subs, std::memory_order_relaxed);
-  };
-  util::parallel_for(pool, nrows, extract_one);
-
-  std::vector<sparse::Triple<KmerPos>> triples;
-  std::size_t total = 0;
-  for (const auto& v : per_seq) total += v.size();
-  triples.reserve(total);
-  for (auto& v : per_seq) {
-    triples.insert(triples.end(), v.begin(), v.end());
-    v.clear();
-    v.shrink_to_fit();
+  dist::DistSpMat<KmerPos> A(rt.grid(), store.size(), ncols);
+  for (int rank = 0; rank < rt.nprocs(); ++rank) {
+    A.local(rank) = std::move(tiles[static_cast<std::size_t>(rank)]);
   }
-
-  // Duplicate (i, code) entries keep the smallest position (keep_min_pos).
-  auto A = dist::DistSpMat<KmerPos>::from_global_triples(
-      rt.grid(), nrows, ncols, triples,
-      [](KmerPos& acc, const KmerPos& v) { keep_min_pos(acc, v); }, pool);
 
   // Cost: each rank streams its owned sequences during extraction and its
   // local block during assembly.
@@ -74,8 +111,6 @@ dist::DistSpMat<KmerPos> build_kmer_matrix(sim::SimRuntime& rt,
 
   if (info != nullptr) {
     info->nnz = A.nnz();
-    info->exact_kmers = exact.load();
-    info->substitute_kmers = subs.load();
     info->cols = ncols;
   }
   return A;

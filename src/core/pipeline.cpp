@@ -12,7 +12,6 @@
 #include "exec/timeline.hpp"
 #include "io/fasta.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace pastis::core {

@@ -10,14 +10,15 @@
 
 namespace pastis::core {
 
-std::pair<std::uint64_t, std::uint64_t> extract_sequence_kmers(
-    std::string_view seq, sparse::Index row, const kmer::Alphabet& alphabet,
-    const kmer::KmerCodec& codec, const kmer::NeighborGenerator& neighbors,
-    int subs_kmers, std::vector<sparse::Triple<KmerPos>>& out) {
+void extract_sequence_kmers(std::string_view seq, sparse::Index row,
+                            const kmer::Alphabet& alphabet,
+                            const kmer::KmerCodec& codec,
+                            const kmer::NeighborGenerator& neighbors,
+                            int subs_kmers,
+                            std::vector<sparse::Triple<KmerPos>>& out) {
   const auto hits = kmer::extract_distinct_kmers(seq, alphabet, codec);
   out.reserve(out.size() +
               hits.size() * (1 + static_cast<std::size_t>(subs_kmers)));
-  std::uint64_t n_subs = 0;
   for (const auto& h : hits) {
     out.push_back({row, static_cast<sparse::Index>(h.code), KmerPos{h.pos}});
     if (subs_kmers > 0) {
@@ -25,11 +26,9 @@ std::pair<std::uint64_t, std::uint64_t> extract_sequence_kmers(
            neighbors.nearest(h.code, static_cast<std::size_t>(subs_kmers))) {
         out.push_back(
             {row, static_cast<sparse::Index>(nb.code), KmerPos{h.pos}});
-        ++n_subs;
       }
     }
   }
-  return {hits.size(), n_subs};
 }
 
 align::BatchAligner make_batch_aligner(const PastisConfig& cfg,

@@ -38,13 +38,13 @@ namespace pastis::core {
 
 /// One sequence's k-mer-matrix nonzeros (Fig. 1 left): distinct k-mers at
 /// their first occurrence, plus the m nearest substitute neighbours when
-/// enabled (§V). Appends triples (row, k-mer code, position) to `out` and
-/// returns the {exact, substitute} hit counts. Every producer of a
-/// sequence-by-k-mer matrix — the pipeline's A, the index's Aᵀ_ref shards,
-/// the engine's per-batch A_query — MUST go through this function: the
-/// serving layer's bit-identity to the pipeline rests on the three sides
-/// extracting identically.
-std::pair<std::uint64_t, std::uint64_t> extract_sequence_kmers(
+/// enabled (§V). Appends triples (row, k-mer code, position) to `out`.
+/// Every producer of a sequence-by-k-mer matrix — the pipeline's A, the
+/// index's Aᵀ_ref shards, the engine's per-batch A_query — MUST go through
+/// core::kmer_matrix_blocks (core/kmer_matrix.hpp), which extracts with
+/// this function: the serving layer's bit-identity to the pipeline rests
+/// on the three sides extracting and deduplicating identically.
+void extract_sequence_kmers(
     std::string_view seq, sparse::Index row, const kmer::Alphabet& alphabet,
     const kmer::KmerCodec& codec, const kmer::NeighborGenerator& neighbors,
     int subs_kmers, std::vector<sparse::Triple<KmerPos>>& out);

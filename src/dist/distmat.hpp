@@ -226,84 +226,4 @@ template <typename T>
   return stripes;
 }
 
-/// Horizontally concatenates the tiles of grid row `gi` into one strip:
-/// rows = the grid row's local rows, columns = global. Tiles along a grid
-/// row own consecutive disjoint column ranges, so per-row segments
-/// concatenate in grid-column order straight into sorted DCSR — no sort,
-/// no dedup, values bit-exact. This is the A-side operand assembly of the
-/// gather-stages SUMMA fold (dist/summa.hpp).
-template <typename T>
-[[nodiscard]] SpMat<T> hstack_grid_row(const DistSpMat<T>& A, int gi) {
-  const int side = A.grid().side();
-  const Index R = A.row_begin(gi + 1) - A.row_begin(gi);
-  std::vector<Offset> counts(R, 0);
-  for (int s = 0; s < side; ++s) {
-    const auto& t = A.local(A.grid().rank_of(gi, s));
-    for (std::size_t k = 0; k < t.n_nonempty_rows(); ++k) {
-      counts[t.row_id(k)] += t.row_end(k) - t.row_begin(k);
-    }
-  }
-  std::vector<Index> row_ids;
-  std::vector<Offset> row_ptr;
-  row_ptr.push_back(0);
-  std::vector<Offset> cursor(R, 0);
-  Offset nnz = 0;
-  for (Index r = 0; r < R; ++r) {
-    if (counts[r] == 0) continue;
-    row_ids.push_back(r);
-    cursor[r] = nnz;
-    nnz += counts[r];
-    row_ptr.push_back(nnz);
-  }
-  if (nnz == 0) return SpMat<T>(R, A.ncols());
-  std::vector<Index> cols(nnz);
-  std::vector<T> vals(nnz);
-  for (int s = 0; s < side; ++s) {
-    const Index c0 = A.col_begin(s);
-    const auto& t = A.local(A.grid().rank_of(gi, s));
-    for (std::size_t k = 0; k < t.n_nonempty_rows(); ++k) {
-      const Index r = t.row_id(k);
-      for (Offset o = t.row_begin(k); o < t.row_end(k); ++o) {
-        cols[cursor[r]] = t.col(o) + c0;
-        vals[cursor[r]] = t.val(o);
-        ++cursor[r];
-      }
-    }
-  }
-  return SpMat<T>::from_sorted_parts(R, A.ncols(), std::move(row_ids),
-                                     std::move(row_ptr), std::move(cols),
-                                     std::move(vals));
-}
-
-/// Vertically concatenates the tiles of grid column `gj`: rows = global,
-/// columns = the grid column's local columns. Tiles down a grid column own
-/// consecutive disjoint row ranges, so the concatenation in grid-row order
-/// is sorted DCSR by construction. The B-side operand assembly of the
-/// gather-stages SUMMA fold.
-template <typename T>
-[[nodiscard]] SpMat<T> vstack_grid_col(const DistSpMat<T>& B, int gj) {
-  const int side = B.grid().side();
-  const Index C = B.col_begin(gj + 1) - B.col_begin(gj);
-  std::vector<Index> row_ids;
-  std::vector<Offset> row_ptr;
-  std::vector<Index> cols;
-  std::vector<T> vals;
-  row_ptr.push_back(0);
-  for (int s = 0; s < side; ++s) {
-    const Index r0 = B.row_begin(s);
-    const auto& t = B.local(B.grid().rank_of(s, gj));
-    for (std::size_t k = 0; k < t.n_nonempty_rows(); ++k) {
-      row_ids.push_back(t.row_id(k) + r0);
-      for (Offset o = t.row_begin(k); o < t.row_end(k); ++o) {
-        cols.push_back(t.col(o));
-        vals.push_back(t.val(o));
-      }
-      row_ptr.push_back(static_cast<Offset>(cols.size()));
-    }
-  }
-  return SpMat<T>::from_sorted_parts(B.nrows(), C, std::move(row_ids),
-                                     std::move(row_ptr), std::move(cols),
-                                     std::move(vals));
-}
-
 }  // namespace pastis::dist

@@ -78,9 +78,13 @@ template <sparse::SemiringLike SR>
       // Stage broadcasts are charged exactly as in the staged schedule —
       // the same tiles cross the same wires; only the local fold differs.
       std::uint64_t strip_bytes = 0;
+      std::vector<const SpMat<typename SR::left_type>*> a_row;
+      std::vector<const SpMat<typename SR::right_type>*> b_col;
       for (int s = 0; s < side; ++s) {
         const auto& a_tile = A.local(grid.rank_of(gi, s));
         const auto& b_tile = B.local(grid.rank_of(s, gj));
+        a_row.push_back(&a_tile);
+        b_col.push_back(&b_tile);
         clock.charge(sim::Comp::kSpGemm,
                      rt.model().bcast_time(a_tile.bytes(), side) +
                          rt.model().bcast_time(b_tile.bytes(), side));
@@ -89,8 +93,8 @@ template <sparse::SemiringLike SR>
         if (grid.rank_of(s, gj) == rank) clock.bytes_sent += b_tile.bytes();
         strip_bytes += a_tile.bytes() + b_tile.bytes();
       }
-      const auto a_strip = hstack_grid_row(A, gi);
-      const auto b_strip = vstack_grid_col(B, gj);
+      const auto a_strip = sparse::hstack(a_row);
+      const auto b_strip = sparse::vstack(b_col);
       auto& out = C.local(rank);
       if (!a_strip.empty() && !b_strip.empty()) {
         sparse::SpGemmStats stage;

@@ -131,6 +131,4 @@ std::uint64_t ResidentWindow::peak(int rank) const {
   return peak_[static_cast<std::size_t>(rank)];
 }
 
-std::vector<std::uint64_t> ResidentWindow::peaks() const { return peak_; }
-
 }  // namespace pastis::exec

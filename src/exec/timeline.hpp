@@ -94,8 +94,6 @@ class ResidentWindow {
 
   /// Peak windowed residency seen so far for `rank`.
   [[nodiscard]] std::uint64_t peak(int rank) const;
-  /// All per-rank peaks (the distributed serve's workspace envelope).
-  [[nodiscard]] std::vector<std::uint64_t> peaks() const;
 
  private:
   int nranks_;

@@ -429,10 +429,15 @@ void gate_load(const std::string& path, const Header& h,
 }
 
 /// Reads one v2-layout body (ref lengths + residues + shard stripes) and
-/// assembles the KmerIndex. Used for the base and for each v3 segment.
+/// assembles the KmerIndex. Used for the base (`where` = "") and for each
+/// v3 segment (`where` = "segment g "). Every posting must lie inside its
+/// shard, name a reference of this body and start a whole k-mer of it, and
+/// each shard must hold exactly the header's count of distinct postings;
+/// a violation throws std::runtime_error naming the shard.
 KmerIndex read_index_body(std::istream& is, const Header& h,
                           std::uint64_t n_refs, std::uint64_t ref_residues,
-                          std::uint64_t expected_nnz) {
+                          const std::vector<std::uint64_t>& shard_nnz,
+                          const std::string& where) {
   std::vector<std::uint32_t> lengths(n_refs);
   is.read(reinterpret_cast<char*>(lengths.data()),
           static_cast<std::streamsize>(n_refs * sizeof(std::uint32_t)));
@@ -453,30 +458,24 @@ KmerIndex read_index_body(std::istream& is, const Header& h,
     throw std::runtime_error("index_io: truncated reference section");
   }
 
+  const auto k = static_cast<std::uint64_t>(h.params.k);
   std::vector<sparse::SpMat<KmerPos>> shards;
   shards.reserve(h.n_shards);
-  std::uint64_t total_nnz = 0;
   std::vector<char> buf;
   for (std::uint32_t s = 0; s < h.n_shards; ++s) {
+    const auto corrupt = [&](const char* what) {
+      return std::runtime_error("index_io: " + where + "shard " +
+                                std::to_string(s) + ": " + what);
+    };
     const auto nnz = read_pod<std::uint64_t>(is, "shard nnz");
-    total_nnz += nnz;
-    if (total_nnz > expected_nnz) {
-      throw std::runtime_error("index_io: shard postings exceed header total");
+    if (nnz != shard_nnz[s]) {
+      throw corrupt("postings disagree with the header");
     }
     // One bulk read per shard (the format is fixed-width little-endian).
     buf.resize(nnz * kDiskBytesPerPosting);
     is.read(buf.data(), static_cast<std::streamsize>(buf.size()));
     if (!is) {
       throw std::runtime_error("index_io: truncated file reading postings");
-    }
-    std::vector<sparse::Triple<KmerPos>> triples;
-    triples.reserve(nnz);
-    const char* in = buf.data();
-    for (std::uint64_t t = 0; t < nnz; ++t) {
-      std::uint32_t fields[3];
-      std::memcpy(fields, in, sizeof(fields));
-      in += sizeof(fields);
-      triples.push_back({fields[0], fields[1], KmerPos{fields[2]}});
     }
     const Index rows =
         sim::ProcGrid::split_point(static_cast<Index>(h.kmer_space),
@@ -485,11 +484,26 @@ KmerIndex read_index_body(std::istream& is, const Header& h,
         sim::ProcGrid::split_point(static_cast<Index>(h.kmer_space),
                                    static_cast<int>(h.n_shards),
                                    static_cast<int>(s));
+    std::vector<sparse::Triple<KmerPos>> triples;
+    triples.reserve(nnz);
+    const char* in = buf.data();
+    for (std::uint64_t t = 0; t < nnz; ++t) {
+      std::uint32_t fields[3];
+      std::memcpy(fields, in, sizeof(fields));
+      in += sizeof(fields);
+      if (fields[0] >= rows || fields[1] >= n_refs) {
+        throw corrupt("posting outside the shard");
+      }
+      if (fields[2] + k > lengths[fields[1]]) {
+        throw corrupt("posting position past its reference's last k-mer");
+      }
+      triples.push_back({fields[0], fields[1], KmerPos{fields[2]}});
+    }
     shards.push_back(sparse::SpMat<KmerPos>::from_triples(
         rows, static_cast<Index>(n_refs), std::move(triples)));
-  }
-  if (total_nnz != expected_nnz) {
-    throw std::runtime_error("index_io: shard postings disagree with header");
+    if (shards.back().nnz() != nnz) {
+      throw corrupt("duplicate postings");
+    }
   }
 
   return guard_corruption([&] {
@@ -533,8 +547,8 @@ KmerIndex load_index(const std::string& path, const RankBudgetGate& gate) {
   gate_load(path, h, gate);
   check_codec(h);
   auto sketches = read_sketch_table(is, h);
-  KmerIndex base = read_index_body(is, h, h.n_refs, h.ref_residues,
-                                   h.total_nnz);
+  KmerIndex base =
+      read_index_body(is, h, h.n_refs, h.ref_residues, h.shard_nnz, "");
   base.set_sketches(static_cast<int>(h.sketch_len), std::move(sketches));
   check_footer(is);
   return base;
@@ -551,13 +565,16 @@ IndexParts load_index_parts(const std::string& path,
   check_codec(h);
   auto sketches = read_sketch_table(is, h);
   IndexParts parts;
-  parts.base = read_index_body(is, h, h.n_refs, h.ref_residues, h.total_nnz);
+  parts.base =
+      read_index_body(is, h, h.n_refs, h.ref_residues, h.shard_nnz, "");
   parts.base.set_sketches(static_cast<int>(h.sketch_len),
                           std::move(sketches));
   parts.segments.reserve(h.segments.size());
-  for (const auto& g : h.segments) {
+  for (std::size_t g = 0; g < h.segments.size(); ++g) {
+    const auto& seg = h.segments[g];
     parts.segments.push_back(
-        read_index_body(is, h, g.n_refs, g.ref_residues, g.total_nnz));
+        read_index_body(is, h, seg.n_refs, seg.ref_residues, seg.shard_nnz,
+                        "segment " + std::to_string(g) + " "));
   }
   check_footer(is);
   return parts;

@@ -1,16 +1,13 @@
 #include "index/kmer_index.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
-#include "core/stages.hpp"
+#include "core/kmer_matrix.hpp"
 #include "kmer/codec.hpp"
 #include "kmer/extract.hpp"
-#include "kmer/nearest.hpp"
 #include "sim/grid.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace pastis::index {
 
@@ -118,73 +115,12 @@ void KmerIndex::set_sketches(int sketch_len, std::vector<std::uint64_t> table) {
 KmerIndex KmerIndex::build(std::vector<std::string> refs,
                            const core::PastisConfig& cfg, int n_shards,
                            util::ThreadPool* pool) {
-  if (n_shards < 1) {
-    throw std::invalid_argument("KmerIndex::build: need n_shards >= 1");
-  }
-  util::Timer wall;
-
-  KmerIndex idx;
-  idx.params_ = IndexParams::from_config(cfg);
-  idx.refs_ = std::move(refs);
-  for (const auto& s : idx.refs_) idx.ref_residues_ += s.size();
-
-  const kmer::Alphabet alphabet(cfg.alphabet);
-  const kmer::KmerCodec codec(alphabet.size(), cfg.k);
-  if (codec.space() > std::uint64_t(Index(-1))) {
-    throw std::invalid_argument(
-        "KmerIndex::build: k-mer space exceeds 32-bit indices");
-  }
-  idx.kmer_space_ = static_cast<Index>(codec.space());
-
-  const align::Scoring scoring = cfg.make_scoring();
-  const kmer::NeighborGenerator neighbors(alphabet, codec, scoring,
-                                          cfg.subs_max_loss);
-
-  // Extract postings per reference (parallel) through the shared stage —
-  // the same code path as the pipeline's A and the engine's A_query, which
-  // is what keeps serving bit-identical to the concatenated search.
-  const auto n = static_cast<std::size_t>(idx.n_refs());
-  std::vector<std::vector<sparse::Triple<KmerPos>>> per_seq(n);
-  std::atomic<std::uint64_t> exact{0}, subs{0};
-  auto extract_one = [&](std::size_t i) {
-    const auto [n_exact, n_subs] = core::extract_sequence_kmers(
-        idx.refs_[i], static_cast<Index>(i), alphabet, codec, neighbors,
-        cfg.subs_kmers, per_seq[i]);
-    exact.fetch_add(n_exact, std::memory_order_relaxed);
-    subs.fetch_add(n_subs, std::memory_order_relaxed);
-  };
-  util::parallel_for(pool, n, extract_one);
-
-  // Route each posting to its k-mer-range shard, transposing on the fly
-  // into the Aᵀ orientation (row = shard-local k-mer code, col = ref id).
-  // Deterministic: sequences in id order, hits in position order.
-  std::vector<std::vector<sparse::Triple<KmerPos>>> per_shard(
-      static_cast<std::size_t>(n_shards));
-  idx.shards_.resize(static_cast<std::size_t>(n_shards));
-  for (auto& v : per_seq) {
-    for (const auto& t : v) {
-      const int s = sim::ProcGrid::part_of(t.col, idx.kmer_space_, n_shards);
-      per_shard[static_cast<std::size_t>(s)].push_back(
-          {t.col - idx.shard_begin(s), t.row, t.val});
-    }
-    v.clear();
-    v.shrink_to_fit();
-  }
-
-  auto build_shard = [&](std::size_t s) {
-    const Index rows = idx.shard_begin(static_cast<int>(s) + 1) -
-                       idx.shard_begin(static_cast<int>(s));
-    idx.shards_[s] = sparse::SpMat<KmerPos>::from_triples(
-        rows, idx.n_refs(), std::move(per_shard[s]),
-        [](KmerPos& acc, const KmerPos& v) { core::keep_min_pos(acc, v); });
-  };
-  util::parallel_for(pool, per_shard.size(), build_shard);
-
-  idx.stats_.nnz = idx.nnz();
-  idx.stats_.exact_kmers = exact.load();
-  idx.stats_.substitute_kmers = subs.load();
-  idx.stats_.build_wall_seconds = wall.seconds();
-  return idx;
+  auto shards = core::kmer_matrix_blocks(
+      static_cast<Index>(refs.size()),
+      [&](Index i) { return std::string_view(refs[i]); }, 1, n_shards,
+      /*transposed=*/true, cfg, pool);
+  return from_parts(IndexParams::from_config(cfg), n_shards, std::move(refs),
+                    std::move(shards));
 }
 
 KmerIndex KmerIndex::from_parts(IndexParams params, int n_shards,
@@ -208,7 +144,6 @@ KmerIndex KmerIndex::from_parts(IndexParams params, int n_shards,
       throw std::invalid_argument("KmerIndex::from_parts: shard shape mismatch");
     }
   }
-  idx.stats_.nnz = idx.nnz();
   return idx;
 }
 

@@ -63,22 +63,17 @@ struct IndexParams {
   friend bool operator==(const IndexParams&, const IndexParams&) = default;
 };
 
-struct IndexBuildStats {
-  std::uint64_t nnz = 0;               // postings across all shards
-  std::uint64_t exact_kmers = 0;
-  std::uint64_t substitute_kmers = 0;
-  double build_wall_seconds = 0.0;     // real time of the build
-};
-
 class KmerIndex {
  public:
   KmerIndex() = default;
 
-  /// Builds the index from a reference set. Shard s owns k-mer codes
-  /// [shard_begin(s), shard_begin(s+1)); postings are deduplicated per
-  /// (k-mer, reference) keeping the smallest position — identical to the
-  /// pipeline's k-mer matrix construction, which is what makes serving
-  /// results bit-identical to the concatenated many-against-many search.
+  /// Builds the index from a reference set: the shards are the 1 ×
+  /// n_shards blocks of core::kmer_matrix_blocks in the Aᵀ orientation.
+  /// Shard s owns k-mer codes [shard_begin(s), shard_begin(s+1)); postings
+  /// are deduplicated per (k-mer, reference) keeping the smallest position
+  /// — the pipeline's k-mer matrix construction, which is what makes
+  /// serving results bit-identical to the concatenated many-against-many
+  /// search.
   [[nodiscard]] static KmerIndex build(
       std::vector<std::string> refs, const core::PastisConfig& cfg,
       int n_shards, util::ThreadPool* pool = &util::ThreadPool::global());
@@ -147,8 +142,6 @@ class KmerIndex {
   /// Per-shard postings bytes — the load vector a ShardPlacement balances.
   [[nodiscard]] std::vector<std::uint64_t> shard_bytes() const;
 
-  [[nodiscard]] const IndexBuildStats& build_stats() const { return stats_; }
-
   /// Modeled one-time construction cost on `nprocs` ranks: every rank
   /// streams its share of the references and assembles/ships its shard
   /// slice (the same accounting as the pipeline's k-mer matrix + transpose
@@ -173,7 +166,6 @@ class KmerIndex {
   /// Optional minhash table: n_refs × sketch_len_ slots, row-major.
   int sketch_len_ = 0;
   std::vector<std::uint64_t> sketches_;
-  IndexBuildStats stats_;
 };
 
 }  // namespace pastis::index

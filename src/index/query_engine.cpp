@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/kmer_matrix.hpp"
 #include "core/load_balance.hpp"
 #include "core/stages.hpp"
 #include "exec/stream_pipeline.hpp"
 #include "exec/timeline.hpp"
 #include "kmer/codec.hpp"
-#include "kmer/nearest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/delta_index.hpp"
@@ -24,7 +24,6 @@ using align::AlignTask;
 using core::CommonKmers;
 using core::KmerPos;
 using sparse::SpMat;
-using sparse::Triple;
 
 }  // namespace
 
@@ -169,7 +168,6 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
   // each death inside spmd once the engine applies it.
   if (faults_enabled_) {
     cfg_.fault_plan.validate();
-    death_recovered_.assign(cfg_.fault_plan.events.size(), 0);
     dead_seen_.assign(static_cast<std::size_t>(p), 0);
     resident_estimate_ = static_resident_;
   }
@@ -184,17 +182,15 @@ QueryEngine::BatchFaults QueryEngine::plan_batch_faults(
   bf.recovery_s.assign(np, 0.0);
   bf.new_resident.assign(np, 0);
   const auto shard_bytes = index_->shard_bytes();
-  const auto& events = cfg_.fault_plan.events;
   // Deaths planned before the stream surface at its first served batch;
   // multiple deaths surfacing together recover in plan-event order.
-  for (std::size_t ei = 0; ei < events.size(); ++ei) {
-    const auto& e = events[ei];
+  for (const auto& e : cfg_.fault_plan.events) {
     if (e.kind != sim::FaultKind::kDeath) continue;
     if (e.rank < 0 || e.rank >= p) continue;
-    if (e.at_batch > ordinal || death_recovered_[ei] != 0) continue;
-    death_recovered_[ei] = 1;
+    if (e.at_batch > ordinal) continue;
     const auto di = static_cast<std::size_t>(e.rank);
-    if (dead_seen_[di] != 0) continue;  // a duplicate kill of a dead rank
+    // Already recovered, or a duplicate kill of a dead rank.
+    if (dead_seen_[di] != 0) continue;
     bf.any = true;
     bf.deaths.push_back(e.rank);
 
@@ -323,16 +319,6 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
     }
   }
 
-  // ---- A_query extraction (Fig. 1 left, queries only) ----------------------
-  // Identical machinery to the index build / the pipeline's k-mer matrix:
-  // distinct k-mers at their first occurrence, plus substitute neighbours,
-  // deduplicated per (query, k-mer) keeping the smallest position.
-  const kmer::Alphabet alphabet(cfg_.alphabet);
-  const kmer::KmerCodec codec(alphabet.size(), cfg_.k);
-  const align::Scoring scoring = cfg_.make_scoring();
-  const kmer::NeighborGenerator neighbors(alphabet, codec, scoring,
-                                          cfg_.subs_max_loss);
-
   const std::size_t nq = queries.size();
 
   // ---- result-cache lookup (serving tier; no-op without a cache) -----------
@@ -362,16 +348,19 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
     return !slot.cached.empty() && slot.cached[i] != 0;
   };
 
-  std::vector<std::vector<Triple<KmerPos>>> per_query(nq);
+  // ---- A_query extraction (Fig. 1 left, queries only) ----------------------
+  // kmer_matrix_blocks cut at the index's shard boundaries, as in the index
+  // build: block s multiplies shard s. A cached query's row stays empty.
   for (std::size_t i = 0; i < nq; ++i) {
     if (!is_cached(i)) work.query_residues += queries[i].size();
   }
-  util::parallel_for(pool_, nq, [&](std::size_t i) {
-    if (is_cached(i)) return;
-    core::extract_sequence_kmers(queries[i], static_cast<Index>(i), alphabet,
-                                 codec, neighbors, cfg_.subs_kmers,
-                                 per_query[i]);
-  });
+  const std::vector<SpMat<KmerPos>> a_query = core::kmer_matrix_blocks(
+      static_cast<Index>(nq),
+      [&](Index i) {
+        return is_cached(i) ? std::string_view() : std::string_view(queries[i]);
+      },
+      1, n_shards, /*transposed=*/false, cfg_, pool_);
+  for (const auto& a : a_query) work.stripe_bytes += a.bytes();
 
   // Query-side minhash sketches for the index-side tier-0 screen: computed
   // only when the cascade asks for a sketch overlap AND the index carries a
@@ -383,6 +372,8 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
                          index_->sketch_len() > 0;
   std::vector<std::vector<std::uint64_t>> query_sketches;
   if (sketching) {
+    const kmer::Alphabet alphabet(cfg_.alphabet);
+    const kmer::KmerCodec codec(alphabet.size(), cfg_.k);
     query_sketches.resize(nq);
     util::parallel_for(pool_, nq, [&](std::size_t i) {
       if (is_cached(i)) return;
@@ -391,30 +382,6 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
                                index_->sketch_len());
     });
   }
-
-  // Route query nonzeros to the index's k-mer-range shards.
-  const Index kmer_space = index_->kmer_space();
-  std::vector<std::vector<Triple<KmerPos>>> per_shard(
-      static_cast<std::size_t>(n_shards));
-  for (auto& v : per_query) {
-    for (const auto& t : v) {
-      const int s = sim::ProcGrid::part_of(t.col, kmer_space, n_shards);
-      per_shard[static_cast<std::size_t>(s)].push_back(
-          {t.row, t.col - index_->shard_begin(s), t.val});
-    }
-    v.clear();
-    v.shrink_to_fit();
-  }
-
-  std::vector<SpMat<KmerPos>> a_query(static_cast<std::size_t>(n_shards));
-  util::parallel_for(pool_, a_query.size(), [&](std::size_t s) {
-    const Index cols = index_->shard_begin(static_cast<int>(s) + 1) -
-                       index_->shard_begin(static_cast<int>(s));
-    a_query[s] = SpMat<KmerPos>::from_triples(
-        static_cast<Index>(nq), cols, std::move(per_shard[s]),
-        [](KmerPos& acc, const KmerPos& v) { core::keep_min_pos(acc, v); });
-  });
-  for (const auto& a : a_query) work.stripe_bytes += a.bytes();
 
   // ---- shard-by-shard discovery SpGEMM -------------------------------------
   // With a DeltaIndex every shard is served from multiple SOURCES — the

@@ -430,8 +430,7 @@ class QueryEngine {
   // All of it is read/written only by sequential code: plan_batch_faults
   // in batch-ordinal order, never the concurrent stages.
   bool faults_enabled_ = false;
-  std::vector<char> death_recovered_;  // plan event -> recovery charged
-  std::vector<char> dead_seen_;        // rank -> death already surfaced
+  std::vector<char> dead_seen_;  // rank -> death already surfaced
   /// Running per-rank resident estimate (static placement + re-placements)
   /// — the deterministic tie-broken load the re-replication target rule
   /// minimizes.

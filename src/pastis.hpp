@@ -64,8 +64,6 @@
 #include "sparse/triple.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
-#include "util/memory.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"

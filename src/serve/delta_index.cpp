@@ -73,12 +73,6 @@ std::string_view DeltaIndex::ref(sparse::Index id) const {
   throw std::out_of_range("DeltaIndex::ref: id out of range");
 }
 
-std::uint64_t DeltaIndex::total_ref_residues() const {
-  std::uint64_t r = base_.ref_residues();
-  for (const auto& seg : segments_) r += seg.ref_residues();
-  return r;
-}
-
 std::uint64_t DeltaIndex::delta_bytes() const {
   std::uint64_t b = 0;
   for (const auto& seg : segments_) b += seg.bytes();
@@ -126,7 +120,6 @@ CompactionStats DeltaIndex::compact(const sim::MachineModel& model,
   if (segments_.empty()) return st;
   const auto t0 = Clock::now();
   const int n_shards = base_.n_shards();
-  const sparse::Index all_refs_n = total_refs();
   st.segments_merged = segments_.size();
   st.shard_modeled_seconds.assign(static_cast<std::size_t>(n_shards), 0.0);
 
@@ -135,39 +128,17 @@ CompactionStats DeltaIndex::compact(const sim::MachineModel& model,
 
   exec::StreamPipeline* pipe_ptr = nullptr;
 
-  // Stage "merge": k-way fold of the base stripe plus every segment stripe
-  // of one shard. Column ids are lifted to global reference ids (segment
-  // ref bases), rows stay shard-local — every source covers the same k-mer
-  // range by construction. Keys are disjoint across sources (distinct
-  // reference columns), so the min-position combine below never actually
-  // fires; it is the same rule KmerIndex::build applies, which is what
-  // makes the merged stripe identical to a from-scratch build.
+  // Stage "merge": the base stripe and every segment stripe of one shard
+  // side by side. Every source covers the shard's k-mer rows, and segment
+  // g's columns land at its ref base (the widths before it): disjoint
+  // columns, so the stack is the from-scratch KmerIndex::build stripe.
   exec::Stage merge_stage{
       "merge", [&](std::size_t item, std::size_t) {
         const int s = static_cast<int>(item);
-        const auto& bsh = base_.shard(s);
-        std::size_t total = static_cast<std::size_t>(bsh.nnz());
-        for (const auto& seg : segments_) {
-          total += static_cast<std::size_t>(seg.shard(s).nnz());
-        }
-        std::vector<sparse::Triple<index::KmerPos>> triples;
-        triples.reserve(total);
-        bsh.for_each([&](sparse::Index r, sparse::Index c,
-                         const index::KmerPos& v) {
-          triples.push_back({r, c, v});
-        });
-        for (std::size_t g = 0; g < segments_.size(); ++g) {
-          const sparse::Index cbase = ref_bases_[g];
-          segments_[g].shard(s).for_each(
-              [&](sparse::Index r, sparse::Index c, const index::KmerPos& v) {
-                triples.push_back({r, c + cbase, v});
-              });
-        }
-        merged[item] = sparse::SpMat<index::KmerPos>::from_triples(
-            bsh.nrows(), all_refs_n, std::move(triples),
-            [](index::KmerPos& acc, const index::KmerPos& v) {
-              if (v.pos < acc.pos) acc = v;
-            });
+        std::vector<const sparse::SpMat<index::KmerPos>*> parts{
+            &base_.shard(s)};
+        for (const auto& seg : segments_) parts.push_back(&seg.shard(s));
+        merged[item] = sparse::hstack(parts);
         if (pipe_ptr != nullptr) {
           pipe_ptr->set_resident_bytes(item, merged[item].bytes());
         }
@@ -206,7 +177,7 @@ CompactionStats DeltaIndex::compact(const sim::MachineModel& model,
   // Swap the merged stripes in without moving base_ itself: the engine
   // holds &base_, which must stay valid across compactions.
   std::vector<std::string> all_refs = base_.refs();
-  all_refs.reserve(all_refs_n);
+  all_refs.reserve(total_refs());
   for (auto& seg : segments_) {
     for (const auto& r : seg.refs()) all_refs.push_back(r);
   }

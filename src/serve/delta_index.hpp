@@ -90,12 +90,10 @@ class DeltaIndex {
   /// Reference sequence by GLOBAL id (base refs first, then each segment's
   /// refs in arrival order).
   [[nodiscard]] std::string_view ref(sparse::Index id) const;
-  [[nodiscard]] std::uint64_t total_ref_residues() const;
 
   /// Mutation count: bumped by every add_references(), never by compact().
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  [[nodiscard]] std::uint64_t base_bytes() const { return base_.bytes(); }
   /// Logical bytes across all delta segments (the compaction trigger's
   /// numerator).
   [[nodiscard]] std::uint64_t delta_bytes() const;

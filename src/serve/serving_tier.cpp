@@ -46,10 +46,10 @@ AddStats ServingTier::add_references(std::vector<std::string> refs) {
 
   if (opt_.compaction_trigger_ratio > 0.0 &&
       delta_.compaction_due(opt_.compaction_trigger_ratio)) {
-    last_compaction_ = delta_.compact(model_, pool_);
+    const CompactionStats compaction = delta_.compact(model_, pool_);
     ++stats_.compactions;
     const double sec =
-        engine_.charge_compaction(last_compaction_.shard_modeled_seconds);
+        engine_.charge_compaction(compaction.shard_modeled_seconds);
     stats_.compact_modeled_seconds += sec;
     // Same epoch, shifted physical bytes: re-ledger the placement.
     engine_.resync_static_residency();
@@ -57,11 +57,11 @@ AddStats ServingTier::add_references(std::vector<std::string> refs) {
       auto& m = *cfg_.telemetry.metrics;
       m.counter("compact.runs_total").add(1.0);
       m.counter("compact.postings_merged_total")
-          .add(static_cast<double>(last_compaction_.postings_merged));
+          .add(static_cast<double>(compaction.postings_merged));
       m.counter("compact.bytes_in_total")
-          .add(static_cast<double>(last_compaction_.bytes_in));
+          .add(static_cast<double>(compaction.bytes_in));
       m.counter("compact.bytes_out_total")
-          .add(static_cast<double>(last_compaction_.bytes_out));
+          .add(static_cast<double>(compaction.bytes_out));
       m.counter("compact.modeled_seconds_total").add(sec);
     }
 

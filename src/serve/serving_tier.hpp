@@ -97,10 +97,6 @@ class ServingTier {
   [[nodiscard]] index::QueryEngine& engine() { return engine_; }
   [[nodiscard]] const index::QueryEngine& engine() const { return engine_; }
   [[nodiscard]] const TierStats& stats() const { return stats_; }
-  /// Stats of the most recent compaction (zeroed until one runs).
-  [[nodiscard]] const CompactionStats& last_compaction() const {
-    return last_compaction_;
-  }
 
  private:
   [[nodiscard]] index::QueryEngine::Options engine_options() const;
@@ -115,7 +111,6 @@ class ServingTier {
   std::unique_ptr<ResultCache> cache_;
   index::QueryEngine engine_;
   TierStats stats_;
-  CompactionStats last_compaction_;
 };
 
 }  // namespace pastis::serve

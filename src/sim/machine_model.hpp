@@ -146,16 +146,6 @@ struct MachineModel {
     return static_cast<double>(bytes) / sparse_stream_Bps;
   }
 
-  /// Device time for an alignment batch: `max_device_cells` on the busiest
-  /// GPU, `launches` kernel launches, `pairs` packed by the host drivers.
-  [[nodiscard]] double align_time(std::uint64_t max_device_cells,
-                                  std::uint64_t launches,
-                                  std::uint64_t pairs) const {
-    return static_cast<double>(max_device_cells) / cups_per_gpu +
-           static_cast<double>(launches) * kernel_launch_s +
-           static_cast<double>(pairs) * pack_s_per_pair;
-  }
-
   /// Parallel file IO of `bytes` spread over `nodes` nodes.
   [[nodiscard]] double io_time(std::uint64_t bytes, int nodes) const {
     const double bw = std::min(fs_aggregate_Bps,

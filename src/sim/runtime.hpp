@@ -83,20 +83,11 @@ class SimRuntime {
     return n;
   }
 
-  /// Sum/max helpers over per-rank modeled component times.
-  [[nodiscard]] double max_over_ranks(Comp c) const {
-    double m = 0.0;
-    for (const auto& ck : clocks_) m = std::max(m, ck.get(c));
-    return m;
-  }
+  /// Sum over ranks of one modeled component time.
   [[nodiscard]] double sum_over_ranks(Comp c) const {
     double s = 0.0;
     for (const auto& ck : clocks_) s += ck.get(c);
     return s;
-  }
-
-  void reset_clocks() {
-    for (auto& c : clocks_) c = RankClock{};
   }
 
   /// Per-rank resident-bytes high-water marks (see

@@ -295,4 +295,94 @@ class SpMat {
   std::vector<T> vals_;          // payloads
 };
 
+/// Concatenates `parts` left to right: part p's columns are offset by the
+/// widths of parts 0..p−1. Each output row takes its segments in part
+/// order, so columns ascend and the DCSR arrays assemble directly (no sort,
+/// values bit-exact). Merging the row directories costs Θ(nnz + parts ×
+/// nonempty rows) and allocates nothing of size nrows, so hypersparse parts
+/// (index shards over 244M k-mer rows) stay cheap. Parts are read, not
+/// consumed, and must share a row count (std::invalid_argument otherwise);
+/// no parts give a 0 × 0 matrix.
+template <typename T>
+[[nodiscard]] SpMat<T> hstack(const std::vector<const SpMat<T>*>& parts) {
+  if (parts.empty()) return {};
+  const Index nrows = parts.front()->nrows();
+  Index ncols = 0;
+  Offset nnz = 0;
+  for (const auto* m : parts) {
+    if (m->nrows() != nrows) {
+      throw std::invalid_argument("sparse::hstack: parts differ in row count");
+    }
+    ncols += m->ncols();
+    nnz += m->nnz();
+  }
+  std::vector<Index> row_ids;
+  std::vector<Offset> row_ptr{0};
+  std::vector<Index> cols;
+  std::vector<T> vals;
+  cols.reserve(nnz);
+  vals.reserve(nnz);
+  constexpr Index kNoRow = static_cast<Index>(-1);  // above every row id
+  std::vector<std::size_t> next(parts.size(), 0);   // directory cursors
+  for (;;) {
+    Index row = kNoRow;
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      if (next[p] < parts[p]->n_nonempty_rows()) {
+        row = std::min(row, parts[p]->row_id(next[p]));
+      }
+    }
+    if (row == kNoRow) break;
+    Index c0 = 0;
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      const auto& m = *parts[p];
+      if (next[p] < m.n_nonempty_rows() && m.row_id(next[p]) == row) {
+        for (Offset o = m.row_begin(next[p]); o < m.row_end(next[p]); ++o) {
+          cols.push_back(m.col(o) + c0);
+          vals.push_back(m.val(o));
+        }
+        ++next[p];
+      }
+      c0 += m.ncols();
+    }
+    row_ids.push_back(row);
+    row_ptr.push_back(cols.size());
+  }
+  return SpMat<T>::from_sorted_parts(nrows, ncols, std::move(row_ids),
+                                     std::move(row_ptr), std::move(cols),
+                                     std::move(vals));
+}
+
+/// Concatenates `parts` top to bottom: part p's rows are offset by the
+/// heights of parts 0..p−1, so the directories append in order (Θ(nnz +
+/// nonempty rows), no sort, values bit-exact). Parts are read, not
+/// consumed, and must share a column count (std::invalid_argument
+/// otherwise); no parts give a 0 × 0 matrix.
+template <typename T>
+[[nodiscard]] SpMat<T> vstack(const std::vector<const SpMat<T>*>& parts) {
+  if (parts.empty()) return {};
+  const Index ncols = parts.front()->ncols();
+  std::vector<Index> row_ids;
+  std::vector<Offset> row_ptr{0};
+  std::vector<Index> cols;
+  std::vector<T> vals;
+  Index r0 = 0;
+  for (const auto* m : parts) {
+    if (m->ncols() != ncols) {
+      throw std::invalid_argument(
+          "sparse::vstack: parts differ in column count");
+    }
+    const Offset base = cols.size();
+    for (std::size_t k = 0; k < m->n_nonempty_rows(); ++k) {
+      row_ids.push_back(m->row_id(k) + r0);
+      row_ptr.push_back(base + m->row_end(k));
+    }
+    cols.insert(cols.end(), m->col_data(0), m->col_data(m->nnz()));
+    vals.insert(vals.end(), m->val_data(0), m->val_data(m->nnz()));
+    r0 += m->nrows();
+  }
+  return SpMat<T>::from_sorted_parts(r0, ncols, std::move(row_ids),
+                                     std::move(row_ptr), std::move(cols),
+                                     std::move(vals));
+}
+
 }  // namespace pastis::sparse

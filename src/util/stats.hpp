@@ -1,12 +1,11 @@
 // Small statistics helpers: min/avg/max accumulators (the paper reports load
 // imbalance as the min, average and max attained by the parallel processes),
-// parallel-efficiency helpers, and a fixed-width histogram.
+// and parallel-efficiency helpers.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace pastis::util {
 
@@ -81,33 +80,5 @@ template <typename Range>
 [[nodiscard]] inline double weak_scaling_efficiency(double t_base, double t) {
   return t <= 0.0 ? 0.0 : t_base / t;
 }
-
-/// Simple fixed-width histogram used by the dataset generator's self-report.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-  void add(double v) {
-    if (counts_.empty()) return;
-    const double t = (v - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(idx, 0,
-                                   static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-  }
-
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
-    return counts_;
-  }
-  [[nodiscard]] double bin_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-};
 
 }  // namespace pastis::util

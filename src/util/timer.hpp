@@ -27,42 +27,9 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in integral milliseconds (for log lines).
-  [[nodiscard]] std::int64_t millis() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                                 start_)
-        .count();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed time across multiple start/stop intervals.
-class StopWatch {
- public:
-  void start() { timer_.reset(); }
-  void stop() { total_ += timer_.seconds(); }
-  [[nodiscard]] double total_seconds() const { return total_; }
-  void clear() { total_ = 0.0; }
-
- private:
-  Timer timer_;
-  double total_ = 0.0;
-};
-
-/// RAII guard that adds the scope's duration to an accumulator on exit.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double& sink) : sink_(sink) {}
-  ~ScopedTimer() { sink_ += timer_.seconds(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double& sink_;
-  Timer timer_;
 };
 
 }  // namespace pastis::util

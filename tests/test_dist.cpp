@@ -344,7 +344,11 @@ TEST(Stripes, HstackVstackReassembleTiles) {
   auto A = pd::DistSpMat<int>::from_global_triples(grid, 40, 52, triples);
   std::vector<ps::Triple<int>> via_rows;
   for (int gi = 0; gi < grid.side(); ++gi) {
-    const auto strip = pd::hstack_grid_row(A, gi);
+    std::vector<const ps::SpMat<int>*> row;
+    for (int gj = 0; gj < grid.side(); ++gj) {
+      row.push_back(&A.local(grid.rank_of(gi, gj)));
+    }
+    const auto strip = ps::hstack(row);
     EXPECT_EQ(strip.ncols(), 52u);
     const ps::Index r0 = A.row_begin(gi);
     for (const auto& t : strip.to_triples()) {
@@ -355,7 +359,11 @@ TEST(Stripes, HstackVstackReassembleTiles) {
 
   std::vector<ps::Triple<int>> via_cols;
   for (int gj = 0; gj < grid.side(); ++gj) {
-    const auto strip = pd::vstack_grid_col(A, gj);
+    std::vector<const ps::SpMat<int>*> col;
+    for (int gi = 0; gi < grid.side(); ++gi) {
+      col.push_back(&A.local(grid.rank_of(gi, gj)));
+    }
+    const auto strip = ps::vstack(col);
     EXPECT_EQ(strip.nrows(), 40u);
     const ps::Index c0 = A.col_begin(gj);
     for (const auto& t : strip.to_triples()) {

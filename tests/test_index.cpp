@@ -4,10 +4,12 @@
 // counts — the acceptance bar of the serving layer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 
 #include "core/pipeline.hpp"
@@ -201,6 +203,82 @@ TEST(IndexIo, RejectsCorruptAndTruncatedFiles) {
     os << "not an index";
   }
   EXPECT_THROW((void)pidx::load_index(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(IndexIo, RejectsCorruptPostings) {
+  // Postings are (row u32, col u32, pos u32) records after each shard's
+  // nnz u64. Corrupt shard 0's first records in place: every case must
+  // throw std::runtime_error naming the shard, and a reordering (which
+  // changes no posting) must still load an equal index.
+  const auto refs = make_refs(60, 17);
+  const pc::PastisConfig cfg;
+  const auto idx = pidx::KmerIndex::build(refs, cfg, 2);
+  ASSERT_GE(idx.shard(0).nnz(), 2u);
+  const auto path = temp_path("pastis_index_postings.pidx");
+  pidx::save_index(path, idx);
+  std::string clean;
+  {
+    std::ifstream f(path, std::ios::binary);
+    clean.assign((std::istreambuf_iterator<char>(f)),
+                 std::istreambuf_iterator<char>());
+  }
+  // Header to the manifest (see V3LoaderKeepsReadingV2Files), n_segments
+  // and sketch_len u32s, ref lengths, residues, then shard 0's nnz.
+  std::size_t at = 76 + 8 * static_cast<std::size_t>(idx.n_shards()) + 8 +
+                   4 * refs.size();
+  for (const auto& r : refs) at += r.size();
+  std::uint64_t nnz0 = 0;
+  std::memcpy(&nnz0, clean.data() + at, sizeof(nnz0));
+  ASSERT_EQ(nnz0, idx.shard(0).nnz());
+  const std::size_t postings = at + sizeof(nnz0);
+
+  // Edits shard 0's first two postings, then loads the file.
+  using Posting = std::array<std::uint32_t, 3>;
+  using Edit = std::function<void(Posting&, Posting&)>;
+  const auto load_with = [&](const Edit& f) {
+    std::string bytes = clean;
+    Posting p0, p1;
+    std::memcpy(p0.data(), bytes.data() + postings, sizeof(p0));
+    std::memcpy(p1.data(), bytes.data() + postings + sizeof(p0), sizeof(p1));
+    f(p0, p1);
+    std::memcpy(bytes.data() + postings, p0.data(), sizeof(p0));
+    std::memcpy(bytes.data() + postings + sizeof(p0), p1.data(), sizeof(p1));
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    return pidx::load_index(path);
+  };
+  const auto expect_rejected = [&](const char* what, const Edit& f) {
+    try {
+      (void)load_with(f);
+      ADD_FAILURE() << what << ": loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard 0"), std::string::npos)
+          << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": not a std::runtime_error: " << e.what();
+    }
+  };
+
+  const auto shard0_rows = idx.shard_begin(1) - idx.shard_begin(0);
+  expect_rejected("row outside the shard",
+                  [&](Posting& p, Posting&) { p[0] = shard0_rows; });
+  expect_rejected("reference column outside the index",
+                  [&](Posting& p, Posting&) {
+                    p[1] = static_cast<std::uint32_t>(refs.size());
+                  });
+  expect_rejected("duplicated posting", [](Posting& p, Posting& q) { q = p; });
+  expect_rejected("position past the reference's last k-mer",
+                  [&](Posting& p, Posting&) {
+                    p[2] = static_cast<std::uint32_t>(refs[p[1]].size() -
+                                                      cfg.k + 1);
+                  });
+
+  const auto swapped =
+      load_with([](Posting& p, Posting& q) { std::swap(p, q); });
+  EXPECT_TRUE(swapped == idx);
   std::filesystem::remove(path);
 }
 

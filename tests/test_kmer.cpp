@@ -2,15 +2,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "align/scoring.hpp"
+#include "core/kmer_matrix.hpp"
+#include "core/stages.hpp"
+#include "gen/protein_gen.hpp"
 #include "kmer/alphabet.hpp"
 #include "kmer/codec.hpp"
 #include "kmer/extract.hpp"
 #include "kmer/nearest.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pk = pastis::kmer;
 
@@ -263,4 +269,107 @@ TEST(Neighbors, ZeroMReturnsNothing) {
   const auto scoring = pastis::align::Scoring::pastis_default();
   const pk::NeighborGenerator gen(a, codec, scoring);
   EXPECT_TRUE(gen.nearest(0, 0).empty());
+}
+
+// ---- core::kmer_matrix_blocks, the one k-mer matrix producer ---------------
+
+namespace {
+
+namespace pc = pastis::core;
+namespace ps = pastis::sparse;
+using pastis::sim::ProcGrid;
+
+/// Oracle for kmer_matrix_blocks: every sequence's extract_sequence_kmers
+/// triples flattened, filtered and re-indexed per block, then built through
+/// from_triples with keep_min_pos. Row `empty_row` is skipped.
+std::vector<ps::SpMat<pc::KmerPos>> routed_blocks(
+    const std::vector<std::string>& seqs, std::size_t empty_row,
+    int seq_parts, int kmer_parts, bool transposed,
+    const pc::PastisConfig& cfg) {
+  const pk::Alphabet alphabet(cfg.alphabet);
+  const pk::KmerCodec codec(alphabet.size(), cfg.k);
+  const pk::NeighborGenerator neighbors(alphabet, codec, cfg.make_scoring(),
+                                        cfg.subs_max_loss);
+  std::vector<ps::Triple<pc::KmerPos>> all;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    if (i == empty_row) continue;
+    pc::extract_sequence_kmers(seqs[i], static_cast<ps::Index>(i), alphabet,
+                               codec, neighbors, cfg.subs_kmers, all);
+  }
+  const auto n = static_cast<ps::Index>(seqs.size());
+  const auto space = static_cast<ps::Index>(codec.space());
+  std::vector<ps::SpMat<pc::KmerPos>> blocks;
+  for (int si = 0; si < seq_parts; ++si) {
+    for (int kj = 0; kj < kmer_parts; ++kj) {
+      const ps::Index r0 = ProcGrid::split_point(n, seq_parts, si);
+      const ps::Index r1 = ProcGrid::split_point(n, seq_parts, si + 1);
+      const ps::Index c0 = ProcGrid::split_point(space, kmer_parts, kj);
+      const ps::Index c1 = ProcGrid::split_point(space, kmer_parts, kj + 1);
+      std::vector<ps::Triple<pc::KmerPos>> t;
+      for (const auto& x : all) {
+        if (x.row < r0 || x.row >= r1 || x.col < c0 || x.col >= c1) continue;
+        const ps::Index r = x.row - r0;
+        const ps::Index c = x.col - c0;
+        t.push_back(transposed ? ps::Triple<pc::KmerPos>{c, r, x.val}
+                               : ps::Triple<pc::KmerPos>{r, c, x.val});
+      }
+      blocks.push_back(ps::SpMat<pc::KmerPos>::from_triples(
+          transposed ? c1 - c0 : r1 - r0, transposed ? r1 - r0 : c1 - c0,
+          std::move(t), [](pc::KmerPos& acc, const pc::KmerPos& v) {
+            pc::keep_min_pos(acc, v);
+          }));
+    }
+  }
+  return blocks;
+}
+
+}  // namespace
+
+TEST(KmerMatrix, BlocksMatchRoutedTriples) {
+  pastis::gen::GenConfig g;
+  g.n_sequences = 40;
+  g.seed = 29;
+  g.mean_length = 90.0;
+  g.max_length = 300;
+  auto seqs = pastis::gen::generate_proteins(g).seqs;
+  // Low-complexity rows whose substitute k-mers collide with their own
+  // k-mers at other positions, so keep_min_pos decides entries.
+  seqs[3] = "AAAAAAASAAAAAAGAAAAAA";
+  seqs[30] = "LLLLLLILLLLLLVLLLLL";
+  const std::size_t empty_row = 7;
+  const auto seq_of = [&](ps::Index i) {
+    return i == empty_row ? std::string_view() : std::string_view(seqs[i]);
+  };
+  pastis::util::ThreadPool pool1(1), pool3(3);
+  const std::array<pastis::util::ThreadPool*, 3> pools = {nullptr, &pool1,
+                                                          &pool3};
+  struct Cut {
+    int seq_parts, kmer_parts;
+    bool transposed;
+  };
+  const std::array<Cut, 4> cuts = {
+      Cut{1, 1, false}, Cut{1, 5, true}, Cut{3, 3, false}, Cut{2, 4, true}};
+  for (const int subs : {0, 2}) {
+    pc::PastisConfig cfg;
+    cfg.subs_kmers = subs;
+    for (const auto& c : cuts) {
+      const auto want = routed_blocks(seqs, empty_row, c.seq_parts,
+                                      c.kmer_parts, c.transposed, cfg);
+      std::uint64_t nnz = 0;
+      for (const auto& b : want) nnz += b.nnz();
+      ASSERT_GT(nnz, 0u);
+      for (auto* pool : pools) {
+        const auto got = pc::kmer_matrix_blocks(
+            static_cast<ps::Index>(seqs.size()), seq_of, c.seq_parts,
+            c.kmer_parts, c.transposed, cfg, pool);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t b = 0; b < got.size(); ++b) {
+          EXPECT_TRUE(got[b] == want[b])
+              << "subs " << subs << " cut " << c.seq_parts << "x"
+              << c.kmer_parts << (c.transposed ? "T" : "") << " block " << b
+              << " pool " << (pool != nullptr ? pool->size() : 0);
+        }
+      }
+    }
+  }
 }

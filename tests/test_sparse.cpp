@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
+#include <vector>
 
 #include "sparse/matrix.hpp"
 #include "util/rng.hpp"
@@ -261,4 +263,105 @@ TEST(TripleHelpers, SortAndCombine) {
   ps::combine_duplicates(t, [](int& a, const int& b) { a += b; });
   ASSERT_EQ(t.size(), 3u);
   EXPECT_EQ(t[2].val, 10);
+}
+
+// ---- block concatenation (sparse::hstack / sparse::vstack) -----------------
+
+namespace {
+
+std::vector<const IntMat*> ptrs(const std::vector<IntMat>& parts) {
+  std::vector<const IntMat*> out;
+  for (const auto& m : parts) out.push_back(&m);
+  return out;
+}
+
+/// The parts' nonzeros shifted by the widths (heights) of the parts before
+/// them, rebuilt through from_triples.
+IntMat stacked_oracle(const std::vector<IntMat>& parts, bool side_by_side) {
+  Triples t;
+  ps::Index rows = 0;
+  ps::Index cols = 0;
+  for (const auto& m : parts) {
+    m.for_each([&](ps::Index i, ps::Index j, int v) {
+      t.push_back(side_by_side ? ps::Triple<int>{i, j + cols, v}
+                               : ps::Triple<int>{i + rows, j, v});
+    });
+    if (side_by_side) {
+      rows = m.nrows();
+      cols += m.ncols();
+    } else {
+      rows += m.nrows();
+      cols = m.ncols();
+    }
+  }
+  return IntMat::from_triples(rows, cols, std::move(t));
+}
+
+}  // namespace
+
+TEST(SparseStack, HstackMatchesShiftedTriples) {
+  const std::vector<IntMat> parts = {
+      random_matrix(30, 7, 0.2, 301), IntMat(30, 4),
+      random_matrix(30, 11, 0.3, 302), IntMat(30, 0),
+      random_matrix(30, 5, 0.05, 303)};
+  const auto h = ps::hstack(ptrs(parts));
+  EXPECT_EQ(h.nrows(), 30u);
+  EXPECT_EQ(h.ncols(), 27u);
+  EXPECT_TRUE(h == stacked_oracle(parts, true));
+  // Read, not consumed.
+  EXPECT_TRUE(parts[0] == random_matrix(30, 7, 0.2, 301));
+}
+
+TEST(SparseStack, VstackMatchesShiftedTriples) {
+  const std::vector<IntMat> parts = {
+      random_matrix(9, 20, 0.2, 311), IntMat(4, 20),
+      random_matrix(13, 20, 0.3, 312), IntMat(0, 20),
+      random_matrix(6, 20, 0.05, 313)};
+  const auto v = ps::vstack(ptrs(parts));
+  EXPECT_EQ(v.nrows(), 32u);
+  EXPECT_EQ(v.ncols(), 20u);
+  EXPECT_TRUE(v == stacked_oracle(parts, false));
+}
+
+TEST(SparseStack, EmptyAndSingleParts) {
+  const std::vector<IntMat> one = {random_matrix(12, 9, 0.3, 321)};
+  EXPECT_TRUE(ps::hstack(ptrs(one)) == one[0]);
+  EXPECT_TRUE(ps::vstack(ptrs(one)) == one[0]);
+
+  const std::vector<IntMat> empties = {IntMat(5, 3), IntMat(5, 2)};
+  EXPECT_TRUE(ps::hstack(ptrs(empties)) == IntMat(5, 5));
+  const std::vector<IntMat> tall = {IntMat(3, 4), IntMat(2, 4)};
+  EXPECT_TRUE(ps::vstack(ptrs(tall)) == IntMat(5, 4));
+
+  EXPECT_TRUE(ps::hstack(std::vector<const IntMat*>{}) == IntMat());
+  EXPECT_TRUE(ps::vstack(std::vector<const IntMat*>{}) == IntMat());
+
+  const std::vector<IntMat> ragged = {IntMat(5, 3), IntMat(6, 3)};
+  EXPECT_THROW((void)ps::hstack(ptrs(ragged)), std::invalid_argument);
+  EXPECT_THROW((void)ps::vstack(ptrs(empties)), std::invalid_argument);
+}
+
+TEST(SparseStack, HypersparseHstackIsNnzBounded) {
+  // Index shards over the k-mer space are this shape: 2^30 rows, a handful
+  // nonempty, some shared between parts. The stack must cost nnz, not
+  // rows.
+  const ps::Index rows = ps::Index{1} << 30;
+  const std::array<ps::Index, 4> hot = {0, 12345, ps::Index{1} << 29,
+                                        rows - 1};
+  std::vector<IntMat> parts;
+  for (int p = 0; p < 3; ++p) {
+    Triples t;
+    for (std::size_t k = 0; k < hot.size(); ++k) {
+      if ((k + static_cast<std::size_t>(p)) % 2 == 0) {
+        t.push_back({hot[k], 1, static_cast<int>(k) + 10 * p});
+      }
+    }
+    parts.push_back(IntMat::from_triples(rows, 3, std::move(t)));
+  }
+  const auto h = ps::hstack(ptrs(parts));
+  EXPECT_TRUE(h == stacked_oracle(parts, true));
+  EXPECT_EQ(h.nrows(), rows);
+  EXPECT_EQ(h.ncols(), 9u);
+  EXPECT_EQ(h.nnz(), 6u);
+  EXPECT_LT(h.bytes(), 1024u);
 }

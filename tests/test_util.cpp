@@ -1,17 +1,14 @@
 // Unit tests for the util substrate: timers, statistics, RNG, thread pool,
-// formatting, memory accounting.
+// formatting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "util/format.hpp"
-#include "util/log.hpp"
-#include "util/memory.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -26,25 +23,6 @@ TEST(Timer, MonotonicAndResets) {
   EXPECT_GE(b, a);
   t.reset();
   EXPECT_GE(t.seconds(), 0.0);
-}
-
-TEST(StopWatch, AccumulatesIntervals) {
-  pu::StopWatch w;
-  w.start();
-  w.stop();
-  w.start();
-  w.stop();
-  EXPECT_GE(w.total_seconds(), 0.0);
-  w.clear();
-  EXPECT_EQ(w.total_seconds(), 0.0);
-}
-
-TEST(ScopedTimer, AddsToSink) {
-  double sink = 0.0;
-  {
-    pu::ScopedTimer guard(sink);
-  }
-  EXPECT_GE(sink, 0.0);
 }
 
 TEST(MinAvgMax, BasicAccumulation) {
@@ -126,18 +104,6 @@ TEST(ScalingEfficiency, StrongAndWeak) {
   EXPECT_NEAR(pu::strong_scaling_efficiency(100.0, 49, 100.0 * 49 / (400 * 0.66), 400),
               0.66, 1e-9);
   EXPECT_DOUBLE_EQ(pu::weak_scaling_efficiency(10.0, 12.5), 0.8);
-}
-
-TEST(Histogram, BinsAndClamps) {
-  pu::Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps into bin 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);  // clamps into last bin
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[4], 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
@@ -272,85 +238,4 @@ TEST(Format, TextTablePrints) {
   const std::string s = os.str();
   EXPECT_NE(s.find("| a"), std::string::npos);
   EXPECT_NE(s.find("| 1"), std::string::npos);
-}
-
-TEST(Memory, LogicalTracksPeak) {
-  pu::LogicalMemory m;
-  m.allocate(100);
-  m.allocate(50);
-  m.release(120);
-  EXPECT_EQ(m.current(), 30u);
-  EXPECT_EQ(m.peak(), 150u);
-  m.release(1000);  // saturates at zero
-  EXPECT_EQ(m.current(), 0u);
-}
-
-TEST(Memory, RssReadable) {
-  EXPECT_GT(pu::current_rss_bytes(), 0u);
-  EXPECT_GE(pu::peak_rss_bytes(), pu::current_rss_bytes() / 2);
-}
-
-// RAII save/restore of the global log level, so these tests never leak a
-// threshold change into the rest of the suite.
-struct LogLevelGuard {
-  pu::LogLevel saved = pu::log_level();
-  ~LogLevelGuard() { pu::set_log_level(saved); }
-};
-
-TEST(Log, ParseLevelNames) {
-  const auto fb = pu::LogLevel::kWarn;
-  EXPECT_EQ(pu::parse_log_level("debug", fb), pu::LogLevel::kDebug);
-  EXPECT_EQ(pu::parse_log_level("info", fb), pu::LogLevel::kInfo);
-  EXPECT_EQ(pu::parse_log_level("warn", fb), pu::LogLevel::kWarn);
-  EXPECT_EQ(pu::parse_log_level("warning", fb), pu::LogLevel::kWarn);
-  EXPECT_EQ(pu::parse_log_level("error", fb), pu::LogLevel::kError);
-  EXPECT_EQ(pu::parse_log_level("off", fb), pu::LogLevel::kOff);
-  EXPECT_EQ(pu::parse_log_level("none", fb), pu::LogLevel::kOff);
-  // Case-insensitive; unknown names fall back.
-  EXPECT_EQ(pu::parse_log_level("DEBUG", fb), pu::LogLevel::kDebug);
-  EXPECT_EQ(pu::parse_log_level("Info", fb), pu::LogLevel::kInfo);
-  EXPECT_EQ(pu::parse_log_level("verbose", fb), fb);
-  EXPECT_EQ(pu::parse_log_level("", fb), fb);
-}
-
-TEST(Log, EnvVarSetsLevel) {
-  LogLevelGuard guard;
-  ASSERT_EQ(setenv("PASTIS_LOG_LEVEL", "error", 1), 0);
-  pu::init_log_level_from_env();
-  EXPECT_EQ(pu::log_level(), pu::LogLevel::kError);
-
-  // Unparsable values leave the threshold alone.
-  pu::set_log_level(pu::LogLevel::kInfo);
-  ASSERT_EQ(setenv("PASTIS_LOG_LEVEL", "shouting", 1), 0);
-  pu::init_log_level_from_env();
-  EXPECT_EQ(pu::log_level(), pu::LogLevel::kInfo);
-
-  // Unset: also a no-op.
-  ASSERT_EQ(unsetenv("PASTIS_LOG_LEVEL"), 0);
-  pu::set_log_level(pu::LogLevel::kWarn);
-  pu::init_log_level_from_env();
-  EXPECT_EQ(pu::log_level(), pu::LogLevel::kWarn);
-}
-
-TEST(Log, FormatLinePrefix) {
-  const std::string line = pu::format_log_line(pu::LogLevel::kInfo, "hello");
-  // ISO-8601 UTC timestamp: "YYYY-MM-DDTHH:MM:SS.mmmZ ...".
-  ASSERT_GE(line.size(), 24u);
-  EXPECT_EQ(line[4], '-');
-  EXPECT_EQ(line[7], '-');
-  EXPECT_EQ(line[10], 'T');
-  EXPECT_EQ(line[13], ':');
-  EXPECT_EQ(line[16], ':');
-  EXPECT_EQ(line[19], '.');
-  EXPECT_EQ(line[23], 'Z');
-  // Tag carries the level name and the dense thread id.
-  EXPECT_NE(line.find("[pastis INFO "), std::string::npos);
-  EXPECT_NE(line.find("tid "), std::string::npos);
-  EXPECT_NE(line.find("] hello"), std::string::npos);
-  // The calling thread's id is stable across calls.
-  const std::string again = pu::format_log_line(pu::LogLevel::kError, "x");
-  EXPECT_NE(again.find("ERROR"), std::string::npos);
-  const auto tid = pu::log_thread_id();
-  EXPECT_GE(tid, 0);
-  EXPECT_EQ(tid, pu::log_thread_id());
 }
