@@ -7,6 +7,8 @@
 //   * §V-B's memory discussion: the compression factor (intermediate
 //     products per output nonzero) stays in the single digits on
 //     genomics-like data, which is what makes blocked formation worthwhile.
+#include <array>
+
 #include "bench_common.hpp"
 
 using namespace pastis;
@@ -24,14 +26,15 @@ int main(int argc, char** argv) {
   ShapeChecks sc;
   for (std::uint32_t n : {base, base * 2, base * 4}) {
     const auto data = make_dataset(n, args.i("seed", 7));
-    core::DistSeqStore store(data.seqs, 1);
-    sim::SimRuntime rt(1, sim::MachineModel{});
-    core::PastisConfig cfg;
-    core::KmerMatrixInfo info;
-    auto A = core::build_kmer_matrix(rt, store, cfg, &info);
-    auto B = A.transposed(&util::ThreadPool::global());
-    const auto& a_local = A.local(0);
-    const auto& b_local = B.local(0);
+    const core::PastisConfig cfg;
+    const std::array<sparse::Index, 2> bounds{0, n};
+    const auto a_local = std::move(
+        core::kmer_matrix_blocks(
+            bounds,
+            [&](sparse::Index i) { return std::string_view(data.seqs[i]); },
+            1, /*transposed=*/false, cfg, &util::ThreadPool::global())
+            .front());
+    const auto b_local = a_local.transposed();
 
     sparse::SpGemmStats hs, ps, ts;
     util::Timer th;
@@ -45,7 +48,7 @@ int main(int argc, char** argv) {
         a_local, b_local, &ts, &util::ThreadPool::global());
     const double hash2p_wall = t2.seconds();
 
-    t.add_row({std::to_string(n), util::with_commas(info.nnz),
+    t.add_row({std::to_string(n), util::with_commas(a_local.nnz()),
                util::with_commas(hs.products), util::with_commas(hs.out_nnz),
                f2(hs.compression_factor()), f4(hash_wall), f4(heap_wall),
                f4(hash2p_wall), f2(hash2p_wall / hash_wall)});

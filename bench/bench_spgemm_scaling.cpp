@@ -6,6 +6,7 @@
 // serial hash oracle) and emits the same numbers as machine-readable JSON
 // (--out, default BENCH_spgemm.json) so CI can track the kernel's perf
 // trajectory and catch regressions.
+#include <array>
 #include <cstdio>
 #include <fstream>
 
@@ -40,14 +41,15 @@ int main(int argc, char** argv) {
 
   util::banner("two-phase SpGEMM scaling — overlap product A·Aᵀ");
   const auto data = make_dataset(n, args.i("seed", 7));
-  core::DistSeqStore store(data.seqs, 1);
-  sim::SimRuntime rt(1, sim::MachineModel{});
-  core::PastisConfig cfg;
-  core::KmerMatrixInfo info;
-  auto A = core::build_kmer_matrix(rt, store, cfg, &info);
-  auto B = A.transposed(&util::ThreadPool::global());
-  const auto& a_local = A.local(0);
-  const auto& b_local = B.local(0);
+  const core::PastisConfig cfg;
+  const std::array<sparse::Index, 2> bounds{0, n};
+  const auto a_local = std::move(
+      core::kmer_matrix_blocks(
+          bounds,
+          [&](sparse::Index i) { return std::string_view(data.seqs[i]); }, 1,
+          /*transposed=*/false, cfg, &util::ThreadPool::global())
+          .front());
+  const auto b_local = a_local.transposed();
 
   ShapeChecks sc;
 
@@ -64,7 +66,7 @@ int main(int argc, char** argv) {
   });
 
   std::printf("seqs %u   A nnz %s   products %s   C nnz %s\n\n",
-              n, util::with_commas(info.nnz).c_str(),
+              n, util::with_commas(a_local.nnz()).c_str(),
               util::with_commas(hs.products).c_str(),
               util::with_commas(hs.out_nnz).c_str());
 
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
         << "  \"bench\": \"spgemm_scaling\",\n"
         << "  \"workload\": \"overlap_product\",\n"
         << "  \"seqs\": " << n << ",\n"
-        << "  \"a_nnz\": " << info.nnz << ",\n"
+        << "  \"a_nnz\": " << a_local.nnz() << ",\n"
         << "  \"products\": " << hs.products << ",\n"
         << "  \"out_nnz\": " << hs.out_nnz << ",\n"
         << "  \"serial_hash_seconds\": " << hash_s << ",\n"

@@ -445,8 +445,7 @@ Clustering interpret(const SpMat<float>& M, Index n, float threshold,
 class MclGrid {
  public:
   MclGrid(const MclOptions& opt, util::ThreadPool* pool, MclStats& st)
-      : rt_(opt.grid_side * opt.grid_side, opt.machine,
-            pool != nullptr ? pool : &util::ThreadPool::global()),
+      : rt_(opt.grid_side * opt.grid_side, opt.machine, pool),
         pool_(pool),
         rank_budget_(opt.rank_memory_budget_bytes),
         st_(st) {

@@ -1,5 +1,6 @@
 #include "core/kmer_matrix.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/stages.hpp"
@@ -7,14 +8,75 @@
 
 namespace pastis::core {
 
-std::vector<sparse::SpMat<KmerPos>> kmer_matrix_blocks(
-    sparse::Index n_seqs,
-    const std::function<std::string_view(sparse::Index)>& seq_of,
-    int seq_parts, int kmer_parts, bool transposed, const PastisConfig& cfg,
-    util::ThreadPool* pool) {
-  using sim::ProcGrid;
-  if (seq_parts < 1 || kmer_parts < 1) {
-    throw std::invalid_argument("kmer_matrix_blocks: need >= 1 part per side");
+namespace {
+
+using dist::DistSpMat;
+using sim::ProcGrid;
+using sparse::SpMat;
+
+/// `nb` sequence stripes cut from the whole grid tiles of A (`seq_rows`) or
+/// Aᵀ: stripe s covers sequences [split(n, nb, s), split(n, nb, s+1)),
+/// split again over the grid side, so each stripe tile is the slices of the
+/// whole tiles its sequence range overlaps, stacked along the sequence axis.
+std::vector<DistSpMat<KmerPos>> sequence_stripes(
+    const ProcGrid& grid, const std::vector<SpMat<KmerPos>>& whole, Index n,
+    Index space, int nb, bool seq_rows, util::ThreadPool* pool) {
+  std::vector<DistSpMat<KmerPos>> stripes;
+  for (int s = 0; s < nb; ++s) {
+    const Index len =
+        ProcGrid::split_point(n, nb, s + 1) - ProcGrid::split_point(n, nb, s);
+    stripes.emplace_back(grid, seq_rows ? len : space,
+                         seq_rows ? space : len);
+  }
+  const auto p = static_cast<std::size_t>(grid.size());
+  util::parallel_for(pool, stripes.size() * p, [&](std::size_t task) {
+    const int s = static_cast<int>(task / p);
+    const int rank = static_cast<int>(task % p);
+    auto& stripe = stripes[static_cast<std::size_t>(s)];
+    // The tile's grid index along the sequence axis and the other one.
+    const int gs = seq_rows ? grid.row_of(rank) : grid.col_of(rank);
+    const int go = seq_rows ? grid.col_of(rank) : grid.row_of(rank);
+    const Index s0 = ProcGrid::split_point(n, nb, s);
+    const Index from =
+        s0 + (seq_rows ? stripe.row_begin(gs) : stripe.col_begin(gs));
+    const Index to =
+        s0 + (seq_rows ? stripe.row_begin(gs + 1) : stripe.col_begin(gs + 1));
+    std::vector<SpMat<KmerPos>> slices;
+    for (int g = 0; g < grid.side(); ++g) {
+      const Index w0 = ProcGrid::split_point(n, grid.side(), g);
+      const Index lo = std::max(from, w0);
+      const Index hi =
+          std::min(to, ProcGrid::split_point(n, grid.side(), g + 1));
+      if (lo >= hi) continue;
+      const auto& tile = whole[static_cast<std::size_t>(
+          seq_rows ? grid.rank_of(g, go) : grid.rank_of(go, g))];
+      slices.push_back(seq_rows
+                           ? tile.extract(lo - w0, hi - w0, 0, tile.ncols())
+                           : tile.extract(0, tile.nrows(), lo - w0, hi - w0));
+    }
+    if (slices.size() == 1) {
+      stripe.local(rank) = std::move(slices.front());
+    } else if (!slices.empty()) {
+      std::vector<const SpMat<KmerPos>*> parts;
+      for (const auto& sl : slices) parts.push_back(&sl);
+      stripe.local(rank) =
+          seq_rows ? sparse::vstack(parts) : sparse::hstack(parts);
+    }
+  });
+  return stripes;
+}
+
+}  // namespace
+
+std::vector<SpMat<KmerPos>> kmer_matrix_blocks(
+    std::span<const Index> seq_bounds,
+    const std::function<std::string_view(Index)>& seq_of, int kmer_parts,
+    bool transposed, const PastisConfig& cfg, util::ThreadPool* pool) {
+  if (seq_bounds.size() < 2 || seq_bounds.front() != 0 ||
+      !std::is_sorted(seq_bounds.begin(), seq_bounds.end()) || kmer_parts < 1) {
+    throw std::invalid_argument(
+        "kmer_matrix_blocks: need sequence bounds from 0 that never decrease "
+        "and >= 1 k-mer part");
   }
   const kmer::Alphabet alphabet(cfg.alphabet);
   const kmer::KmerCodec codec(alphabet.size(), cfg.k);
@@ -26,6 +88,7 @@ std::vector<sparse::SpMat<KmerPos>> kmer_matrix_blocks(
   const kmer::NeighborGenerator neighbors(alphabet, codec, cfg.make_scoring(),
                                           cfg.subs_max_loss);
 
+  const Index n_seqs = seq_bounds.back();
   std::vector<std::vector<sparse::Triple<KmerPos>>> per_seq(n_seqs);
   util::parallel_for(pool, n_seqs, [&](std::size_t i) {
     const auto id = static_cast<Index>(i);
@@ -36,14 +99,12 @@ std::vector<sparse::SpMat<KmerPos>> kmer_matrix_blocks(
   // Route every nonzero to its block, re-indexed to block-local (and, for
   // Aᵀ, swapped) coordinates. Each sequence part fills only its own row of
   // blocks, in sequence order, so the parts route in parallel.
+  const std::size_t seq_parts = seq_bounds.size() - 1;
   const auto kp = static_cast<std::size_t>(kmer_parts);
-  std::vector<std::vector<sparse::Triple<KmerPos>>> routed(
-      static_cast<std::size_t>(seq_parts) * kp);
+  std::vector<std::vector<sparse::Triple<KmerPos>>> routed(seq_parts * kp);
   auto route_part = [&](std::size_t si) {
-    const int part = static_cast<int>(si);
-    const Index r0 = ProcGrid::split_point(n_seqs, seq_parts, part);
-    const Index r1 = ProcGrid::split_point(n_seqs, seq_parts, part + 1);
-    for (Index i = r0; i < r1; ++i) {
+    const Index r0 = seq_bounds[si];
+    for (Index i = r0; i < seq_bounds[si + 1]; ++i) {
       for (const auto& t : per_seq[i]) {
         const int kj = ProcGrid::part_of(t.col, space, kmer_parts);
         const Index row = t.row - r0;
@@ -56,17 +117,16 @@ std::vector<sparse::SpMat<KmerPos>> kmer_matrix_blocks(
       per_seq[i].shrink_to_fit();
     }
   };
-  util::parallel_for(pool, static_cast<std::size_t>(seq_parts), route_part);
+  util::parallel_for(pool, seq_parts, route_part);
 
-  std::vector<sparse::SpMat<KmerPos>> blocks(routed.size());
+  std::vector<SpMat<KmerPos>> blocks(routed.size());
   util::parallel_for(pool, blocks.size(), [&](std::size_t b) {
-    const int si = static_cast<int>(b / kp);
+    const std::size_t si = b / kp;
     const int kj = static_cast<int>(b % kp);
-    const Index rows = ProcGrid::split_point(n_seqs, seq_parts, si + 1) -
-                       ProcGrid::split_point(n_seqs, seq_parts, si);
+    const Index rows = seq_bounds[si + 1] - seq_bounds[si];
     const Index cols = ProcGrid::split_point(space, kmer_parts, kj + 1) -
                        ProcGrid::split_point(space, kmer_parts, kj);
-    blocks[b] = sparse::SpMat<KmerPos>::from_triples(
+    blocks[b] = SpMat<KmerPos>::from_triples(
         transposed ? cols : rows, transposed ? rows : cols,
         std::move(routed[b]),
         [](KmerPos& acc, const KmerPos& v) { keep_min_pos(acc, v); });
@@ -74,46 +134,56 @@ std::vector<sparse::SpMat<KmerPos>> kmer_matrix_blocks(
   return blocks;
 }
 
-dist::DistSpMat<KmerPos> build_kmer_matrix(sim::SimRuntime& rt,
-                                           const DistSeqStore& store,
-                                           const PastisConfig& cfg,
-                                           KmerMatrixInfo* info,
-                                           util::ThreadPool* pool) {
-  const int side = rt.grid().side();
-  auto tiles = kmer_matrix_blocks(
-      store.size(), [&](Index i) { return store.seq(i); }, side, side,
+KmerStripes kmer_matrix_stripes(sim::SimRuntime& rt, const DistSeqStore& store,
+                                int br, int bc, const PastisConfig& cfg,
+                                util::ThreadPool* pool) {
+  const ProcGrid& grid = rt.grid();
+  const int side = grid.side();
+  const Index n = store.size();
+  std::vector<Index> bounds;
+  for (int g = 0; g <= side; ++g) {
+    bounds.push_back(ProcGrid::split_point(n, side, g));
+  }
+  // A's whole grid tiles (block (gi, gj) is rank (gi, gj)'s tile) and Aᵀ's:
+  // Aᵀ's tile (gi, gj) is A's tile (gj, gi) transposed.
+  const std::vector<SpMat<KmerPos>> a = kmer_matrix_blocks(
+      bounds, [&](Index i) { return store.seq(i); }, side,
       /*transposed=*/false, cfg, pool);
-  Index ncols = 0;
-  for (int gj = 0; gj < side; ++gj) {
-    ncols += tiles[static_cast<std::size_t>(gj)].ncols();
-  }
-  dist::DistSpMat<KmerPos> A(rt.grid(), store.size(), ncols);
-  for (int rank = 0; rank < rt.nprocs(); ++rank) {
-    A.local(rank) = std::move(tiles[static_cast<std::size_t>(rank)]);
-  }
+  std::vector<SpMat<KmerPos>> at(a.size());
+  util::parallel_for(pool, at.size(), [&](std::size_t r) {
+    const int rank = static_cast<int>(r);
+    at[r] = a[static_cast<std::size_t>(
+                  grid.rank_of(grid.col_of(rank), grid.row_of(rank)))]
+                .transposed();
+  });
+  Index space = 0;  // the k-mer columns of A's grid row 0
+  for (int gj = 0; gj < side; ++gj) space += a[std::size_t(gj)].ncols();
 
-  // Cost: each rank streams its owned sequences during extraction and its
-  // local block during assembly.
+  // Cost, per rank in set-up order: each step streams the rank's tile out
+  // and back in, and the wire carries it once. The build also streams the
+  // rank's owned sequences during extraction.
   rt.spmd([&](int rank) {
-    const Index own_begin =
-        sim::ProcGrid::split_point(store.size(), rt.nprocs(), rank);
-    const Index own_end =
-        sim::ProcGrid::split_point(store.size(), rt.nprocs(), rank + 1);
-    const std::uint64_t seq_bytes = store.range_bytes(own_begin, own_end);
-    const std::uint64_t local_bytes = A.local(rank).bytes();
-    rt.clock(rank).charge(
-        sim::Comp::kSparseOther,
-        rt.model().sparse_stream_time(seq_bytes + 2 * local_bytes) +
-            rt.model().p2p_time(local_bytes));
-    rt.clock(rank).bytes_sent += local_bytes;
-    rt.clock(rank).bytes_recv += local_bytes;
+    auto& clock = rt.clock(rank);
+    const auto step = [&](std::uint64_t streamed, std::uint64_t wire) {
+      clock.charge(sim::Comp::kSparseOther,
+                   rt.model().sparse_stream_time(streamed) +
+                       rt.model().p2p_time(wire));
+      clock.bytes_sent += wire;
+      clock.bytes_recv += wire;
+    };
+    const std::uint64_t seq_bytes =
+        store.range_bytes(ProcGrid::split_point(n, rt.nprocs(), rank),
+                          ProcGrid::split_point(n, rt.nprocs(), rank + 1));
+    const std::uint64_t a_bytes = a[static_cast<std::size_t>(rank)].bytes();
+    const std::uint64_t at_bytes = at[static_cast<std::size_t>(rank)].bytes();
+    step(seq_bytes + 2 * a_bytes, a_bytes);    // build
+    step(2 * a_bytes, a_bytes);                // transpose
+    if (br > 1) step(2 * a_bytes, a_bytes);    // row split
+    if (bc > 1) step(2 * at_bytes, at_bytes);  // column split
   });
 
-  if (info != nullptr) {
-    info->nnz = A.nnz();
-    info->cols = ncols;
-  }
-  return A;
+  return {sequence_stripes(grid, a, n, space, br, /*seq_rows=*/true, pool),
+          sequence_stripes(grid, at, n, space, bc, /*seq_rows=*/false, pool)};
 }
 
 }  // namespace pastis::core

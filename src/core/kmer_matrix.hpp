@@ -2,12 +2,13 @@
 // A(i, h) = position of k-mer h in sequence i. With substitute k-mers
 // enabled, each exact k-mer additionally contributes its m nearest
 // neighbours (at the same position), widening the discovery reach (§V).
-// kmer_matrix_blocks is its one producer: the pipeline's A tiles, the
-// index's Aᵀ_ref shards and the engine's A_query are all blocks of it.
+// kmer_matrix_blocks is its one producer: the pipeline's A and Aᵀ stripes
+// (kmer_matrix_stripes), the index's Aᵀ_ref shards and the engine's
+// A_query are all cut from its blocks.
 #pragma once
 
-#include <cstdint>
 #include <functional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -19,34 +20,43 @@
 
 namespace pastis::core {
 
-/// A cut into `seq_parts` × `kmer_parts` blocks, row-major (block (i, j) at
-/// i * kmer_parts + j). Block (i, j) holds the nonzeros of sequence range
-/// [split(n_seqs, seq_parts, i), split(n_seqs, seq_parts, i+1)) ×
-/// k-mer range [split(σ^k, kmer_parts, j), split(σ^k, kmer_parts, j+1)) in
-/// block-local coordinates — as A, or with `transposed` as Aᵀ (rows =
-/// k-mers, columns = sequences). Every sequence is extracted once
-/// (extract_sequence_kmers) on `pool`; duplicate (sequence, k-mer) entries
-/// keep the smallest position (keep_min_pos). An empty `seq_of(i)` leaves
-/// row i empty. Throws std::invalid_argument when σ^k exceeds 32-bit
-/// indices or a part count is below 1. Results do not depend on the pool.
+/// A cut into (seq_bounds.size() − 1) × `kmer_parts` blocks, row-major
+/// (block (i, j) at i * kmer_parts + j). Block (i, j) holds the nonzeros of
+/// sequence range [seq_bounds[i], seq_bounds[i+1]) × k-mer range
+/// [split(σ^k, kmer_parts, j), split(σ^k, kmer_parts, j+1)) in block-local
+/// coordinates — as A, or with `transposed` as Aᵀ (rows = k-mers, columns
+/// = sequences). The sequences are 0 .. seq_bounds.back() − 1; every one is
+/// extracted once (extract_sequence_kmers) on `pool`; duplicate (sequence,
+/// k-mer) entries keep the smallest position (keep_min_pos). An empty
+/// `seq_of(i)` leaves row i empty. Throws std::invalid_argument when σ^k
+/// exceeds 32-bit indices, `kmer_parts` is below 1, or the bounds have
+/// fewer than two entries, do not start at 0 or decrease. Results do not
+/// depend on the pool.
 [[nodiscard]] std::vector<sparse::SpMat<KmerPos>> kmer_matrix_blocks(
-    sparse::Index n_seqs,
+    std::span<const sparse::Index> seq_bounds,
     const std::function<std::string_view(sparse::Index)>& seq_of,
-    int seq_parts, int kmer_parts, bool transposed, const PastisConfig& cfg,
+    int kmer_parts, bool transposed, const PastisConfig& cfg,
     util::ThreadPool* pool);
 
-struct KmerMatrixInfo {
-  std::uint64_t nnz = 0;
-  sparse::Index cols = 0;  // |Σ|^k
+/// The blocked SUMMA's operands (§VI-A) on the runtime's grid.
+struct KmerStripes {
+  std::vector<dist::DistSpMat<KmerPos>> a;  // A's row stripes
+  std::vector<dist::DistSpMat<KmerPos>> b;  // Aᵀ's column stripes
 };
 
-/// Builds A on the runtime's grid (the side × side blocks of
-/// kmer_matrix_blocks are its tiles) and charges the construction to
-/// Comp::kSparseOther on every rank (extraction streams each rank's owned
-/// sequences; assembly scatters triples to their owners).
-[[nodiscard]] dist::DistSpMat<KmerPos> build_kmer_matrix(
-    sim::SimRuntime& rt, const DistSeqStore& store, const PastisConfig& cfg,
-    KmerMatrixInfo* info = nullptr,
-    util::ThreadPool* pool = &util::ThreadPool::global());
+/// Cuts A into `br` row stripes and Aᵀ into `bc` column stripes: stripe s
+/// of nb covers sequences [split(n, nb, s), split(n, nb, s+1)), distributed
+/// over the grid like any matrix of its shape. A's whole grid tiles are the
+/// side × side blocks of kmer_matrix_blocks, Aᵀ's are their per-tile
+/// transposes, and each stripe tile stacks the slices of the whole tiles it
+/// overlaps. Charges the set-up to Comp::kSparseOther on every rank, priced
+/// from the whole tiles: the build (extraction streams each rank's owned
+/// sequences, assembly scatters its tile), the transpose, and the row
+/// (br > 1) and column (bc > 1) redistributions. `br` and `bc` must be >= 1.
+[[nodiscard]] KmerStripes kmer_matrix_stripes(sim::SimRuntime& rt,
+                                              const DistSeqStore& store,
+                                              int br, int bc,
+                                              const PastisConfig& cfg,
+                                              util::ThreadPool* pool);
 
 }  // namespace pastis::core

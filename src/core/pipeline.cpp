@@ -72,6 +72,10 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   const Index n = store.size();
   st.n_seqs = n;
   st.total_residues = store.total_residues();
+  // The plan rejects blocking factors below 1 before any work starts.
+  const int br = cfg.block_rows;
+  const int bc = cfg.block_cols;
+  const BlockPlan plan(n, br, bc, cfg.load_balance);
 
   // ---- input IO (parallel chunked read; §V-B: MPI-IO, <3% of runtime) ----
   // FASTA ≈ residues + headers; the byte volume is charged to the model.
@@ -82,45 +86,19 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
     rt.clock(rank).io_bytes += in_bytes / static_cast<std::uint64_t>(p);
   });
 
-  // ---- setup: A, Aᵀ, stripes ----------------------------------------------
-  KmerMatrixInfo kinfo;
-  auto A = build_kmer_matrix(rt, store, cfg, &kinfo, pool_);
-  st.kmer_nnz = kinfo.nnz;
-  st.kmer_cols = kinfo.cols;
-
-  auto B = A.transposed(pool_);
-  rt.spmd([&](int rank) {
-    // Distributed transpose: pairwise exchange of local blocks.
-    const std::uint64_t bytes = A.local(rank).bytes();
-    rt.clock(rank).charge(Comp::kSparseOther,
-                          model_.sparse_stream_time(2 * bytes) +
-                              model_.p2p_time(bytes));
-    rt.clock(rank).bytes_sent += bytes;
-    rt.clock(rank).bytes_recv += bytes;
-  });
-
-  const int br = cfg.block_rows;
-  const int bc = cfg.block_cols;
-  std::vector<DistSpMat<KmerPos>> stripes_a;
-  std::vector<DistSpMat<KmerPos>> stripes_b;
-  if (br > 1) {
-    stripes_a = dist::split_row_stripes(rt, A, br, pool_);
-  } else {
-    stripes_a.push_back(std::move(A));
-  }
-  if (bc > 1) {
-    stripes_b = dist::split_col_stripes(rt, B, bc, pool_);
-  } else {
-    stripes_b.push_back(std::move(B));
-  }
+  // ---- setup: A's row stripes, Aᵀ's column stripes --------------------------
+  const KmerStripes stripes =
+      kmer_matrix_stripes(rt, store, br, bc, cfg, pool_);
+  for (const auto& s : stripes.a) st.kmer_nnz += s.nnz();
+  st.kmer_cols = stripes.a.front().ncols();
 
   // Per-rank logical bytes resident through the block loop (stripes + A
   // replacement); the in-flight overlap blocks are windowed in below.
   std::vector<std::uint64_t> setup_bytes(static_cast<std::size_t>(p), 0);
   for (int rank = 0; rank < p; ++rank) {
     std::uint64_t b = 0;
-    for (const auto& s : stripes_a) b += s.local(rank).bytes();
-    for (const auto& s : stripes_b) b += s.local(rank).bytes();
+    for (const auto& s : stripes.a) b += s.local(rank).bytes();
+    for (const auto& s : stripes.b) b += s.local(rank).bytes();
     setup_bytes[static_cast<std::size_t>(rank)] = b;
   }
 
@@ -128,9 +106,7 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   for (int r = 0; r < p; ++r) setup_sparse[static_cast<std::size_t>(r)] = sim::sparse_seconds(rt.clock(r));
   st.t_setup = *std::max_element(setup_sparse.begin(), setup_sparse.end());
 
-  // ---- plan + sequence prefetch accounting ---------------------------------
-  BlockPlan plan(n, br, bc, cfg.load_balance);
-
+  // ---- sequence prefetch accounting ------------------------------------------
   // Needed sequence ranges per rank are static (header comment of
   // seq_store.hpp); transfers start now, overlapped with discovery.
   std::vector<double> fetch_time(static_cast<std::size_t>(p), 0.0);
@@ -207,8 +183,8 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         opt.pool = pool_;
         opt.clocks = s.frame.data();
         s.C = dist::summa<OverlapSemiring>(
-            rt, stripes_a[static_cast<std::size_t>(blk.r)],
-            stripes_b[static_cast<std::size_t>(blk.c)], opt, &s.spgemm);
+            rt, stripes.a[static_cast<std::size_t>(blk.r)],
+            stripes.b[static_cast<std::size_t>(blk.c)], opt, &s.spgemm);
 
         // Apply the overlap sparse dilation to this block's charges and
         // register the block's resident bytes with the admission gate.
@@ -456,7 +432,7 @@ SearchResult SimilaritySearch::run_fasta(const std::string& fasta_path,
   const int p = nprocs_;
   std::vector<std::vector<io::FastaRecord>> chunks(
       static_cast<std::size_t>(p));
-  pool_->parallel_for(static_cast<std::size_t>(p), [&](std::size_t q) {
+  util::parallel_for(pool_, static_cast<std::size_t>(p), [&](std::size_t q) {
     const std::uint64_t begin = fsize * q / static_cast<std::uint64_t>(p);
     const std::uint64_t end = fsize * (q + 1) / static_cast<std::uint64_t>(p);
     chunks[q] = io::read_fasta_chunk(fasta_path, begin, end - begin);

@@ -1,8 +1,10 @@
 // The PASTIS similarity-search pipeline (paper Fig. 4):
 //
 //   FASTA ──parallel read──► DistSeqStore
-//        ──k-mer extraction──► A (sequences × k-mers, KmerPos payloads)
-//        ──transpose──► Aᵀ     ──stripe splits──► row/col stripes
+//        ──k-mer extraction──► A's grid tiles (sequences × k-mers, KmerPos)
+//        ──per-tile transposes──► Aᵀ's tiles
+//        ──tile slices──► A's row stripes, Aᵀ's column stripes
+//                                          [core::kmer_matrix_stripes]
 //   for each planned output block (r,c):               [BlockPlan, §VI-B]
 //        C_rc = SUMMA(stripeA[r], stripeB[c])          [§VI-A]
 //        tasks = {nonzeros of C_rc: count ≥ τ, scheme keeps (i,j)}

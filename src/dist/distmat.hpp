@@ -4,23 +4,20 @@
 // The global M × N matrix is tiled: grid row gi owns rows
 // [split(M, side, gi), split(M, side, gi+1)), grid column gj the analogous
 // column range; rank (gi, gj) stores its tile as a local DCSR SpMat in
-// tile-local coordinates. All collective reshapes (construction from global
-// triples, transpose, the stripe splits of the blocked SUMMA §VI-A) move
-// real data between the rank-local tiles deterministically; the *time* of
-// the wire traffic is charged to the MachineModel by the callers or the
-// split helpers below.
+// tile-local coordinates. Producers fill the tiles directly (the k-mer
+// stripes of core/kmer_matrix, SUMMA's output) and charge the wire time of
+// their reshapes to the MachineModel themselves. from_global_triples and
+// to_global_triples route through global coordinates — the tests' oracle
+// pair, not a production path.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sim/grid.hpp"
-#include "sim/runtime.hpp"
 #include "sparse/matrix.hpp"
 #include "sparse/triple.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pastis::dist {
 
@@ -53,8 +50,7 @@ class DistSpMat {
   static DistSpMat from_global_triples(const sim::ProcGrid& grid, Index nrows,
                                        Index ncols,
                                        const std::vector<Triple<T>>& triples,
-                                       CombineOp combine,
-                                       util::ThreadPool* pool = nullptr) {
+                                       CombineOp combine) {
     DistSpMat m(grid, nrows, ncols);
     const int side = grid.side();
     std::vector<std::vector<Triple<T>>> buckets(
@@ -68,22 +64,19 @@ class DistSpMat {
       buckets[static_cast<std::size_t>(grid.rank_of(gi, gj))].push_back(
           {t.row - m.row_begin(gi), t.col - m.col_begin(gj), t.val});
     }
-    auto build_one = [&](std::size_t rank) {
-      m.locals_[rank] = SpMat<T>::from_triples(
-          m.local_nrows(static_cast<int>(rank)),
-          m.local_ncols(static_cast<int>(rank)), std::move(buckets[rank]),
-          combine);
-    };
-    util::parallel_for(pool, buckets.size(), build_one);
+    for (int rank = 0; rank < grid.size(); ++rank) {
+      m.local(rank) = SpMat<T>::from_triples(
+          m.local_nrows(rank), m.local_ncols(rank),
+          std::move(buckets[static_cast<std::size_t>(rank)]), combine);
+    }
     return m;
   }
 
   static DistSpMat from_global_triples(const sim::ProcGrid& grid, Index nrows,
                                        Index ncols,
-                                       const std::vector<Triple<T>>& triples,
-                                       util::ThreadPool* pool = nullptr) {
-    return from_global_triples(
-        grid, nrows, ncols, triples, [](T& acc, const T& v) { acc = v; }, pool);
+                                       const std::vector<Triple<T>>& triples) {
+    return from_global_triples(grid, nrows, ncols, triples,
+                               [](T& acc, const T& v) { acc = v; });
   }
 
   [[nodiscard]] const sim::ProcGrid& grid() const { return grid_; }
@@ -120,13 +113,6 @@ class DistSpMat {
     return total;
   }
 
-  /// Logical bytes across all tiles.
-  [[nodiscard]] std::uint64_t bytes() const {
-    std::uint64_t total = 0;
-    for (const auto& l : locals_) total += l.bytes();
-    return total;
-  }
-
   /// Exports all tiles back to global coordinates (rank-major order).
   [[nodiscard]] std::vector<Triple<T>> to_global_triples() const {
     std::vector<Triple<T>> out;
@@ -142,88 +128,11 @@ class DistSpMat {
     return out;
   }
 
-  /// Global transpose (pairwise tile exchange on the real machine). The
-  /// caller charges the wire time; the data movement itself is exact.
-  [[nodiscard]] DistSpMat transposed(util::ThreadPool* pool = nullptr) const {
-    auto triples = to_global_triples();
-    for (auto& t : triples) std::swap(t.row, t.col);
-    return from_global_triples(grid_, ncols_, nrows_, triples, pool);
-  }
-
  private:
   sim::ProcGrid grid_{1};
   Index nrows_ = 0;
   Index ncols_ = 0;
   std::vector<SpMat<T>> locals_;  // one tile per rank, tile-local coords
 };
-
-/// Splits A into `nb` row stripes (stripe r = global rows
-/// [split(M, nb, r), split(M, nb, r+1)), re-indexed to stripe-local rows),
-/// each redistributed over the full grid — the input layout of the blocked
-/// SUMMA (§VI-A). Charges the all-to-all redistribution to kSparseOther.
-template <typename T>
-[[nodiscard]] std::vector<DistSpMat<T>> split_row_stripes(
-    sim::SimRuntime& rt, const DistSpMat<T>& A, int nb,
-    util::ThreadPool* pool = nullptr) {
-  const Index n = A.nrows();
-  std::vector<std::vector<Triple<T>>> per_stripe(static_cast<std::size_t>(nb));
-  for (const auto& t : A.to_global_triples()) {
-    const int s = sim::ProcGrid::part_of(t.row, n, nb);
-    per_stripe[static_cast<std::size_t>(s)].push_back(
-        {t.row - sim::ProcGrid::split_point(n, nb, s), t.col, t.val});
-  }
-  std::vector<DistSpMat<T>> stripes;
-  stripes.reserve(per_stripe.size());
-  for (int s = 0; s < nb; ++s) {
-    const Index rows = sim::ProcGrid::split_point(n, nb, s + 1) -
-                       sim::ProcGrid::split_point(n, nb, s);
-    stripes.push_back(DistSpMat<T>::from_global_triples(
-        rt.grid(), rows, A.ncols(), per_stripe[static_cast<std::size_t>(s)],
-        pool));
-  }
-  // Redistribution cost: every rank streams its tile out and its stripe
-  // slices back in; the wire carries each tile once.
-  rt.spmd([&](int rank) {
-    const std::uint64_t b = A.local(rank).bytes();
-    rt.clock(rank).charge(sim::Comp::kSparseOther,
-                          rt.model().sparse_stream_time(2 * b) +
-                              rt.model().p2p_time(b));
-    rt.clock(rank).bytes_sent += b;
-    rt.clock(rank).bytes_recv += b;
-  });
-  return stripes;
-}
-
-/// Column-stripe analogue of split_row_stripes.
-template <typename T>
-[[nodiscard]] std::vector<DistSpMat<T>> split_col_stripes(
-    sim::SimRuntime& rt, const DistSpMat<T>& B, int nb,
-    util::ThreadPool* pool = nullptr) {
-  const Index n = B.ncols();
-  std::vector<std::vector<Triple<T>>> per_stripe(static_cast<std::size_t>(nb));
-  for (const auto& t : B.to_global_triples()) {
-    const int s = sim::ProcGrid::part_of(t.col, n, nb);
-    per_stripe[static_cast<std::size_t>(s)].push_back(
-        {t.row, t.col - sim::ProcGrid::split_point(n, nb, s), t.val});
-  }
-  std::vector<DistSpMat<T>> stripes;
-  stripes.reserve(per_stripe.size());
-  for (int s = 0; s < nb; ++s) {
-    const Index cols = sim::ProcGrid::split_point(n, nb, s + 1) -
-                       sim::ProcGrid::split_point(n, nb, s);
-    stripes.push_back(DistSpMat<T>::from_global_triples(
-        rt.grid(), B.nrows(), cols, per_stripe[static_cast<std::size_t>(s)],
-        pool));
-  }
-  rt.spmd([&](int rank) {
-    const std::uint64_t b = B.local(rank).bytes();
-    rt.clock(rank).charge(sim::Comp::kSparseOther,
-                          rt.model().sparse_stream_time(2 * b) +
-                              rt.model().p2p_time(b));
-    rt.clock(rank).bytes_sent += b;
-    rt.clock(rank).bytes_recv += b;
-  });
-  return stripes;
-}
 
 }  // namespace pastis::dist

@@ -1,6 +1,7 @@
 #include "index/kmer_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "core/kmer_matrix.hpp"
@@ -115,10 +116,10 @@ void KmerIndex::set_sketches(int sketch_len, std::vector<std::uint64_t> table) {
 KmerIndex KmerIndex::build(std::vector<std::string> refs,
                            const core::PastisConfig& cfg, int n_shards,
                            util::ThreadPool* pool) {
+  const std::array<Index, 2> ref_bounds{0, static_cast<Index>(refs.size())};
   auto shards = core::kmer_matrix_blocks(
-      static_cast<Index>(refs.size()),
-      [&](Index i) { return std::string_view(refs[i]); }, 1, n_shards,
-      /*transposed=*/true, cfg, pool);
+      ref_bounds, [&](Index i) { return std::string_view(refs[i]); },
+      n_shards, /*transposed=*/true, cfg, pool);
   return from_parts(IndexParams::from_config(cfg), n_shards, std::move(refs),
                     std::move(shards));
 }

@@ -1,6 +1,7 @@
 #include "index/query_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "core/kmer_matrix.hpp"
@@ -137,9 +138,8 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
   if (opt_.grid_side == 0) return;
 
   // ---- rank-resident distributed serving setup ----------------------------
-  rt_ = std::make_unique<sim::SimRuntime>(
-      opt_.grid_side * opt_.grid_side, model_,
-      pool_ != nullptr ? pool_ : &util::ThreadPool::global());
+  rt_ = std::make_unique<sim::SimRuntime>(opt_.grid_side * opt_.grid_side,
+                                          model_, pool_);
   const int p = rt_->nprocs();
   placement_ = std::make_unique<ShardPlacement>(
       ShardPlacement::balance(shard_bytes_all(), p, opt_.replication));
@@ -354,12 +354,13 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   for (std::size_t i = 0; i < nq; ++i) {
     if (!is_cached(i)) work.query_residues += queries[i].size();
   }
+  const std::array<Index, 2> query_bounds{0, static_cast<Index>(nq)};
   const std::vector<SpMat<KmerPos>> a_query = core::kmer_matrix_blocks(
-      static_cast<Index>(nq),
+      query_bounds,
       [&](Index i) {
         return is_cached(i) ? std::string_view() : std::string_view(queries[i]);
       },
-      1, n_shards, /*transposed=*/false, cfg_, pool_);
+      n_shards, /*transposed=*/false, cfg_, pool_);
   for (const auto& a : a_query) work.stripe_bytes += a.bytes();
 
   // Query-side minhash sketches for the index-side tier-0 screen: computed

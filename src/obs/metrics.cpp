@@ -50,16 +50,6 @@ void append_json_string(std::ostringstream& os, const std::string& s) {
   os << '"';
 }
 
-std::string prom_name(const std::string& name) {
-  std::string out = "pastis_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---- Histogram --------------------------------------------------------------
@@ -270,45 +260,6 @@ std::string MetricsRegistry::to_json() const {
 void MetricsRegistry::write_json(const std::string& path) const {
   std::ofstream out(path);
   out << to_json();
-}
-
-std::string MetricsRegistry::to_prometheus_text() const {
-  const MetricsSnapshot s = snapshot();
-  std::ostringstream os;
-  os.precision(17);
-  for (const auto& [name, v] : s.counters) {
-    const std::string n = prom_name(name);
-    os << "# TYPE " << n << " counter\n" << n << " " << v << "\n";
-  }
-  for (const auto& [name, v] : s.gauges) {
-    const std::string n = prom_name(name);
-    os << "# TYPE " << n << " gauge\n" << n << " " << v << "\n";
-  }
-  for (const auto& [name, h] : s.histograms) {
-    const std::string n = prom_name(name);
-    os << "# TYPE " << n << " histogram\n";
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      cum += h.counts[b];
-      os << n << "_bucket{le=\"";
-      if (b < h.bounds.size()) {
-        os << h.bounds[b];
-      } else {
-        os << "+Inf";
-      }
-      os << "\"} " << cum << "\n";
-    }
-    os << n << "_sum " << h.sum << "\n" << n << "_count " << h.count << "\n";
-  }
-  for (const auto& [name, m] : s.min_avg_max) {
-    const std::string n = prom_name(name);
-    os << "# TYPE " << n << "_avg gauge\n" << n << "_avg " << m.avg() << "\n";
-    if (m.count > 0) {
-      os << "# TYPE " << n << "_min gauge\n" << n << "_min " << m.min << "\n";
-      os << "# TYPE " << n << "_max gauge\n" << n << "_max " << m.max << "\n";
-    }
-  }
-  return os.str();
 }
 
 }  // namespace pastis::obs

@@ -11,9 +11,8 @@
 //   * snapshottable mid-run — snapshot() can be polled from any thread
 //     while samples keep landing (a soak bench polling its serving loop);
 //   * stable export — to_json() emits the versioned `pastis.metrics.v1`
-//     schema bench_common consumes, to_prometheus_text() the text
-//     exposition format. Empty histograms / accumulators export null
-//     min/max/quantiles, never ±infinity (JSON has no Infinity).
+//     schema bench_common consumes. Empty histograms / accumulators export
+//     null min/max/quantiles, never ±infinity (JSON has no Infinity).
 #pragma once
 
 #include <atomic>
@@ -138,9 +137,6 @@ class MetricsRegistry {
   /// histograms / accumulators get null min/max/quantiles.
   [[nodiscard]] std::string to_json() const;
   void write_json(const std::string& path) const;
-
-  /// Prometheus text exposition (names sanitized to [a-zA-Z0-9_:]).
-  [[nodiscard]] std::string to_prometheus_text() const;
 
  private:
   mutable std::mutex mutex_;  // guards the maps, not the metrics

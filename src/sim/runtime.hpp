@@ -49,18 +49,19 @@ class SimRuntime {
   }
   [[nodiscard]] const std::vector<RankClock>& clocks() const { return clocks_; }
 
-  /// Executes fn(rank) for every ALIVE rank, in parallel on the host pool.
-  /// This is one bulk-synchronous super-step: callers sequence super-steps
-  /// the way barriers/collectives would on the real machine. Dead ranks'
-  /// tasks are skipped — the fault plan's kDeath contract.
+  /// Executes fn(rank) for every ALIVE rank, in parallel on the host pool
+  /// (inline when the pool is null). This is one bulk-synchronous
+  /// super-step: callers sequence super-steps the way barriers/collectives
+  /// would on the real machine. Dead ranks' tasks are skipped — the fault
+  /// plan's kDeath contract.
   void spmd(const std::function<void(int)>& fn) {
-    pool_->parallel_for(static_cast<std::size_t>(nprocs()),
-                        [&](std::size_t r) {
-                          if (dead_[r].load(std::memory_order_relaxed) != 0) {
-                            return;
-                          }
-                          fn(static_cast<int>(r));
-                        });
+    util::parallel_for(pool_, static_cast<std::size_t>(nprocs()),
+                       [&](std::size_t r) {
+                         if (dead_[r].load(std::memory_order_relaxed) != 0) {
+                           return;
+                         }
+                         fn(static_cast<int>(r));
+                       });
   }
 
   // ---- rank deaths (sim/fault.hpp) ----------------------------------------

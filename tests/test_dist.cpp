@@ -8,9 +8,11 @@
 #include "core/common_kmers.hpp"
 #include "dist/distmat.hpp"
 #include "dist/summa.hpp"
+#include "dist_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace pd = pastis::dist;
+namespace pt = pastis::test;
 namespace ps = pastis::sparse;
 namespace psim = pastis::sim;
 
@@ -69,18 +71,6 @@ TEST(DistSpMat, RejectsOutOfRangeTriples) {
                std::out_of_range);
 }
 
-TEST(DistSpMat, TransposeMatchesSerial) {
-  const auto triples = random_triples(40, 60, 0.15, 3);
-  const psim::ProcGrid grid(4);
-  auto D = pd::DistSpMat<int>::from_global_triples(grid, 40, 60, triples);
-  auto Dt = D.transposed();
-  EXPECT_EQ(Dt.nrows(), 60u);
-  EXPECT_EQ(Dt.ncols(), 40u);
-  std::vector<ps::Triple<int>> expect;
-  for (const auto& t : triples) expect.push_back({t.col, t.row, t.val});
-  EXPECT_EQ(to_map(Dt.to_global_triples()), to_map(expect));
-}
-
 struct SummaCase {
   int p;
   ps::Index m, k, n;
@@ -136,43 +126,6 @@ TEST(Summa, DimensionMismatchThrows) {
   EXPECT_THROW(pd::summa<ps::PlusTimes<int>>(rt, A, B), std::invalid_argument);
 }
 
-TEST(Stripes, RowStripesReassembleToOriginal) {
-  const auto triples = random_triples(45, 61, 0.12, 31);
-  psim::SimRuntime rt(9, psim::MachineModel{});
-  auto A = pd::DistSpMat<int>::from_global_triples(rt.grid(), 45, 61, triples);
-  for (int nb : {1, 2, 3, 5}) {
-    auto stripes = pd::split_row_stripes(rt, A, nb);
-    ASSERT_EQ(stripes.size(), static_cast<std::size_t>(nb));
-    std::vector<ps::Triple<int>> merged;
-    ps::Index offset = 0;
-    for (const auto& s : stripes) {
-      for (const auto& t : s.to_global_triples()) {
-        merged.push_back({t.row + offset, t.col, t.val});
-      }
-      offset += s.nrows();
-    }
-    EXPECT_EQ(offset, 45u);
-    EXPECT_EQ(to_map(merged), to_map(triples));
-  }
-}
-
-TEST(Stripes, ColStripesReassembleToOriginal) {
-  const auto triples = random_triples(45, 61, 0.12, 37);
-  psim::SimRuntime rt(4, psim::MachineModel{});
-  auto B = pd::DistSpMat<int>::from_global_triples(rt.grid(), 45, 61, triples);
-  auto stripes = pd::split_col_stripes(rt, B, 4);
-  std::vector<ps::Triple<int>> merged;
-  ps::Index offset = 0;
-  for (const auto& s : stripes) {
-    for (const auto& t : s.to_global_triples()) {
-      merged.push_back({t.row, t.col + offset, t.val});
-    }
-    offset += s.ncols();
-  }
-  EXPECT_EQ(offset, 61u);
-  EXPECT_EQ(to_map(merged), to_map(triples));
-}
-
 struct BlockedCase {
   int p, br, bc;
 };
@@ -194,8 +147,8 @@ TEST_P(BlockedSummaSweep, BlockProductsTileTheFullProduct) {
   auto full = pd::summa<ps::PlusTimes<int>>(rt, A, B);
   auto full_map = to_map(full.to_global_triples());
 
-  auto sa = pd::split_row_stripes(rt, A, c.br);
-  auto sb = pd::split_col_stripes(rt, B, c.bc);
+  auto sa = pt::stripes_global(A, c.br, /*rows=*/true);
+  auto sb = pt::stripes_global(B, c.bc, /*rows=*/false);
   std::map<std::pair<ps::Index, ps::Index>, int> blocked_map;
   for (int r = 0; r < c.br; ++r) {
     const ps::Index row0 = psim::ProcGrid::split_point(n, c.br, r);
@@ -242,7 +195,7 @@ TEST(Summa, OverlapSemiringSeedsAreOrderIndependent) {
     psim::SimRuntime rt(p, psim::MachineModel{});
     auto A = pd::DistSpMat<KmerPos>::from_global_triples(rt.grid(), n, kdim,
                                                          ta, keep_min);
-    auto B = A.transposed();
+    auto B = pt::transpose_global(A);
     auto C = pd::summa<OverlapSemiring>(rt, A, B);
     auto triples = C.to_global_triples();
     ps::sort_triples(triples);
@@ -258,47 +211,6 @@ TEST(Summa, OverlapSemiringSeedsAreOrderIndependent) {
     EXPECT_EQ(c1[i].val.count, c9[i].val.count);
     EXPECT_TRUE(c1[i].val.first == c9[i].val.first);
     EXPECT_TRUE(c1[i].val.last == c9[i].val.last);
-  }
-}
-
-// ---- thread-pool sweeps for the reshape primitives -------------------------
-
-TEST(DistSpMat, TransposedIsPoolInvariant) {
-  // transposed() routes through from_global_triples, whose per-tile builds
-  // may fan out over a pool — exercised directly here (1/2/8 workers plus
-  // the serial path), not just through the SUMMA suites.
-  const auto triples = random_triples(83, 59, 0.13, 101);
-  const psim::ProcGrid grid(9);
-  auto D = pd::DistSpMat<int>::from_global_triples(grid, 83, 59, triples);
-  const auto serial = D.transposed();
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    pastis::util::ThreadPool pool(threads);
-    const auto pooled = D.transposed(&pool);
-    ASSERT_EQ(pooled.nnz(), serial.nnz()) << "threads=" << threads;
-    for (int r = 0; r < grid.size(); ++r) {
-      EXPECT_TRUE(pooled.local(r) == serial.local(r))
-          << "threads=" << threads << " rank=" << r;
-    }
-  }
-}
-
-TEST(Stripes, RowStripeSplitIsPoolInvariant) {
-  const auto triples = random_triples(91, 47, 0.12, 103);
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    pastis::util::ThreadPool pool(threads);
-    psim::SimRuntime rt(9, psim::MachineModel{}, &pool);
-    auto A = pd::DistSpMat<int>::from_global_triples(rt.grid(), 91, 47,
-                                                     triples);
-    psim::SimRuntime rt_serial(9, psim::MachineModel{});
-    const auto serial = pd::split_row_stripes(rt_serial, A, 4);
-    const auto pooled = pd::split_row_stripes(rt, A, 4, &pool);
-    ASSERT_EQ(pooled.size(), serial.size());
-    for (std::size_t s = 0; s < serial.size(); ++s) {
-      for (int r = 0; r < rt.grid().size(); ++r) {
-        EXPECT_TRUE(pooled[s].local(r) == serial[s].local(r))
-            << "threads=" << threads << " stripe=" << s << " rank=" << r;
-      }
-    }
   }
 }
 

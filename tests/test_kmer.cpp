@@ -10,6 +10,7 @@
 #include "align/scoring.hpp"
 #include "core/kmer_matrix.hpp"
 #include "core/stages.hpp"
+#include "dist_oracle.hpp"
 #include "gen/protein_gen.hpp"
 #include "kmer/alphabet.hpp"
 #include "kmer/codec.hpp"
@@ -276,15 +277,19 @@ TEST(Neighbors, ZeroMReturnsNothing) {
 namespace {
 
 namespace pc = pastis::core;
+namespace pd = pastis::dist;
 namespace ps = pastis::sparse;
+namespace psim = pastis::sim;
 using pastis::sim::ProcGrid;
 
-/// Oracle for kmer_matrix_blocks: every sequence's extract_sequence_kmers
-/// triples flattened, filtered and re-indexed per block, then built through
-/// from_triples with keep_min_pos. Row `empty_row` is skipped.
-std::vector<ps::SpMat<pc::KmerPos>> routed_blocks(
+void keep_min(pc::KmerPos& acc, const pc::KmerPos& v) {
+  pc::keep_min_pos(acc, v);
+}
+
+/// Every sequence's extract_sequence_kmers triples, flattened in sequence
+/// order. Row `empty_row` is skipped.
+std::vector<ps::Triple<pc::KmerPos>> flat_triples(
     const std::vector<std::string>& seqs, std::size_t empty_row,
-    int seq_parts, int kmer_parts, bool transposed,
     const pc::PastisConfig& cfg) {
   const pk::Alphabet alphabet(cfg.alphabet);
   const pk::KmerCodec codec(alphabet.size(), cfg.k);
@@ -296,13 +301,27 @@ std::vector<ps::SpMat<pc::KmerPos>> routed_blocks(
     pc::extract_sequence_kmers(seqs[i], static_cast<ps::Index>(i), alphabet,
                                codec, neighbors, cfg.subs_kmers, all);
   }
-  const auto n = static_cast<ps::Index>(seqs.size());
-  const auto space = static_cast<ps::Index>(codec.space());
+  return all;
+}
+
+ps::Index kmer_space(const pc::PastisConfig& cfg) {
+  const pk::Alphabet alphabet(cfg.alphabet);
+  return static_cast<ps::Index>(pk::KmerCodec(alphabet.size(), cfg.k).space());
+}
+
+/// Oracle for kmer_matrix_blocks: the flattened triples filtered and
+/// re-indexed per block, then built through from_triples with keep_min_pos.
+std::vector<ps::SpMat<pc::KmerPos>> routed_blocks(
+    const std::vector<std::string>& seqs, std::size_t empty_row,
+    const std::vector<ps::Index>& bounds, int kmer_parts, bool transposed,
+    const pc::PastisConfig& cfg) {
+  const auto all = flat_triples(seqs, empty_row, cfg);
+  const ps::Index space = kmer_space(cfg);
   std::vector<ps::SpMat<pc::KmerPos>> blocks;
-  for (int si = 0; si < seq_parts; ++si) {
+  for (std::size_t si = 0; si + 1 < bounds.size(); ++si) {
     for (int kj = 0; kj < kmer_parts; ++kj) {
-      const ps::Index r0 = ProcGrid::split_point(n, seq_parts, si);
-      const ps::Index r1 = ProcGrid::split_point(n, seq_parts, si + 1);
+      const ps::Index r0 = bounds[si];
+      const ps::Index r1 = bounds[si + 1];
       const ps::Index c0 = ProcGrid::split_point(space, kmer_parts, kj);
       const ps::Index c1 = ProcGrid::split_point(space, kmer_parts, kj + 1);
       std::vector<ps::Triple<pc::KmerPos>> t;
@@ -315,9 +334,7 @@ std::vector<ps::SpMat<pc::KmerPos>> routed_blocks(
       }
       blocks.push_back(ps::SpMat<pc::KmerPos>::from_triples(
           transposed ? c1 - c0 : r1 - r0, transposed ? r1 - r0 : c1 - c0,
-          std::move(t), [](pc::KmerPos& acc, const pc::KmerPos& v) {
-            pc::keep_min_pos(acc, v);
-          }));
+          std::move(t), keep_min));
     }
   }
   return blocks;
@@ -344,30 +361,132 @@ TEST(KmerMatrix, BlocksMatchRoutedTriples) {
   const std::array<pastis::util::ThreadPool*, 3> pools = {nullptr, &pool1,
                                                           &pool3};
   struct Cut {
-    int seq_parts, kmer_parts;
+    std::vector<ps::Index> bounds;
+    int kmer_parts;
     bool transposed;
   };
-  const std::array<Cut, 4> cuts = {
-      Cut{1, 1, false}, Cut{1, 5, true}, Cut{3, 3, false}, Cut{2, 4, true}};
+  // Even cuts, and uneven ones with empty parts.
+  const std::array<Cut, 6> cuts = {
+      Cut{{0, 40}, 1, false},         Cut{{0, 40}, 5, true},
+      Cut{{0, 13, 26, 40}, 3, false}, Cut{{0, 20, 40}, 4, true},
+      Cut{{0, 5, 5, 31, 40}, 2, false}, Cut{{0, 0, 17, 40, 40}, 3, true}};
   for (const int subs : {0, 2}) {
     pc::PastisConfig cfg;
     cfg.subs_kmers = subs;
     for (const auto& c : cuts) {
-      const auto want = routed_blocks(seqs, empty_row, c.seq_parts,
+      const auto want = routed_blocks(seqs, empty_row, c.bounds,
                                       c.kmer_parts, c.transposed, cfg);
       std::uint64_t nnz = 0;
       for (const auto& b : want) nnz += b.nnz();
       ASSERT_GT(nnz, 0u);
       for (auto* pool : pools) {
         const auto got = pc::kmer_matrix_blocks(
-            static_cast<ps::Index>(seqs.size()), seq_of, c.seq_parts,
-            c.kmer_parts, c.transposed, cfg, pool);
+            c.bounds, seq_of, c.kmer_parts, c.transposed, cfg, pool);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t b = 0; b < got.size(); ++b) {
           EXPECT_TRUE(got[b] == want[b])
-              << "subs " << subs << " cut " << c.seq_parts << "x"
+              << "subs " << subs << " cut " << c.bounds.size() - 1 << "x"
               << c.kmer_parts << (c.transposed ? "T" : "") << " block " << b
               << " pool " << (pool != nullptr ? pool->size() : 0);
+        }
+      }
+    }
+  }
+  // Bounds with fewer than two entries, not starting at 0, or decreasing.
+  pc::PastisConfig cfg;
+  for (const auto& bad : {std::vector<ps::Index>{}, std::vector<ps::Index>{0},
+                          std::vector<ps::Index>{1, 40},
+                          std::vector<ps::Index>{0, 20, 13, 40}}) {
+    EXPECT_THROW((void)pc::kmer_matrix_blocks(bad, seq_of, 1, false, cfg,
+                                              nullptr),
+                 std::invalid_argument);
+  }
+}
+
+TEST(KmerMatrix, StripesMatchGlobalTripleReshapes) {
+  // Oracle: the whole A built from the flattened triples through
+  // from_global_triples, transposed and cut into stripes through global
+  // triples, with the set-up priced from its whole tiles (build, transpose,
+  // row split when br > 1, column split when bc > 1).
+  pastis::gen::GenConfig g;
+  g.n_sequences = 61;
+  g.seed = 31;
+  g.mean_length = 80.0;
+  g.max_length = 240;
+  auto pool_seqs = pastis::gen::generate_proteins(g).seqs;
+  pool_seqs[0] = "AAAAAAASAAAAAAGAAAAAA";  // keep_min_pos decides entries
+  pastis::util::ThreadPool pool1(1), pool3(3);
+  const std::array<pastis::util::ThreadPool*, 3> pools = {nullptr, &pool1,
+                                                          &pool3};
+  // (67, 2) cuts more row stripes than there are sequences.
+  const std::array<std::pair<int, int>, 6> blockings = {
+      {{1, 1}, {2, 2}, {3, 2}, {7, 3}, {5, 8}, {67, 2}}};
+  const psim::MachineModel model;
+  for (const int subs : {0, 2}) {
+    pc::PastisConfig cfg;
+    cfg.subs_kmers = subs;
+    const ps::Index space = kmer_space(cfg);
+    for (const std::size_t n : {0u, 1u, 37u, 61u}) {
+      const std::vector<std::string> seqs(pool_seqs.begin(),
+                                          pool_seqs.begin() + n);
+      const auto triples = flat_triples(seqs, n, cfg);
+      for (const int p : {1, 4, 9, 16}) {
+        const pc::DistSeqStore store(seqs, p);
+        const auto A = pd::DistSpMat<pc::KmerPos>::from_global_triples(
+            ProcGrid(p), static_cast<ps::Index>(n), space, triples, keep_min);
+        const auto At = pastis::test::transpose_global(A);
+        for (const auto& [br, bc] : blockings) {
+          const auto want_a = pastis::test::stripes_global(A, br, true);
+          const auto want_b = pastis::test::stripes_global(At, bc, false);
+          std::vector<psim::RankClock> want(static_cast<std::size_t>(p));
+          for (int r = 0; r < p; ++r) {
+            auto& c = want[static_cast<std::size_t>(r)];
+            const auto step = [&](std::uint64_t streamed, std::uint64_t wire) {
+              c.charge(psim::Comp::kSparseOther,
+                       model.sparse_stream_time(streamed) +
+                           model.p2p_time(wire));
+              c.bytes_sent += wire;
+              c.bytes_recv += wire;
+            };
+            const std::uint64_t a = A.local(r).bytes();
+            const std::uint64_t at = At.local(r).bytes();
+            step(store.range_bytes(ProcGrid::split_point(store.size(), p, r),
+                                   ProcGrid::split_point(store.size(), p,
+                                                         r + 1)) +
+                     2 * a,
+                 a);
+            step(2 * a, a);
+            if (br > 1) step(2 * a, a);
+            if (bc > 1) step(2 * at, at);
+          }
+          for (auto* pool : pools) {
+            const std::string where =
+                "subs " + std::to_string(subs) + " n " + std::to_string(n) +
+                " p " + std::to_string(p) + " blocking " +
+                std::to_string(br) + "x" + std::to_string(bc) + " pool " +
+                std::to_string(pool != nullptr ? pool->size() : 0);
+            psim::SimRuntime rt(p, model, pool);
+            const auto got =
+                pc::kmer_matrix_stripes(rt, store, br, bc, cfg, pool);
+            ASSERT_EQ(got.a.size(), want_a.size()) << where;
+            ASSERT_EQ(got.b.size(), want_b.size()) << where;
+            for (int r = 0; r < p; ++r) {
+              for (std::size_t s = 0; s < want_a.size(); ++s) {
+                EXPECT_TRUE(got.a[s].local(r) == want_a[s].local(r))
+                    << where << " A stripe " << s << " rank " << r;
+              }
+              for (std::size_t s = 0; s < want_b.size(); ++s) {
+                EXPECT_TRUE(got.b[s].local(r) == want_b[s].local(r))
+                    << where << " Aᵀ stripe " << s << " rank " << r;
+              }
+              const auto& w = want[static_cast<std::size_t>(r)];
+              EXPECT_EQ(rt.clock(r).get(psim::Comp::kSparseOther),
+                        w.get(psim::Comp::kSparseOther))
+                  << where << " rank " << r;
+              EXPECT_EQ(rt.clock(r).bytes_sent, w.bytes_sent) << where;
+              EXPECT_EQ(rt.clock(r).bytes_recv, w.bytes_recv) << where;
+            }
+          }
         }
       }
     }

@@ -185,21 +185,6 @@ TEST(MetricsExport, EmptyRegistryIsValidJson) {
   EXPECT_TRUE(doc.at("histograms").as_object().empty());
 }
 
-TEST(MetricsExport, PrometheusText) {
-  pobs::MetricsRegistry reg;
-  reg.counter("serve.hits_total").add(3.0);
-  reg.gauge("depth").set(2.0);
-  reg.histogram("lat", std::vector<double>{1.0}).observe(0.5);
-  const std::string text = reg.to_prometheus_text();
-  // Names are prefixed and sanitized to the exposition charset.
-  EXPECT_NE(text.find("pastis_serve_hits_total 3"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE pastis_serve_hits_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("pastis_depth 2"), std::string::npos);
-  EXPECT_NE(text.find("pastis_lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("pastis_lat_count 1"), std::string::npos);
-}
-
 // ---- Tracer -----------------------------------------------------------------
 
 namespace {

@@ -285,3 +285,68 @@ TEST(Pipeline, GridSizeOneWorks) {
   const auto result = search.run(data.seqs);
   EXPECT_GT(result.edges.size(), 0u);
 }
+
+TEST(Pipeline, NullPoolRunsInline) {
+  // A null pool is the library's serial convention: every stage, the rank
+  // super-steps and the chunked FASTA read run in the calling thread, with
+  // the edges and modeled stats of a pooled run.
+  const auto data = test_dataset(150, 53);
+  auto cfg = base_config();
+  cfg.block_rows = 2;
+  cfg.block_cols = 3;
+  cfg.pipeline_depth = 2;
+  pastis::util::ThreadPool pool3(3);
+  const pc::SimilaritySearch pooled(cfg, pastis::sim::MachineModel{}, 4,
+                                    &pool3);
+  const pc::SimilaritySearch serial(cfg, pastis::sim::MachineModel{}, 4,
+                                    nullptr);
+  const auto want = pooled.run(data.seqs);
+  ASSERT_GT(want.edges.size(), 0u);
+  const auto expect_same = [&](const pc::SearchResult& got) {
+    EXPECT_EQ(edge_map(got.edges), edge_map(want.edges));
+    const auto& a = got.stats;
+    const auto& b = want.stats;
+    EXPECT_EQ(a.t_total, b.t_total);
+    EXPECT_EQ(a.t_setup, b.t_setup);
+    EXPECT_EQ(a.t_blocks, b.t_blocks);
+    EXPECT_EQ(a.t_cwait, b.t_cwait);
+    EXPECT_EQ(a.comp_sparse_other, b.comp_sparse_other);
+    EXPECT_EQ(a.comp_spgemm, b.comp_spgemm);
+    EXPECT_EQ(a.comp_align, b.comp_align);
+    EXPECT_EQ(a.kmer_nnz, b.kmer_nnz);
+    EXPECT_EQ(a.candidates, b.candidates);
+    EXPECT_EQ(a.aligned_pairs, b.aligned_pairs);
+    EXPECT_EQ(a.align_cells, b.align_cells);
+    EXPECT_EQ(a.peak_rank_bytes, b.peak_rank_bytes);
+    ASSERT_EQ(a.ranks.size(), b.ranks.size());
+    for (std::size_t r = 0; r < a.ranks.size(); ++r) {
+      EXPECT_EQ(a.ranks[r].seconds, b.ranks[r].seconds) << "rank " << r;
+      EXPECT_EQ(a.ranks[r].bytes_sent, b.ranks[r].bytes_sent);
+      EXPECT_EQ(a.ranks[r].bytes_recv, b.ranks[r].bytes_recv);
+    }
+  };
+  expect_same(serial.run(data.seqs));
+
+  const auto fasta = (std::filesystem::temp_directory_path() /
+                      "pastis_null_pool_test.fa")
+                         .string();
+  std::vector<pastis::io::FastaRecord> recs;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    recs.push_back({data.ids[i], "", data.seqs[i]});
+  }
+  pastis::io::write_fasta(fasta, recs);
+  expect_same(serial.run_fasta(fasta, ""));
+  std::filesystem::remove(fasta);
+}
+
+TEST(Pipeline, RejectsBadBlockingBeforeTheSetUp) {
+  const auto data = test_dataset(40, 59);
+  for (const auto& [br, bc] : {std::pair{0, 1}, std::pair{2, -1}}) {
+    auto cfg = base_config();
+    cfg.block_rows = br;
+    cfg.block_cols = bc;
+    const pc::SimilaritySearch search(cfg, pastis::sim::MachineModel{}, 4);
+    EXPECT_THROW((void)search.run(data.seqs), std::invalid_argument)
+        << br << "x" << bc;
+  }
+}
