@@ -1,11 +1,14 @@
 // Distributed MCL bench: the Metaclust-shaped planted-partition graph
 // clustered by the shared-memory MCL and by the SUMMA-expanded distributed
-// MCL at grid sides 1/2/3. Assignments must stay bit-identical (the
-// gather-stages fold keeps even the float expansion bitwise equal) and the
-// busiest rank's per-iteration resident bytes must shrink as the grid
-// grows — both hard-gated in the exit code. Emits BENCH_dist_mcl.json.
+// MCL at grid sides 1/2/3. Assignments must stay bit-identical (each
+// rank's one multiply over its gathered strips keeps even the float
+// expansion bitwise equal) and the busiest rank's per-iteration resident
+// bytes must shrink as the grid grows — both hard-gated in the exit code.
+// Emits BENCH_dist_mcl.json, with modeled seconds at full precision so two
+// builds' files compare exactly.
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 
 #include "bench_common.hpp"
 
@@ -152,7 +155,8 @@ int main(int argc, char** argv) {
          << ", \"ranks\": " << p.side * p.side
          << ", \"max_rank_resident_bytes\": " << p.max_rank_resident
          << ", \"wall_seconds\": " << p.wall_s
-         << ", \"modeled_seconds\": " << p.modeled_s << "}"
+         << ", \"modeled_seconds\": " << std::setprecision(17)
+         << p.modeled_s << std::setprecision(6) << "}"
          << (i + 1 < points.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

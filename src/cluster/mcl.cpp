@@ -9,7 +9,6 @@
 
 #include "cluster/components.hpp"
 #include "dist/distmat.hpp"
-#include "dist/summa.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/runtime.hpp"
@@ -377,42 +376,26 @@ std::uint32_t halved_cap(std::uint32_t cap) {
   return cap == 0 ? 256 : std::max<std::uint32_t>(4, cap / 2);
 }
 
-/// (rows, nnz) of rank `rank`'s row stripe of the 2D-tiled `A`, computed
-/// from the tile directories BEFORE the gather materializes it — the
-/// numbers the budget feedback needs ahead of the fused gather fold, and
-/// exactly what the gathered stripe will contain.
-void stripe_pre_counts(const sim::ProcGrid& grid,
-                       const dist::DistSpMat<float>& A, int rank,
-                       std::vector<std::uint8_t>& seen,
-                       std::uint64_t* rows_out, std::uint64_t* nnz_out) {
-  const int side = grid.side();
-  const int p = grid.size();
-  const Index n = A.nrows();
-  const int gi = grid.row_of(rank);
-  const Index r0 = sim::ProcGrid::split_point(n, p, rank);
-  const Index r1 = sim::ProcGrid::split_point(n, p, rank + 1);
-  const Index base = A.row_begin(gi);
-  seen.assign(static_cast<std::size_t>(r1 - r0), 0);
-  std::uint64_t rows = 0;
+/// The rows of `S` in [r0, r1) as directory slots [lo, hi) and the
+/// nonzeros they hold: a row range's shape, read off the row directory
+/// without touching the entries.
+struct RowSpan {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
   std::uint64_t nnz = 0;
-  for (int s = 0; s < side; ++s) {
-    const auto& t = A.local(grid.rank_of(gi, s));
-    const auto ids = t.row_ids();
-    const auto lo = static_cast<std::size_t>(
-        std::lower_bound(ids.begin(), ids.end(), r0 - base) - ids.begin());
-    const auto hi = static_cast<std::size_t>(
-        std::lower_bound(ids.begin(), ids.end(), r1 - base) - ids.begin());
-    for (std::size_t k = lo; k < hi; ++k) {
-      nnz += t.row_end(k) - t.row_begin(k);
-      auto& sv = seen[static_cast<std::size_t>(t.row_id(k) - (r0 - base))];
-      if (sv == 0) {
-        sv = 1;
-        ++rows;
-      }
-    }
-  }
-  *rows_out = rows;
-  *nnz_out = nnz;
+
+  [[nodiscard]] std::uint64_t bytes() const { return dcsr_bytes(hi - lo, nnz); }
+};
+
+RowSpan row_span(const SpMat<float>& S, Index r0, Index r1) {
+  const auto ids = S.row_ids();
+  RowSpan s;
+  s.lo = static_cast<std::size_t>(
+      std::lower_bound(ids.begin(), ids.end(), r0) - ids.begin());
+  s.hi = static_cast<std::size_t>(
+      std::lower_bound(ids.begin(), ids.end(), r1) - ids.begin());
+  if (s.lo != s.hi) s.nnz = S.row_begin(s.hi) - S.row_begin(s.lo);
+  return s;
 }
 
 /// Clusters = connected components of the converged flow's symmetrized
@@ -438,10 +421,10 @@ Clustering interpret(const SpMat<float>& M, Index n, float threshold,
 /// — every flow column whole on one rank, the layout the column pass
 /// needs. Stripes nest inside grid rows (p = side²), so each is a row range
 /// of the one global matrix the loop keeps; the grid swaps in only the
-/// expansion (a gather-stages SUMMA over the 2D tiling, bitwise equal to
-/// the local kernel — dist/summa.hpp) and prices every step on the ranks'
-/// clocks and resident-bytes ledger. Assignments are bit-identical to the
-/// one-address-space run for any grid side.
+/// expansion (a SUMMA over the 2D tiling whose ranks gather their operand
+/// strips and multiply once, bitwise equal to the local kernel) and prices
+/// every step on the ranks' clocks and resident-bytes ledger. Assignments
+/// are bit-identical to the one-address-space run for any grid side.
 class MclGrid {
  public:
   MclGrid(const MclOptions& opt, util::ThreadPool* pool, MclStats& st)
@@ -466,9 +449,9 @@ class MclGrid {
     });
   }
 
-  /// The grid's M·M with the column epilogue `epi` folded into the gather
-  /// back to stripes: returns what spgemm_hash2p_fused returns on one
-  /// address space (the pruned rows, skip-masked rows excluded). Calls
+  /// The grid's M·M with the column epilogue `epi` folded into the
+  /// reshape back to stripes: returns what spgemm_hash2p_fused returns on
+  /// one address space (the pruned rows, skip-masked rows excluded). Calls
   /// `tighten(pre_rows, pre_nnz)` — the loop's budget hook, returning the
   /// live column cap — at the fused kernel's point (after the multiply,
   /// before any prune), then applies the per-rank budget to that cap.
@@ -521,61 +504,95 @@ class MclGrid {
     }
     const dist::DistSpMat<float>& A = skip != nullptr ? Ad : Md;
 
-    // Ledger: the stripe is shipped out, the tile plus the gathered SUMMA
-    // strips (the rank's full grid-row of A and grid-column of B) come in.
-    // Under a mask the loop keeps M for the frozen-column stitch; the
-    // ledger still swaps the stripe out here (the frozen carry-over is not
-    // double-counted — a deliberate approximation).
+    // Multiply: rank (gi, gj) receives the tiles a staged SUMMA broadcasts
+    // to it (charged per stage), stacks its grid row of A and its grid
+    // column of M into two strips and multiplies them ONCE, so every
+    // E(i, j) sums its products in ascending k like the one-address-space
+    // kernel: even the float adds are bitwise equal. Ledger: the stripe
+    // goes out, the tile and the strips come in, then the product tile
+    // replaces the strips. Under a mask the loop keeps M for the
+    // frozen-column stitch; the ledger still swaps the stripe out here
+    // (the frozen carry-over is not double-counted — a deliberate
+    // approximation).
+    std::vector<SpMat<float>> E(p);  // product tiles, one per rank
+    std::vector<std::uint64_t> e_b(p, 0);
     std::vector<std::uint64_t> strip_b(p, 0);
+    std::vector<sparse::SpGemmStats> rank_stats(p);
     rt_.spmd([&](int r) {
+      const auto ri = static_cast<std::size_t>(r);
       const int gi = grid.row_of(r);
       const int gj = grid.col_of(r);
-      std::uint64_t b = 0;
-      for (int s = 0; s < side; ++s) {
-        b += A.local(grid.rank_of(gi, s)).bytes() +
-             Md.local(grid.rank_of(s, gj)).bytes();
-      }
-      strip_b[static_cast<std::size_t>(r)] = b;
       auto& clock = rt_.clock(r);
+      std::vector<const SpMat<float>*> a_row;
+      std::vector<const SpMat<float>*> m_col;
+      for (int s = 0; s < side; ++s) {
+        a_row.push_back(&A.local(grid.rank_of(gi, s)));
+        m_col.push_back(&Md.local(grid.rank_of(s, gj)));
+        const std::uint64_t ab = a_row.back()->bytes();
+        const std::uint64_t mb = m_col.back()->bytes();
+        clock.charge(sim::Comp::kSpGemm, rt_.model().bcast_time(ab, side) +
+                                             rt_.model().bcast_time(mb, side));
+        clock.bytes_recv += ab + mb;
+        if (grid.rank_of(gi, s) == r) clock.bytes_sent += ab;
+        if (grid.rank_of(s, gj) == r) clock.bytes_sent += mb;
+        strip_b[ri] += ab + mb;
+      }
       clock.sub_resident(stripe_bytes(M, r));
-      clock.add_resident(Md.local(r).bytes() + b);
+      clock.add_resident(Md.local(r).bytes() + strip_b[ri]);
+      const auto a_strip = sparse::hstack(a_row);
+      const auto m_strip = sparse::vstack(m_col);
+      E[ri] = SpMat<float>(a_strip.nrows(), m_strip.ncols());
+      if (!a_strip.empty() && !m_strip.empty()) {
+        E[ri] = sparse::spgemm_hash2p<sparse::PlusTimes<float>>(
+            a_strip, m_strip, &rank_stats[ri], pool_);
+        clock.charge(sim::Comp::kSpGemm,
+                     rt_.model().spgemm_time(rank_stats[ri].products));
+        clock.spgemm_products += rank_stats[ri].products;
+      }
+      e_b[ri] = E[ri].bytes();
+      clock.charge(sim::Comp::kSpGemm,
+                   rt_.model().sparse_stream_time(strip_b[ri] + e_b[ri]));
+      clock.add_resident(e_b[ri]);
+      clock.sub_resident(strip_b[ri]);
     });
+    for (const auto& rs : rank_stats) st_.spgemm.merge(rs);
 
-    dist::SummaOptions sopt;
-    sopt.pool = pool_;
-    sopt.gather_stages = true;  // bitwise-exact float fold (see summa.hpp)
-    const auto Ed = dist::summa<sparse::PlusTimes<float>>(rt_, A, Md, sopt,
-                                                          &st_.spgemm);
-    rt_.spmd([&](int r) {
-      rt_.clock(r).add_resident(Ed.local(r).bytes());
-      rt_.clock(r).sub_resident(strip_b[static_cast<std::size_t>(r)]);
+    // Stripes: each grid row's product tiles hstack into one strip; rank
+    // r's stripe is a row range of its grid row's strip. Its pre-epilogue
+    // shape comes off the strip's directory, so the budget hook fires
+    // before the fold, as the fused kernel's does between its phases, with
+    // the same counts.
+    std::vector<SpMat<float>> strips(static_cast<std::size_t>(side));
+    util::parallel_for(pool_, strips.size(), [&](std::size_t gi) {
+      std::vector<const SpMat<float>*> row;
+      for (int s = 0; s < side; ++s) {
+        row.push_back(&E[static_cast<std::size_t>(
+            grid.rank_of(static_cast<int>(gi), s))]);
+      }
+      strips[gi] = sparse::hstack(row);
     });
-
-    // Pre-gather stripe shapes from the tile directories: the budget hook
-    // fires BEFORE the gather fold, as the fused kernel's does between its
-    // phases, with counts equal to the pre-epilogue stripes' exactly.
-    std::vector<std::uint64_t> pre_rows(p);
-    std::vector<std::uint64_t> pre_nnz(p);
-    std::vector<std::uint8_t> seen;
+    E.clear();
+    std::vector<RowSpan> pre(p);
     std::uint64_t e_rows = 0;
     std::uint64_t e_nnz = 0;
     for (std::size_t r = 0; r < p; ++r) {
-      stripe_pre_counts(grid, Ed, static_cast<int>(r), seen, &pre_rows[r],
-                        &pre_nnz[r]);
-      e_rows += pre_rows[r];
-      e_nnz += pre_nnz[r];
+      const int gi = grid.row_of(static_cast<int>(r));
+      pre[r] = stripe_span(strips[static_cast<std::size_t>(gi)], n,
+                           static_cast<int>(r), Md.row_begin(gi));
+      e_rows += pre[r].hi - pre[r].lo;
+      e_nnz += pre[r].nnz;
     }
     std::uint32_t& cap = tighten(e_rows, e_nnz);
 
     // Per-rank budget (tile + strips during expansion, tile + stripe
-    // around the gather): deterministic, but grid-side-dependent — see
+    // around the fold): deterministic, but grid-side-dependent — see
     // MclOptions::rank_memory_budget_bytes.
     std::uint64_t max_rank = 0;
     for (std::size_t r = 0; r < p; ++r) {
-      const auto ri = static_cast<int>(r);
-      const std::uint64_t tiles = Md.local(ri).bytes() + Ed.local(ri).bytes();
+      const std::uint64_t tiles =
+          Md.local(static_cast<int>(r)).bytes() + e_b[r];
       max_rank = std::max({max_rank, tiles + ad_b[r] + strip_b[r],
-                           tiles + dcsr_bytes(pre_rows[r], pre_nnz[r])});
+                           tiles + pre[r].bytes()});
     }
     is.max_rank_resident_bytes = max_rank;
     if (rank_budget_ != 0 && max_rank > rank_budget_) {
@@ -583,17 +600,52 @@ class MclGrid {
       ++st_.rank_budget_tightenings;
     }
 
-    // Inflate + prune + chaos fused into the gather fold: each column is
-    // pruned as its tile segments merge, and only the pruned stripe
-    // materializes.
-    const auto stripes = dist::gather_row_stripes_fused(
-        rt_, Ed, epi, cap, sim::Comp::kSparseOther);
+    // Fold: each rank runs the column epilogue over its stripe's rows (the
+    // rank is the lane) and builds only the pruned stripe. The fold runs
+    // receiver-side, so the unpruned stripe is what crosses the wire: the
+    // rank ships its product tile out and receives its unpruned stripe.
+    std::vector<SpMat<float>> stripes(p);
     rt_.spmd([&](int r) {
-      const std::uint64_t b = stripes[static_cast<std::size_t>(r)].bytes();
+      const auto ri = static_cast<std::size_t>(r);
+      const int gi = grid.row_of(r);
+      const SpMat<float>& strip = strips[static_cast<std::size_t>(gi)];
+      const Index base = Md.row_begin(gi);
+      const Index r0 = sim::ProcGrid::split_point(n, grid.size(), r);
+      std::vector<Index> row_ids;
+      std::vector<Offset> row_ptr{0};
+      std::vector<Index> cols;
+      std::vector<float> vals;
+      for (std::size_t k = pre[ri].lo; k < pre[ri].hi; ++k) {
+        const Offset b = strip.row_begin(k);
+        const std::size_t nk = strip.row_end(k) - b;
+        const std::size_t at = cols.size();
+        const std::size_t bound =
+            cap == 0 ? nk : std::min<std::size_t>(nk, cap);
+        cols.resize(at + bound);
+        vals.resize(at + bound);
+        const std::size_t kept =
+            epi(ri, strip.row_id(k) + base, strip.col_data(b),
+                strip.val_data(b), nk, cols.data() + at, vals.data() + at);
+        cols.resize(at + kept);  // >= 1: a column's maximum always survives
+        vals.resize(at + kept);
+        row_ids.push_back(strip.row_id(k) + base - r0);
+        row_ptr.push_back(cols.size());
+      }
+      stripes[ri] = SpMat<float>::from_sorted_parts(
+          sim::ProcGrid::split_point(n, grid.size(), r + 1) - r0, n,
+          std::move(row_ids), std::move(row_ptr), std::move(cols),
+          std::move(vals));
+      const std::uint64_t wire = pre[ri].bytes();
+      const std::uint64_t b = stripes[ri].bytes();
       auto& clock = rt_.clock(r);
+      clock.charge(sim::Comp::kSparseOther,
+                   rt_.model().sparse_stream_time(e_b[ri] + wire) +
+                       rt_.model().p2p_time(e_b[ri]));
+      clock.bytes_sent += e_b[ri];
+      clock.bytes_recv += wire;
       clock.charge(sim::Comp::kSparseOther, rt_.model().sparse_stream_time(b));
       clock.add_resident(b);
-      clock.sub_resident(Md.local(r).bytes() + Ed.local(r).bytes());
+      clock.sub_resident(Md.local(r).bytes() + e_b[ri]);
     });
     // Stripe r holds rows [split(n, p, r), split(n, p, r+1)): stacked in
     // rank order they are the one matrix the fused kernel returns.
@@ -624,22 +676,19 @@ class MclGrid {
   }
 
  private:
+  /// Rank r's stripe of an n-row matrix as a row span of `S`, whose row 0
+  /// is global row `base` (M itself, or a grid row's product strip).
+  [[nodiscard]] RowSpan stripe_span(const SpMat<float>& S, Index n, int r,
+                                    Index base = 0) const {
+    const int p = rt_.nprocs();
+    return row_span(S, sim::ProcGrid::split_point(n, p, r) - base,
+                    sim::ProcGrid::split_point(n, p, r + 1) - base);
+  }
+
   /// DCSR bytes of rank r's stripe of M, read off M's row directory.
   [[nodiscard]] std::uint64_t stripe_bytes(const SpMat<float>& M,
                                            int r) const {
-    const Index n = M.nrows();
-    const int p = rt_.nprocs();
-    const auto ids = M.row_ids();
-    const auto lo = static_cast<std::size_t>(
-        std::lower_bound(ids.begin(), ids.end(),
-                         sim::ProcGrid::split_point(n, p, r)) -
-        ids.begin());
-    const auto hi = static_cast<std::size_t>(
-        std::lower_bound(ids.begin(), ids.end(),
-                         sim::ProcGrid::split_point(n, p, r + 1)) -
-        ids.begin());
-    if (lo == hi) return 0;
-    return dcsr_bytes(hi - lo, M.row_begin(hi) - M.row_begin(lo));
+    return stripe_span(M, M.nrows(), r).bytes();
   }
 
   sim::SimRuntime rt_;

@@ -9,8 +9,9 @@
 // renormalized and chaos-accumulated inside the numeric phase while hot,
 // so the flow matrix is written to DCSR exactly once per iteration. On a
 // simulated process grid (MclOptions::grid_side >= 1) the same loop swaps
-// that call for a SUMMA expansion whose gather folds in the same column
-// pass.
+// that call for a grid expansion: each rank multiplies its gathered
+// operand strips once, and the same column pass folds into the reshape
+// back to row stripes.
 //
 // Storage convention: the column-stochastic flow matrix M is held
 // TRANSPOSED, i.e. DCSR row j stores column j of M. Expansion is then
@@ -77,11 +78,12 @@ struct MclOptions {
 
   // --- grid expansion (HipMCL-style) ---------------------------------------
   /// 0 (the default) runs in one address space. >= 1 runs the expansion
-  /// through the sparse SUMMA over a simulated grid_side × grid_side
-  /// process grid: each rank owns a row stripe of the transposed flow
-  /// matrix, M·M is a gather-stages SUMMA (bitwise equal to the local
-  /// kernel — see dist/summa.hpp), and inflate/prune/chaos fold into the
-  /// gather back to stripes. It is the same iteration loop either way:
+  /// over a simulated grid_side × grid_side process grid: each rank owns a
+  /// row stripe of the transposed flow matrix, M·M is a SUMMA whose ranks
+  /// gather their grid row of tiles and grid column of tiles and multiply
+  /// once (every product summed in ascending k, so bitwise equal to the
+  /// local kernel), and inflate/prune/chaos fold into the reshape back to
+  /// stripes. It is the same iteration loop either way:
   /// assignments are bit-identical for ANY grid side; what the grid adds
   /// is the modeled per-rank memory and time. < 0 throws
   /// std::invalid_argument (as QueryEngine::Options::grid_side).

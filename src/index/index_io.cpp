@@ -69,17 +69,12 @@ struct Header {
   std::vector<SegmentMeta> segments;
   /// v4 minhash sketch slots per base reference (0 = no sketch table). The
   /// table itself sits between the header and the base body and is read by
-  /// read_sketch_table() after gate_load has validated the counts.
+  /// read_sketch_table() once read_header has bounded the counts.
   std::uint32_t sketch_len = 0;
 
   [[nodiscard]] std::uint64_t all_nnz() const {
     std::uint64_t n = total_nnz;
     for (const auto& g : segments) n += g.total_nnz;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t all_refs() const {
-    std::uint64_t n = n_refs;
-    for (const auto& g : segments) n += g.n_refs;
     return n;
   }
   [[nodiscard]] std::uint64_t all_ref_residues() const {
@@ -135,7 +130,53 @@ void write_header(std::ostream& os, const Header& h) {
   write_pod(os, h.sketch_len);
 }
 
-Header read_header(std::istream& is) {
+/// Re-throws the std::invalid_argument that corrupt param fields (k,
+/// alphabet, matrix out of range) trigger in downstream constructors as
+/// the std::runtime_error this module's contract promises for corruption.
+template <typename Fn>
+auto guard_corruption(Fn fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("index_io: corrupt header: ") +
+                             e.what());
+  }
+}
+
+/// The k-mer space must match k and fit the 32-bit row ids postings store
+/// (KmerIndex::build refuses a larger space too).
+void check_codec(const Header& h) {
+  guard_corruption([&] {
+    const kmer::Alphabet alphabet(h.params.alphabet);
+    const kmer::KmerCodec codec(alphabet.size(), h.params.k);
+    if (codec.space() != h.kmer_space) {
+      throw std::runtime_error("index_io: header k-mer space disagrees with k");
+    }
+    if (codec.space() > std::uint64_t{Index(-1)}) {
+      throw std::runtime_error(
+          "index_io: corrupt header: k-mer space exceeds 32-bit indices");
+    }
+  });
+}
+
+/// Adds one declared count to a running total that the file size bounds
+/// by `limit`. A count past it cannot be in the file, so the header is
+/// corrupt; both operands stay <= limit, so the sum never wraps.
+void add_count(std::uint64_t& total, std::uint64_t count,
+               std::uint64_t limit) {
+  if (count > limit || total + count > limit) {
+    throw std::runtime_error(
+        "index_io: header counts exceed the file size (corrupt header)");
+  }
+  total += count;
+}
+
+/// Reads the header of a `file_size`-byte file. Every count it declares is
+/// bounded by the file size before anything is sized from it, and every
+/// sum of counts is checked on the way: a bit-flipped count must throw,
+/// not wrap a total or trigger an exabyte allocation that would bypass the
+/// budget gate.
+Header read_header(std::istream& is, std::uint64_t file_size) {
   char magic[8];
   is.read(magic, sizeof(magic));
   if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -175,55 +216,79 @@ Header read_header(std::istream& is) {
   h.n_shards = read_pod<std::uint32_t>(is, "n_shards");
   h.kmer_space = read_pod<std::uint64_t>(is, "kmer_space");
   h.total_nnz = read_pod<std::uint64_t>(is, "total_nnz");
-  // Placement section. The count gates the allocation (a bit-flipped
-  // n_shards must throw, not allocate gigabytes).
-  if (h.n_shards == 0 || h.n_shards > (1u << 24)) {
+  // Each reference stores a u32 length, each residue a byte, each posting
+  // kDiskBytesPerPosting bytes; the totals fold base and segments.
+  const std::uint64_t max_refs = file_size / sizeof(std::uint32_t);
+  const std::uint64_t max_nnz = file_size / kDiskBytesPerPosting;
+  std::uint64_t refs = 0;
+  std::uint64_t residues = 0;
+  std::uint64_t nnz = 0;
+  add_count(refs, h.n_refs, max_refs);
+  add_count(residues, h.ref_residues, file_size);
+  // Placement section: one u64 per shard.
+  if (h.n_shards == 0 || h.n_shards > (1u << 24) ||
+      h.n_shards > file_size / sizeof(std::uint64_t)) {
     throw std::runtime_error("index_io: corrupt header: bad shard count");
   }
   h.shard_nnz.resize(h.n_shards);
-  std::uint64_t placed = 0;
   for (std::uint32_t s = 0; s < h.n_shards; ++s) {
     h.shard_nnz[s] = read_pod<std::uint64_t>(is, "placement shard nnz");
-    placed += h.shard_nnz[s];
+    add_count(nnz, h.shard_nnz[s], max_nnz);
   }
-  if (placed != h.total_nnz) {
+  if (nnz != h.total_nnz) {
     throw std::runtime_error(
         "index_io: corrupt header: placement section disagrees with "
         "total_nnz");
   }
-  // v3 segment manifest (a v2 file simply has none).
+  // v3 segment manifest (a v2 file simply has none): two u64s and one per
+  // shard for each segment.
   if (version >= 3) {
     const auto n_segments = read_pod<std::uint32_t>(is, "segment count");
-    if (n_segments > (1u << 16)) {
+    if (n_segments > (1u << 16) ||
+        n_segments > file_size / (16 + std::uint64_t{8} * h.n_shards)) {
       throw std::runtime_error("index_io: corrupt header: bad segment count");
     }
     h.segments.resize(n_segments);
     for (auto& g : h.segments) {
       g.n_refs = read_pod<std::uint64_t>(is, "segment n_refs");
+      add_count(refs, g.n_refs, max_refs);
       g.ref_residues = read_pod<std::uint64_t>(is, "segment ref_residues");
+      add_count(residues, g.ref_residues, file_size);
       g.shard_nnz.resize(h.n_shards);
-      g.total_nnz = 0;
       for (std::uint32_t s = 0; s < h.n_shards; ++s) {
         g.shard_nnz[s] = read_pod<std::uint64_t>(is, "segment shard nnz");
-        g.total_nnz += g.shard_nnz[s];
+        add_count(g.total_nnz, g.shard_nnz[s], max_nnz);
+        add_count(nnz, g.shard_nnz[s], max_nnz);
       }
     }
   }
-  // v4 sketch slot count. The table itself is NOT read here — its size
-  // depends on n_refs, which only gate_load validates against the file
-  // size; read_sketch_table() consumes it after the gate.
+  // v4 sketch slot count; the n_refs × sketch_len table follows the header
+  // (read_sketch_table).
   if (version >= 4) {
     h.sketch_len = read_pod<std::uint32_t>(is, "sketch_len");
-    if (h.sketch_len > 4096) {
+    if (h.sketch_len > 4096 ||
+        (h.sketch_len > 0 &&
+         h.n_refs > file_size / (std::uint64_t{h.sketch_len} *
+                                 sizeof(std::uint64_t)))) {
       throw std::runtime_error("index_io: corrupt header: bad sketch length");
     }
   }
+  check_codec(h);
   return h;
 }
 
-/// Reads the v4 sketch table sitting between the header and the base body.
-/// Must run after gate_load (which bounds n_refs × sketch_len by the file
-/// size, so the allocation here is safe even for corrupt headers).
+/// Opens an index file and reads its header (read_header).
+Header open_index(const std::string& path, std::ifstream& is) {
+  is.open(path, std::ios::binary);
+  if (!is) {
+    throw std::runtime_error("index_io: cannot open: " + path);
+  }
+  return read_header(is, std::filesystem::file_size(path));
+}
+
+/// Reads the v4 sketch table sitting between the header and the base body
+/// (read_header bounded n_refs × sketch_len by the file size, so the
+/// allocation is safe even for corrupt headers).
 std::vector<std::uint64_t> read_sketch_table(std::istream& is,
                                              const Header& h) {
   std::vector<std::uint64_t> table(h.n_refs *
@@ -237,19 +302,6 @@ std::vector<std::uint64_t> read_sketch_table(std::istream& is,
     }
   }
   return table;
-}
-
-/// Re-throws the std::invalid_argument that corrupt param fields (k,
-/// alphabet, matrix out of range) trigger in downstream constructors as
-/// the std::runtime_error this module's contract promises for corruption.
-template <typename Fn>
-auto guard_corruption(Fn fn) -> decltype(fn()) {
-  try {
-    return fn();
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("index_io: corrupt header: ") +
-                             e.what());
-  }
 }
 
 }  // namespace
@@ -348,11 +400,8 @@ void save_index(const std::string& path, const KmerIndex& base,
 }
 
 std::uint64_t peek_index_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("index_io: cannot open: " + path);
-  }
-  return read_header(is).logical_bytes();
+  std::ifstream is;
+  return open_index(path, is).logical_bytes();
 }
 
 namespace {
@@ -378,11 +427,9 @@ std::vector<std::uint64_t> rank_resident_from_header(const Header& h,
 std::vector<std::uint64_t> peek_rank_resident_bytes(const std::string& path,
                                                     int n_ranks,
                                                     int replication) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("index_io: cannot open: " + path);
-  }
-  return rank_resident_from_header(read_header(is), n_ranks, replication);
+  std::ifstream is;
+  return rank_resident_from_header(open_index(path, is), n_ranks,
+                                   replication);
 }
 
 KmerIndex load_index(const std::string& path, std::uint64_t max_bytes) {
@@ -391,27 +438,11 @@ KmerIndex load_index(const std::string& path, std::uint64_t max_bytes) {
 
 namespace {
 
-/// Header sanity + the per-rank memory gate, both decided before any
-/// posting is materialized. Counts fold base + segments (every declared
-/// section must fit inside the file — a bit-flipped count must throw, not
-/// trigger an exabyte allocation that would bypass the budget gate).
-void gate_load(const std::string& path, const Header& h,
-               const RankBudgetGate& gate) {
-  const std::uint64_t file_size = std::filesystem::file_size(path);
-  if (h.n_shards == 0 ||
-      h.all_refs() > file_size / sizeof(std::uint32_t) ||
-      h.all_ref_residues() > file_size ||
-      h.all_nnz() > file_size / kDiskBytesPerPosting ||
-      (h.sketch_len > 0 &&
-       h.n_refs > file_size / (std::uint64_t{h.sketch_len} *
-                               sizeof(std::uint64_t)))) {
-    throw std::runtime_error(
-        "index_io: header counts exceed the file size (corrupt header)");
-  }
-
-  // Per-rank memory gate: decided from the header's placement section
-  // alone. The whole-index budget of the v1 format is the 1-rank special
-  // case (placement on one rank = everything resident there).
+/// The per-rank memory gate, decided from the header's placement section
+/// before any posting is materialized. The whole-index budget of the v1
+/// format is the 1-rank special case (placement on one rank = everything
+/// resident there).
+void gate_load(const Header& h, const RankBudgetGate& gate) {
   if (gate.rank_memory_budget_bytes != 0) {
     const auto per_rank =
         rank_resident_from_header(h, gate.n_ranks, gate.replication);
@@ -520,32 +551,18 @@ void check_footer(std::istream& is) {
   }
 }
 
-void check_codec(const Header& h) {
-  guard_corruption([&] {
-    const kmer::Alphabet alphabet(h.params.alphabet);
-    const kmer::KmerCodec codec(alphabet.size(), h.params.k);
-    if (codec.space() != h.kmer_space) {
-      throw std::runtime_error("index_io: header k-mer space disagrees with k");
-    }
-  });
-}
-
 }  // namespace
 
 KmerIndex load_index(const std::string& path, const RankBudgetGate& gate) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("index_io: cannot open: " + path);
-  }
-  const Header h = read_header(is);
+  std::ifstream is;
+  const Header h = open_index(path, is);
   if (!h.segments.empty()) {
     // Dropping deltas silently would serve a truncated reference set.
     throw std::runtime_error(
         "index_io: file carries " + std::to_string(h.segments.size()) +
         " delta segment(s); use load_index_parts to load them");
   }
-  gate_load(path, h, gate);
-  check_codec(h);
+  gate_load(h, gate);
   auto sketches = read_sketch_table(is, h);
   KmerIndex base =
       read_index_body(is, h, h.n_refs, h.ref_residues, h.shard_nnz, "");
@@ -556,13 +573,9 @@ KmerIndex load_index(const std::string& path, const RankBudgetGate& gate) {
 
 IndexParts load_index_parts(const std::string& path,
                             const RankBudgetGate& gate) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("index_io: cannot open: " + path);
-  }
-  const Header h = read_header(is);
-  gate_load(path, h, gate);
-  check_codec(h);
+  std::ifstream is;
+  const Header h = open_index(path, is);
+  gate_load(h, gate);
   auto sketches = read_sketch_table(is, h);
   IndexParts parts;
   parts.base =

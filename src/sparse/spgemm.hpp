@@ -783,8 +783,9 @@ template <SemiringLike SR>
 /// parts carry the same (row, col), the accumulation folds them left to
 /// right by part index. For the order-independent adds of the discovery
 /// semirings this is indistinguishable from any other order; for
-/// order-sensitive adds (PlusTimes<float> in the MCL expansion) it is what
-/// keeps a staged merge deterministic. All parts must share shape.
+/// order-sensitive adds (PlusTimes<float>) it keeps a staged merge
+/// deterministic, though its sums can differ in the last bits from one
+/// ascending-k accumulation. All parts must share shape.
 template <typename V, typename AddOp>
 [[nodiscard]] SpMat<V> add_merge(const std::vector<SpMat<V>>& parts,
                                  Index nrows, Index ncols, AddOp add) {

@@ -539,8 +539,9 @@ TEST(ClusterPipeline, RunAndClusterMethodNoneSkipsTheStage) {
 TEST(DistMcl, AssignmentsBitIdenticalAcrossGridAndPoolSweep) {
   // The acceptance bar of the distributed memory model: SUMMA-expanded MCL
   // reproduces the shared-memory assignments bitwise for every grid side x
-  // pool size combination (float expansion included — the gather-stages
-  // fold keeps the accumulation order identical).
+  // pool size combination (float expansion included — each rank's one
+  // multiply over its gathered strips keeps the accumulation order
+  // identical).
   const auto edges = planted_graph(160, 9, 0.7, 120, 77);
   const auto g = pc::SimilarityGraph::from_edges(160, edges);
 
@@ -832,10 +833,75 @@ TEST(DistMcl, DropoutSweepBitIdenticalAcrossGridSides) {
               << where << " iter=" << i;
           EXPECT_EQ(a.reentered_columns, b.reentered_columns)
               << where << " iter=" << i;
-          EXPECT_DOUBLE_EQ(a.chaos, b.chaos) << where << " iter=" << i;
+          // Exact: the grid's multiply sums every product in the same
+          // order as the one-address-space kernel, so the floats are
+          // bitwise equal.
+          EXPECT_EQ(a.chaos, b.chaos) << where << " iter=" << i;
         }
       }
     }
+  }
+}
+
+TEST(DistMcl, GridPricingIsPinned) {
+  // The grid's pricing, pinned: the modeled seconds of the slowest rank,
+  // every rank's resident-bytes peak, the busiest rank's bytes per
+  // iteration, the rank-budget tightenings and one multiply per rank whose
+  // operand strips are both non-empty. Dropout masks engage from
+  // iteration 7 on, so the masked tiles' stream charge is priced, and in
+  // the last case a rank budget binds and changes the prunes. The other
+  // DistMcl tests check outputs equal across grid sides; a reshuffled
+  // charge would pass them.
+  const auto edges = planted_graph(160, 9, 0.7, 120, 77);
+  const auto g = pc::SimilarityGraph::from_edges(160, edges);
+  struct Pinned {
+    int side;
+    std::uint64_t rank_budget;
+    double modeled_seconds;
+    std::vector<std::uint64_t> rank_peaks;
+    std::vector<std::uint64_t> max_rank_per_iteration;
+    int rank_budget_tightenings;
+    std::uint64_t spgemm_calls;
+  };
+  const std::vector<Pinned> cases = {
+      {2, 0, 0.013281417660317462,
+       {93032, 84292, 84348, 95168},
+       {31344, 103016, 41660, 26928, 25468, 18628, 12892, 12332, 7972, 5368,
+        4168, 4168},
+       0, 48},
+      {3, 0, 0.013123349459047612,
+       {53888, 49004, 47960, 49068, 49848, 46920, 48004, 47004, 52712},
+       {19748, 53888, 25224, 17864, 16708, 13012, 9264, 9824, 5360, 3808,
+        3088, 3088},
+       0, 102},
+      {2, 20000, 0.013100043469841277,
+       {90048, 80620, 81764, 92912},
+       {31344, 100928, 39248, 24492, 14236, 13988, 11860, 11972, 7612, 5368,
+        4168, 4168},
+       4, 48},
+  };
+  for (const auto& c : cases) {
+    pc::MclOptions opt;
+    opt.grid_side = c.side;
+    opt.dropout_iterations = 2;
+    opt.rank_memory_budget_bytes = c.rank_budget;
+    pc::MclStats stats;
+    (void)pc::markov_cluster(g, opt, &stats);
+    const std::string where = "side=" + std::to_string(c.side) +
+                              " rank_budget=" + std::to_string(c.rank_budget);
+    std::uint64_t dropped = 0;
+    std::vector<std::uint64_t> max_rank;
+    for (const auto& it : stats.per_iteration) {
+      dropped += it.dropout_columns;
+      max_rank.push_back(it.max_rank_resident_bytes);
+    }
+    ASSERT_GT(dropped, 0u) << where;
+    EXPECT_DOUBLE_EQ(stats.modeled_seconds, c.modeled_seconds) << where;
+    EXPECT_EQ(stats.rank_peak_resident_bytes, c.rank_peaks) << where;
+    EXPECT_EQ(max_rank, c.max_rank_per_iteration) << where;
+    EXPECT_EQ(stats.rank_budget_tightenings, c.rank_budget_tightenings)
+        << where;
+    EXPECT_EQ(stats.spgemm.calls, c.spgemm_calls) << where;
   }
 }
 

@@ -214,41 +214,7 @@ TEST(Summa, OverlapSemiringSeedsAreOrderIndependent) {
   }
 }
 
-// ---- row-stripe reshapes (the distributed MCL layout) ----------------------
-
-TEST(Stripes, GatherRowStripesTilesTheRows) {
-  const auto triples = random_triples(77, 77, 0.1, 107);
-  // A copy-through epilogue makes the fused gather a plain reshape.
-  auto copy_row = [](std::size_t, ps::Index, const ps::Index* cols,
-                     const int* vals, std::size_t n, ps::Index* out_cols,
-                     int* out_vals) {
-    std::copy_n(cols, n, out_cols);
-    std::copy_n(vals, n, out_vals);
-    return n;
-  };
-  for (int p : {1, 4, 9}) {
-    psim::SimRuntime rt(p, psim::MachineModel{});
-    auto A = pd::DistSpMat<int>::from_global_triples(rt.grid(), 77, 77,
-                                                     triples);
-    const auto stripes = pd::gather_row_stripes_fused(rt, A, copy_row, 0);
-    ASSERT_EQ(stripes.size(), static_cast<std::size_t>(p));
-    // Stripes tile the rows; entries carry global columns.
-    ps::Index rows = 0;
-    std::vector<ps::Triple<int>> merged;
-    for (const auto& s : stripes) {
-      for (const auto& t : s.to_triples()) {
-        merged.push_back({t.row + rows, t.col, t.val});
-      }
-      rows += s.nrows();
-    }
-    EXPECT_EQ(rows, 77u);
-    EXPECT_EQ(to_map(merged), to_map(triples));
-    // The reshape's wire time was charged.
-    if (p > 1) {
-      EXPECT_GT(rt.sum_over_ranks(psim::Comp::kSparseOther), 0.0);
-    }
-  }
-}
+// ---- grid strips (the MCL grid's operand and product strips) --------------
 
 TEST(Stripes, HstackVstackReassembleTiles) {
   const auto triples = random_triples(40, 52, 0.15, 109);
@@ -285,55 +251,3 @@ TEST(Stripes, HstackVstackReassembleTiles) {
   EXPECT_EQ(to_map(via_cols), to_map(triples));
 }
 
-// ---- gather-stages SUMMA (the bitwise-exact float fold) --------------------
-
-TEST(Summa, GatherStagesAgreesWithStagedMergeOnInts) {
-  const auto ta = random_triples(45, 45, 0.2, 111);
-  const auto tb = random_triples(45, 45, 0.2, 112);
-  psim::SimRuntime rt(9, psim::MachineModel{});
-  auto A = pd::DistSpMat<int>::from_global_triples(rt.grid(), 45, 45, ta);
-  auto B = pd::DistSpMat<int>::from_global_triples(rt.grid(), 45, 45, tb);
-  pd::SummaOptions staged, gathered;
-  gathered.gather_stages = true;
-  ps::SpGemmStats s1, s2;
-  auto Cs = pd::summa<ps::PlusTimes<int>>(rt, A, B, staged, &s1);
-  auto Cg = pd::summa<ps::PlusTimes<int>>(rt, A, B, gathered, &s2);
-  EXPECT_EQ(to_map(Cs.to_global_triples()), to_map(Cg.to_global_triples()));
-  EXPECT_EQ(s1.products, s2.products);
-}
-
-TEST(Summa, GatherStagesIsBitwiseEqualToSerialFloatKernel) {
-  // Float addition is order-sensitive: the staged merge regroups the
-  // per-stage partial sums, but the gather-stages fold accumulates every
-  // C(i,j) in ascending-k order exactly like the serial kernel — bitwise,
-  // on any grid. This is what the distributed MCL's determinism rests on.
-  pastis::util::Xoshiro256 rng(113);
-  std::vector<ps::Triple<float>> tf;
-  for (ps::Index i = 0; i < 60; ++i) {
-    for (ps::Index j = 0; j < 60; ++j) {
-      if (rng.chance(0.2)) {
-        tf.push_back({i, j, 0.01f + static_cast<float>(rng.uniform())});
-      }
-    }
-  }
-  auto As = ps::SpMat<float>::from_triples(60, 60, tf);
-  const auto serial = ps::spgemm_hash2p<ps::PlusTimes<float>>(As, As);
-
-  for (int p : {4, 9}) {
-    psim::SimRuntime rt(p, psim::MachineModel{});
-    auto A = pd::DistSpMat<float>::from_global_triples(rt.grid(), 60, 60, tf);
-    pd::SummaOptions opt;
-    opt.gather_stages = true;
-    auto C = pd::summa<ps::PlusTimes<float>>(rt, A, A, opt);
-    auto triples = C.to_global_triples();
-    ps::sort_triples(triples);
-    const auto expect = serial.to_triples();
-    ASSERT_EQ(triples.size(), expect.size()) << "p=" << p;
-    for (std::size_t i = 0; i < triples.size(); ++i) {
-      EXPECT_EQ(triples[i].row, expect[i].row);
-      EXPECT_EQ(triples[i].col, expect[i].col);
-      // Bitwise float equality, not approximate.
-      EXPECT_EQ(triples[i].val, expect[i].val) << "p=" << p << " i=" << i;
-    }
-  }
-}

@@ -11,6 +11,9 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
+#include <span>
+#include <utility>
 
 #include "core/pipeline.hpp"
 #include "exec/timeline.hpp"
@@ -19,6 +22,8 @@
 #include "index/kmer_index.hpp"
 #include "index/placement.hpp"
 #include "index/query_engine.hpp"
+#include "kmer/alphabet.hpp"
+#include "kmer/codec.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -203,6 +208,130 @@ TEST(IndexIo, RejectsCorruptAndTruncatedFiles) {
     os << "not an index";
   }
   EXPECT_THROW((void)pidx::load_index(path), std::runtime_error);
+
+  // Hostile headers whose counts wrap a 64-bit sum or a 32-bit index. The
+  // header layout is in V3LoaderKeepsReadingV2Files: n_refs u64 @40,
+  // kmer_space u64 @60, total_nnz u64 @68, per-shard nnz u64s @76, then
+  // the manifest (n_segments u32, per segment n_refs u64, ref_residues u64
+  // and per-shard nnz u64s) and sketch_len u32.
+  const auto hostile = [&](const pidx::KmerIndex& base,
+                           std::span<const pidx::KmerIndex> segments,
+                           const std::vector<std::pair<std::size_t,
+                                                       std::uint64_t>>& edits) {
+    pidx::save_index(path, base, segments);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    for (const auto& [at, v] : edits) {
+      f.seekp(static_cast<std::streamoff>(at));
+      f.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    }
+  };
+  constexpr std::uint64_t kHalf = 1ull << 63;
+  const std::size_t manifest =
+      76 + 8 * static_cast<std::size_t>(idx.n_shards());
+
+  // (a) Base and segment n_refs of 2^63 each: the reference total wraps to
+  // 0. The header alone must be rejected, by the pre-flight too.
+  const std::vector<pidx::KmerIndex> one_segment = {
+      pidx::KmerIndex::build(make_refs(10, 19), pc::PastisConfig{}, 2)};
+  hostile(idx, one_segment, {{40, kHalf}, {manifest + 4, kHalf}});
+  EXPECT_THROW((void)pidx::load_index_parts(path), std::runtime_error);
+  EXPECT_THROW((void)pidx::peek_index_bytes(path), std::runtime_error);
+
+  // (b) Two shard counts of 2^63 wrap the placement sum to total_nnz = 0;
+  // shard 0's body count says 2^63 too, so only the header can tell.
+  std::size_t body_nnz0 = manifest + 8 + 4 * refs.size();
+  for (const auto& r : refs) body_nnz0 += r.size();
+  hostile(idx, {},
+          {{68, 0}, {76, kHalf}, {84, kHalf}, {body_nnz0, kHalf}});
+  EXPECT_THROW((void)pidx::load_index_parts(path), std::runtime_error);
+
+  // (c) k = 7 with its own k-mer space, 25^7 > 2^32: postings store 32-bit
+  // rows, so the header is corrupt (KmerIndex::build refuses this k). The
+  // references are shorter than k, so no posting could tell.
+  const pc::PastisConfig cfg;
+  const auto tiny = pidx::KmerIndex::build({"ACDE", "MKV"}, cfg, 2);
+  const std::uint64_t space7 =
+      pastis::kmer::KmerCodec(pastis::kmer::Alphabet(cfg.alphabet).size(), 7)
+          .space();
+  ASSERT_GT(space7, std::uint64_t{1} << 32);
+  hostile(tiny, {}, {{60, space7}});
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(12);
+    const std::int32_t k7 = 7;
+    f.write(reinterpret_cast<const char*>(&k7), sizeof(k7));
+  }
+  EXPECT_THROW((void)pidx::load_index(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(IndexIo, CorruptionGridThrowsOnlyRuntimeErrors) {
+  // A small v4 file with sketches and one delta segment, truncated at
+  // every section boundary and at a stride of offsets, and with single
+  // bits flipped across the header, manifest, sketch table and bodies:
+  // every load must throw std::runtime_error or return an index.
+  const pc::PastisConfig cfg;
+  auto base = pidx::KmerIndex::build(make_refs(5, 31), cfg, 2);
+  base.build_sketches(4);
+  const std::vector<pidx::KmerIndex> segments = {
+      pidx::KmerIndex::build(make_refs(3, 32), cfg, 2)};
+  const auto path = temp_path("pastis_index_grid.pidx");
+  pidx::save_index(path, base, segments);
+  std::string clean;
+  {
+    std::ifstream f(path, std::ios::binary);
+    clean.assign((std::istreambuf_iterator<char>(f)),
+                 std::istreambuf_iterator<char>());
+  }
+
+  // Section ends: header, sketch table, then per body the ref lengths,
+  // residues and each shard's count and postings; the footer closes.
+  const auto n_shards = static_cast<std::size_t>(base.n_shards());
+  std::size_t at = 76 + 8 * n_shards + 4 + (16 + 8 * n_shards) + 4;
+  std::vector<std::size_t> ends{at};
+  at += 8 * base.n_refs() * static_cast<std::size_t>(base.sketch_len());
+  ends.push_back(at);
+  const std::array<const pidx::KmerIndex*, 2> bodies{&base, &segments[0]};
+  for (const auto* body : bodies) {
+    ends.push_back(at += 4 * body->n_refs());
+    ends.push_back(at += body->ref_residues());
+    for (int s = 0; s < body->n_shards(); ++s) {
+      ends.push_back(at += 8);
+      ends.push_back(at += 12 * body->shard(s).nnz());
+    }
+  }
+  ASSERT_EQ(at + 8, clean.size());
+
+  const auto load = [&](const std::string& bytes, const char* what,
+                        std::size_t where) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      (void)pidx::load_index_parts(path);
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << " at byte " << where
+                    << ": not a std::runtime_error: " << e.what();
+    }
+  };
+  std::set<std::size_t> cuts;
+  for (const auto e : ends) cuts.insert({e - 1, e, e + 1});
+  for (std::size_t c = 0; c < clean.size(); c += 7) cuts.insert(c);
+  for (const auto c : cuts) {
+    if (c < clean.size()) load(clean.substr(0, c), "truncated", c);
+  }
+  // Every bit of the header and manifest; past them one bit per byte at a
+  // stride, across the sketch table, residues and postings.
+  for (std::size_t i = 0; i < clean.size(); i += i < ends[0] ? 1 : 5) {
+    for (int bit = 0; bit < 8; ++bit) {
+      if (i >= ends[0] && bit != static_cast<int>(i % 8)) continue;
+      std::string bytes = clean;
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      load(bytes, "bit flip", i);
+    }
+  }
   std::filesystem::remove(path);
 }
 
