@@ -1,7 +1,9 @@
 // google-benchmark microbenches for the two leaf kernels the paper's
 // performance rests on: batch Smith-Waterman (the ADEPT stand-in) and
-// local semiring SpGEMM. Reports real CUPS / products-per-second of this
-// host, which is useful when re-calibrating sim/machine_model.hpp.
+// local semiring SpGEMM, plus the search set-up's layers (substitute
+// k-mers, the k-mer matrix builder, the transpose). Reports real CUPS /
+// products-per-second of this host, which is useful when re-calibrating
+// sim/machine_model.hpp.
 #include <benchmark/benchmark.h>
 
 #include "pastis.hpp"
@@ -240,6 +242,97 @@ void BM_KmerExtraction(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_KmerExtraction);
+
+// Substitute k-mers of every window of random proteins at the search's
+// default loss cap: the heap enumeration behind search_subs' extraction.
+void BM_NeighborNearest(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const core::PastisConfig cfg;
+  const kmer::Alphabet alphabet(cfg.alphabet);
+  const kmer::KmerCodec codec(alphabet.size(), cfg.k);
+  const kmer::NeighborGenerator gen(alphabet, codec, cfg.make_scoring(),
+                                    cfg.subs_max_loss);
+  std::vector<std::uint64_t> codes;
+  for (const auto& s : random_proteins(64, 256, 53)) {
+    for (const auto& h : kmer::extract_kmers(s, alphabet, codec)) {
+      codes.push_back(h.code);
+    }
+  }
+  std::vector<kmer::NeighborKmer> out;
+  for (auto _ : state) {
+    for (const std::uint64_t code : codes) {
+      out.clear();
+      gen.nearest(code, m, out);
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["kmers/s"] = benchmark::Counter(
+      static_cast<double>(codes.size()) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NeighborNearest)->Arg(2)->Arg(5);
+
+// The one k-mer matrix builder on one thread, 1500 generated proteins:
+// args {substitutes, cut}, cut 0 = the search's 2 × 2 A tiles, cut 1 = an
+// index's 1 × 16 transposed shards. Extraction, assembly and (cut 1) the
+// per-shard transposes.
+void BM_KmerMatrixBlocks(benchmark::State& state) {
+  core::PastisConfig cfg;
+  cfg.subs_kmers = static_cast<int>(state.range(0));
+  const bool shards = state.range(1) != 0;
+  gen::GenConfig g;
+  g.n_sequences = 1500;
+  g.seed = 54;
+  const auto seqs = gen::generate_proteins(g).seqs;
+  const auto n = static_cast<sparse::Index>(seqs.size());
+  const std::vector<sparse::Index> bounds =
+      shards ? std::vector<sparse::Index>{0, n}
+             : std::vector<sparse::Index>{0, n / 2, n};
+  std::uint64_t nnz = 0;
+  for (auto _ : state) {
+    const auto blocks = core::kmer_matrix_blocks(
+        bounds, [&](sparse::Index i) { return std::string_view(seqs[i]); },
+        shards ? 16 : 2, shards, cfg, nullptr);
+    nnz = 0;
+    for (const auto& b : blocks) nnz += b.nnz();
+    benchmark::DoNotOptimize(blocks.data());
+  }
+  state.counters["nnz/s"] = benchmark::Counter(
+      static_cast<double>(nnz) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_KmerMatrixBlocks)
+    ->Args({0, 0})
+    ->Args({2, 0})
+    ->Args({0, 1})
+    ->Args({2, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// SpMat::transposed() of a search-sized A: 1500 rows, ~1.3M nonzeros over
+// the 244M-column k-mer space, nearly every column distinct.
+void BM_Transpose(benchmark::State& state) {
+  constexpr sparse::Index kRows = 1500;
+  constexpr sparse::Index kCols = 244140625;  // 25^6
+  util::Xoshiro256 rng(55);
+  std::vector<sparse::Triple<core::KmerPos>> t(1300000);
+  for (auto& x : t) {
+    x = {static_cast<sparse::Index>(rng.below(kRows)),
+         static_cast<sparse::Index>(rng.below(kCols)),
+         core::KmerPos{static_cast<std::uint32_t>(rng.below(1000))}};
+  }
+  const auto A = sparse::SpMat<core::KmerPos>::from_triples(kRows, kCols,
+                                                            std::move(t));
+  for (auto _ : state) {
+    const auto At = A.transposed();
+    benchmark::DoNotOptimize(At.nnz());
+  }
+  state.counters["nnz/s"] = benchmark::Counter(
+      static_cast<double>(A.nnz()) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Transpose)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -539,8 +539,15 @@ class MclGrid {
       }
       clock.sub_resident(stripe_bytes(M, r));
       clock.add_resident(Md.local(r).bytes() + strip_b[ri]);
-      const auto a_strip = sparse::hstack(a_row);
-      const auto m_strip = sparse::vstack(m_col);
+      // At side 1 the strips are the lone tiles, used in place.
+      SpMat<float> a_stack;
+      SpMat<float> m_stack;
+      if (side > 1) {
+        a_stack = sparse::hstack(a_row);
+        m_stack = sparse::vstack(m_col);
+      }
+      const SpMat<float>& a_strip = side > 1 ? a_stack : *a_row.front();
+      const SpMat<float>& m_strip = side > 1 ? m_stack : *m_col.front();
       E[ri] = SpMat<float>(a_strip.nrows(), m_strip.ncols());
       if (!a_strip.empty() && !m_strip.empty()) {
         E[ri] = sparse::spgemm_hash2p<sparse::PlusTimes<float>>(
@@ -564,6 +571,10 @@ class MclGrid {
     // the same counts.
     std::vector<SpMat<float>> strips(static_cast<std::size_t>(side));
     util::parallel_for(pool_, strips.size(), [&](std::size_t gi) {
+      if (side == 1) {  // a lone product tile is its strip
+        strips[gi] = std::move(E[gi]);
+        return;
+      }
       std::vector<const SpMat<float>*> row;
       for (int s = 0; s < side; ++s) {
         row.push_back(&E[static_cast<std::size_t>(
@@ -649,6 +660,7 @@ class MclGrid {
     });
     // Stripe r holds rows [split(n, p, r), split(n, p, r+1)): stacked in
     // rank order they are the one matrix the fused kernel returns.
+    if (p == 1) return std::move(stripes.front());
     std::vector<const SpMat<float>*> parts;
     for (const auto& stripe : stripes) parts.push_back(&stripe);
     return sparse::vstack(parts);

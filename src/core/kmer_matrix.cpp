@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/stages.hpp"
 #include "kmer/nearest.hpp"
@@ -89,48 +90,71 @@ std::vector<SpMat<KmerPos>> kmer_matrix_blocks(
                                           cfg.subs_max_loss);
 
   const Index n_seqs = seq_bounds.back();
-  std::vector<std::vector<sparse::Triple<KmerPos>>> per_seq(n_seqs);
+  std::vector<std::vector<sparse::Triple<KmerPos>>> rows(n_seqs);
   util::parallel_for(pool, n_seqs, [&](std::size_t i) {
     const auto id = static_cast<Index>(i);
     extract_sequence_kmers(seq_of(id), id, alphabet, codec, neighbors,
-                           cfg.subs_kmers, per_seq[i]);
+                           cfg.subs_kmers, rows[i]);
   });
 
-  // Route every nonzero to its block, re-indexed to block-local (and, for
-  // Aᵀ, swapped) coordinates. Each sequence part fills only its own row of
-  // blocks, in sequence order, so the parts route in parallel.
+  // Rows arrive sorted by code with no duplicates, so block (si, kj) takes
+  // from each row of sequence part si the contiguous run of codes in k-mer
+  // part kj and appends it as a DCSR row: columns ascend and rows arrive in
+  // order. The rows are freed before any transpose runs, so the transposes'
+  // scratch and output can reuse their memory.
   const std::size_t seq_parts = seq_bounds.size() - 1;
   const auto kp = static_cast<std::size_t>(kmer_parts);
-  std::vector<std::vector<sparse::Triple<KmerPos>>> routed(seq_parts * kp);
-  auto route_part = [&](std::size_t si) {
-    const Index r0 = seq_bounds[si];
-    for (Index i = r0; i < seq_bounds[si + 1]; ++i) {
-      for (const auto& t : per_seq[i]) {
-        const int kj = ProcGrid::part_of(t.col, space, kmer_parts);
-        const Index row = t.row - r0;
-        const Index col = t.col - ProcGrid::split_point(space, kmer_parts, kj);
-        routed[si * kp + static_cast<std::size_t>(kj)].push_back(
-            transposed ? sparse::Triple<KmerPos>{col, row, t.val}
-                       : sparse::Triple<KmerPos>{row, col, t.val});
-      }
-      per_seq[i].clear();
-      per_seq[i].shrink_to_fit();
-    }
-  };
-  util::parallel_for(pool, seq_parts, route_part);
-
-  std::vector<SpMat<KmerPos>> blocks(routed.size());
+  std::vector<SpMat<KmerPos>> blocks(seq_parts * kp);
   util::parallel_for(pool, blocks.size(), [&](std::size_t b) {
     const std::size_t si = b / kp;
     const int kj = static_cast<int>(b % kp);
-    const Index rows = seq_bounds[si + 1] - seq_bounds[si];
-    const Index cols = ProcGrid::split_point(space, kmer_parts, kj + 1) -
-                       ProcGrid::split_point(space, kmer_parts, kj);
-    blocks[b] = SpMat<KmerPos>::from_triples(
-        transposed ? cols : rows, transposed ? rows : cols,
-        std::move(routed[b]),
-        [](KmerPos& acc, const KmerPos& v) { keep_min_pos(acc, v); });
+    const Index r0 = seq_bounds[si];
+    const Index r1 = seq_bounds[si + 1];
+    const Index c0 = ProcGrid::split_point(space, kmer_parts, kj);
+    const Index c1 = ProcGrid::split_point(space, kmer_parts, kj + 1);
+    const auto before = [](const sparse::Triple<KmerPos>& t, Index c) {
+      return t.col < c;
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> runs(r1 - r0);
+    std::size_t nnz = 0;
+    std::size_t nonempty = 0;
+    for (Index i = r0; i < r1; ++i) {
+      const auto& row = rows[i];
+      const auto lo = std::lower_bound(row.begin(), row.end(), c0, before);
+      const auto hi = std::lower_bound(lo, row.end(), c1, before);
+      runs[i - r0] = {static_cast<std::size_t>(lo - row.begin()),
+                      static_cast<std::size_t>(hi - row.begin())};
+      nnz += static_cast<std::size_t>(hi - lo);
+      nonempty += lo != hi;
+    }
+    std::vector<Index> row_ids;
+    std::vector<sparse::Offset> row_ptr;
+    std::vector<Index> cols;
+    std::vector<KmerPos> vals;
+    row_ids.reserve(nonempty);
+    row_ptr.reserve(nonempty + 1);
+    cols.reserve(nnz);
+    vals.reserve(nnz);
+    row_ptr.push_back(0);
+    for (Index i = r0; i < r1; ++i) {
+      const auto [lo, hi] = runs[i - r0];
+      if (lo == hi) continue;
+      for (std::size_t o = lo; o < hi; ++o) {
+        cols.push_back(rows[i][o].col - c0);
+        vals.push_back(rows[i][o].val);
+      }
+      row_ids.push_back(i - r0);
+      row_ptr.push_back(cols.size());
+    }
+    blocks[b] = SpMat<KmerPos>::from_sorted_parts(
+        r1 - r0, c1 - c0, std::move(row_ids), std::move(row_ptr),
+        std::move(cols), std::move(vals));
   });
+  rows.clear();
+  if (transposed) {
+    util::parallel_for(pool, blocks.size(),
+                       [&](std::size_t b) { blocks[b] = blocks[b].transposed(); });
+  }
   return blocks;
 }
 

@@ -26,8 +26,12 @@ namespace pastis::core {
 /// [split(σ^k, kmer_parts, j), split(σ^k, kmer_parts, j+1)) in block-local
 /// coordinates — as A, or with `transposed` as Aᵀ (rows = k-mers, columns
 /// = sequences). The sequences are 0 .. seq_bounds.back() − 1; every one is
-/// extracted once (extract_sequence_kmers) on `pool`; duplicate (sequence,
-/// k-mer) entries keep the smallest position (keep_min_pos). An empty
+/// extracted once (extract_sequence_kmers) on `pool` into a code-sorted row
+/// whose duplicate (sequence, k-mer) entries kept the smallest position
+/// (keep_min_pos). Each block is written directly from the runs of those
+/// rows that fall in its k-mer range (no triple sort), one pool task per
+/// block; a sequence part's rows are freed once its blocks exist, and Aᵀ
+/// blocks are the A blocks through SpMat::transposed(). An empty
 /// `seq_of(i)` leaves row i empty. Throws std::invalid_argument when σ^k
 /// exceeds 32-bit indices, `kmer_parts` is below 1, or the bounds have
 /// fewer than two entries, do not start at 0 or decrease. Results do not

@@ -16,18 +16,44 @@ void extract_sequence_kmers(std::string_view seq, sparse::Index row,
                             const kmer::NeighborGenerator& neighbors,
                             int subs_kmers,
                             std::vector<sparse::Triple<KmerPos>>& out) {
-  const auto hits = kmer::extract_distinct_kmers(seq, alphabet, codec);
-  out.reserve(out.size() +
-              hits.size() * (1 + static_cast<std::size_t>(subs_kmers)));
-  for (const auto& h : hits) {
-    out.push_back({row, static_cast<sparse::Index>(h.code), KmerPos{h.pos}});
-    if (subs_kmers > 0) {
-      for (const auto& nb :
-           neighbors.nearest(h.code, static_cast<std::size_t>(subs_kmers))) {
-        out.push_back(
-            {row, static_cast<sparse::Index>(nb.code), KmerPos{h.pos}});
-      }
+  // (code, position) packed as code << 32 | position: one integer sort
+  // orders by code, then position, so the first entry of each code holds
+  // its smallest position (keep_min_pos).
+  const auto key = [](std::uint64_t code, std::uint32_t pos) {
+    return std::uint64_t{static_cast<sparse::Index>(code)} << 32 | pos;
+  };
+  const auto sort_unique = [](std::vector<std::uint64_t>& keys) {
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end(),
+                           [](std::uint64_t a, std::uint64_t b) {
+                             return a >> 32 == b >> 32;
+                           }),
+               keys.end());
+  };
+  const auto hits = kmer::extract_kmers(seq, alphabet, codec);
+  std::vector<std::uint64_t> keys;
+  keys.reserve(hits.size() * (1 + static_cast<std::size_t>(subs_kmers)));
+  for (const auto& h : hits) keys.push_back(key(h.code, h.pos));
+  sort_unique(keys);  // distinct k-mers at their first occurrence
+  if (subs_kmers > 0) {
+    const std::size_t n_exact = keys.size();
+    std::vector<kmer::NeighborKmer> subs;
+    for (std::size_t e = 0; e < n_exact; ++e) {
+      const auto pos = static_cast<std::uint32_t>(keys[e]);
+      subs.clear();
+      neighbors.nearest(keys[e] >> 32, static_cast<std::size_t>(subs_kmers),
+                        subs);
+      for (const auto& nb : subs) keys.push_back(key(nb.code, pos));
     }
+    sort_unique(keys);
+  }
+  // resize, unlike an exact reserve, grows geometrically when callers
+  // append many sequences to one vector, and sizes an empty one exactly.
+  const std::size_t base = out.size();
+  out.resize(base + keys.size());
+  for (std::size_t e = 0; e < keys.size(); ++e) {
+    out[base + e] = {row, static_cast<sparse::Index>(keys[e] >> 32),
+                     KmerPos{static_cast<std::uint32_t>(keys[e])}};
   }
 }
 

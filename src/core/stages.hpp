@@ -37,8 +37,13 @@
 namespace pastis::core {
 
 /// One sequence's k-mer-matrix nonzeros (Fig. 1 left): distinct k-mers at
-/// their first occurrence, plus the m nearest substitute neighbours when
-/// enabled (§V). Appends triples (row, k-mer code, position) to `out`.
+/// their first occurrence, plus the m nearest substitute neighbours of each
+/// at that position when enabled (§V). Appends triples (row, k-mer code,
+/// position) to `out` sorted by code with every code once: a code reached
+/// twice (an exact k-mer and a substitute, or two substitutes) keeps its
+/// smallest position, as keep_min_pos would. σ^k must fit sparse::Index
+/// (kmer_matrix_blocks checks). The sort is one integer sort of the
+/// sequence's packed (code, position) keys.
 /// Every producer of a sequence-by-k-mer matrix — the pipeline's A, the
 /// index's Aᵀ_ref shards, the engine's per-batch A_query — MUST go through
 /// core::kmer_matrix_blocks (core/kmer_matrix.hpp), which extracts with
@@ -52,6 +57,8 @@ void extract_sequence_kmers(
 /// The commutative combine for duplicate (sequence, k-mer) entries (an
 /// exact k-mer colliding with a substitute, or two substitutes): keep the
 /// smallest position. Order-independence preserves determinism.
+/// extract_sequence_kmers applies the same rule while it sorts, so its rows
+/// need no combine; triple builds over them may still pass this one.
 inline void keep_min_pos(KmerPos& acc, const KmerPos& v) {
   if (v.pos < acc.pos) acc = v;
 }

@@ -5,7 +5,7 @@
 //
 // The distance of a neighbour is its score *loss*: Σ_i S(a_i,a_i) −
 // S(a_i,b_i) under BLOSUM62. Neighbours are enumerated best-first with a
-// priority queue over partial substitution sets, so the top-m list is exact
+// binary heap over partial substitution sets, so the top-m list is exact
 // for any m (no single-substitution-only approximation).
 #pragma once
 
@@ -30,8 +30,18 @@ class NeighborGenerator {
   NeighborGenerator(const Alphabet& alphabet, const KmerCodec& codec,
                     const align::Scoring& scoring, int max_loss = 1 << 20);
 
-  /// The m nearest substitute k-mers of `code` (the k-mer itself excluded),
-  /// ordered by ascending loss; ties broken by code for determinism.
+  /// Appends the m nearest substitute k-mers of `code` (the k-mer itself
+  /// excluded) to `out`, the appended range ordered by (loss, code).
+  /// Allocation-free once `out` and the calling thread's heap buffer have
+  /// grown. Which neighbours enter is the enumeration's, not the output
+  /// order's: when several share the m-th smallest loss, the ones the heap
+  /// pops first get in, and that is not always the smallest codes. The
+  /// heap's push/pop sequence and its loss-only comparison are therefore
+  /// part of the output; changing either changes which k-mers are selected.
+  void nearest(std::uint64_t code, std::size_t m,
+               std::vector<NeighborKmer>& out) const;
+
+  /// The same neighbours as a fresh vector.
   [[nodiscard]] std::vector<NeighborKmer> nearest(std::uint64_t code,
                                                   std::size_t m) const;
 
@@ -46,6 +56,8 @@ class NeighborGenerator {
   int max_loss_;
   // cand_[c] = substitutions for residue code c, ascending by loss.
   std::vector<std::vector<Candidate>> cand_;
+  // weight_[p] = σ^(k−1−p), the code weight of position p.
+  std::vector<std::uint64_t> weight_;
 };
 
 }  // namespace pastis::kmer

@@ -176,42 +176,87 @@ class SpMat {
     return out;
   }
 
-  /// Transposes via a counting pass over the distinct columns
-  /// (dimension-independent; safe for hypersparse). Row-major input order
-  /// means that, within any output row, the original row ids arrive
-  /// strictly increasing — so the transpose assembles directly into sorted
-  /// DCSR arrays with no triple sort and no dedup.
+  /// Transposes by a stable LSD radix sort of the (column, row, value)
+  /// nonzeros by column: ⌈bits(ncols − 1) / 14⌉ <= 3 counting passes of at
+  /// most 2^14 buckets each, so for any column count up to 2^32 the scratch
+  /// is Θ(nnz) — beside the output, 4 B of row ids plus one triple buffer
+  /// (8 B + sizeof(T) per nonzero), two while a three-pass sort runs its
+  /// middle pass — and at most 3 · 2^14 counters, never Θ(dimension). The
+  /// first pass reads this matrix row-major and every pass is stable, so
+  /// within any output row the original row ids arrive strictly increasing
+  /// and the DCSR arrays assemble directly: no comparison sort, no dedup.
   [[nodiscard]] SpMat transposed() const {
     if (col_ids_.empty()) return SpMat(ncols_, nrows_);
-    // Distinct columns of this matrix = nonempty rows of the transpose.
-    std::vector<Index> out_rows(col_ids_);
-    std::sort(out_rows.begin(), out_rows.end());
-    out_rows.erase(std::unique(out_rows.begin(), out_rows.end()),
-                   out_rows.end());
-    // Slot of each nonzero's column in the output directory (computed once,
-    // reused by the scatter pass below).
-    std::vector<Index> slot(col_ids_.size());
-    std::vector<Offset> counts(out_rows.size(), 0);
-    for (std::size_t o = 0; o < col_ids_.size(); ++o) {
-      const auto it =
-          std::lower_bound(out_rows.begin(), out_rows.end(), col_ids_[o]);
-      slot[o] = static_cast<Index>(it - out_rows.begin());
-      ++counts[slot[o]];
+    constexpr int kMaxDigitBits = 14;
+    const std::size_t nnz = col_ids_.size();
+    int bits = 0;  // bit width of the largest column id the shape allows
+    while (bits < 32 && ((ncols_ - 1) >> bits) != 0) ++bits;
+    const int passes = std::max(1, (bits + kMaxDigitBits - 1) / kMaxDigitBits);
+    const int width = (bits + passes - 1) / passes;
+    const std::size_t buckets = std::size_t{1} << width;
+    const auto digit = [&](Index c, int pass) {
+      return static_cast<std::size_t>(c >> (pass * width)) & (buckets - 1);
+    };
+    // One read of the columns counts every pass's digits; the counts then
+    // become each bucket's first output slot.
+    std::vector<Offset> next(static_cast<std::size_t>(passes) * buckets, 0);
+    for (const Index c : col_ids_) {
+      for (int d = 0; d < passes; ++d) ++next[d * buckets + digit(c, d)];
     }
-    std::vector<Offset> ptr(out_rows.size() + 1, 0);
-    for (std::size_t k = 0; k < out_rows.size(); ++k) {
-      ptr[k + 1] = ptr[k] + counts[k];
-    }
-    std::vector<Offset> cursor(ptr.begin(), ptr.end() - 1);
-    std::vector<Index> out_cols(col_ids_.size());
-    std::vector<T> out_vals(col_ids_.size());
-    for (std::size_t k = 0; k < row_ids_.size(); ++k) {
-      for (Offset o = row_ptr_[k]; o < row_ptr_[k + 1]; ++o) {
-        const Offset at = cursor[slot[o]]++;
-        out_cols[at] = row_ids_[k];
-        out_vals[at] = vals_[o];
+    for (int d = 0; d < passes; ++d) {
+      Offset at = 0;
+      for (std::size_t b = 0; b < buckets; ++b) {
+        const Offset n = next[d * buckets + b];
+        next[d * buckets + b] = at;
+        at += n;
       }
     }
+    // Every pass scatters the transpose's (row, col, value) triples by one
+    // digit; all but the last write a triple buffer, the last writes the
+    // output arrays, so at most one buffer lives beside the output.
+    const auto scatter = [&](int d, const std::vector<Triple<T>>& from,
+                             const auto& put) {
+      Offset* slot = next.data() + d * buckets;
+      if (d == 0) {
+        for (std::size_t k = 0; k < row_ids_.size(); ++k) {
+          for (Offset o = row_ptr_[k]; o < row_ptr_[k + 1]; ++o) {
+            put(slot[digit(col_ids_[o], 0)]++,
+                Triple<T>{col_ids_[o], row_ids_[k], vals_[o]});
+          }
+        }
+      } else {
+        for (const Triple<T>& t : from) put(slot[digit(t.row, d)]++, t);
+      }
+    };
+    std::vector<Triple<T>> buf;
+    for (int d = 0; d + 1 < passes; ++d) {
+      std::vector<Triple<T>> to(nnz);
+      scatter(d, buf, [&](Offset at, const Triple<T>& t) { to[at] = t; });
+      buf.swap(to);
+    }
+    std::vector<Index> rows(nnz);  // the transpose's row of each nonzero
+    std::vector<Index> out_cols(nnz);
+    std::vector<T> out_vals(nnz);
+    scatter(passes - 1, buf, [&](Offset at, const Triple<T>& t) {
+      rows[at] = t.row;
+      out_cols[at] = t.col;
+      out_vals[at] = t.val;
+    });
+    std::vector<Triple<T>>().swap(buf);
+    // Distinct rows, in order, are the transpose's directory.
+    std::size_t distinct = 1;
+    for (std::size_t o = 1; o < nnz; ++o) distinct += rows[o] != rows[o - 1];
+    std::vector<Index> out_rows;
+    std::vector<Offset> ptr;
+    out_rows.reserve(distinct);
+    ptr.reserve(distinct + 1);
+    for (std::size_t o = 0; o < nnz; ++o) {
+      if (o == 0 || rows[o] != rows[o - 1]) {
+        out_rows.push_back(rows[o]);
+        ptr.push_back(o);
+      }
+    }
+    ptr.push_back(nnz);
     return from_sorted_parts(ncols_, nrows_, std::move(out_rows),
                              std::move(ptr), std::move(out_cols),
                              std::move(out_vals));

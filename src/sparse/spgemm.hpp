@@ -11,9 +11,10 @@
 //              per-row allocations. One body (spgemm_hash2p_fused) serves
 //              plain products (a copy-through epilogue) and the fused MCL
 //              iteration (inflate/prune per row). Both passes run parallel
-//              over flop-balanced row ranges on a util::ThreadPool, and
-//              per-product row lookups go through a precomputed B-row
-//              directory instead of a binary search. Output is
+//              over flop-balanced row ranges on a util::ThreadPool. Each
+//              nonzero of A looks up its B row once, through a per-call
+//              B-row directory: a table, or a binary search of B's row ids
+//              when A has too few nonzeros to pay for one. Output is
 //              bit-identical to the serial kernels for any thread count.
 //   * hash   — serial open-addressing accumulator per output row (the
 //              cross-check oracle the two-phase kernel must match).
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -197,20 +199,30 @@ class HashAccumulator {
   std::vector<std::size_t> used_;
 };
 
-/// O(1) row-id -> directory-slot lookup over B's nonempty rows, built once
-/// per SpGEMM call and shared (read-only) by every thread. Replaces the
-/// per-product binary search of SpMat::find_row. A flat array over the
-/// inner dimension is used when that dimension is small enough to be worth
-/// the memory; hypersparse operands (the 244M-row transposed k-mer matrix)
-/// fall back to an open-addressing table over the nonempty rows only, so
-/// the directory stays Θ(nonempty rows), never Θ(dimension).
+/// Row-id -> directory-slot lookup over B's nonempty rows, built once per
+/// SpGEMM call and shared (read-only) by every thread. `lookups` bounds how
+/// many lookups the call will make (nnz of A). When they are too few to pay
+/// for a table — lookups · ⌈log2 n⌉ < n for n nonempty rows, as when a
+/// serving batch's few hundred query k-mers meet an index shard — lookups
+/// binary-search B's sorted row ids in place and nothing is built.
+/// Otherwise a flat array over the inner dimension is used when that
+/// dimension is small enough to be worth the memory, and hypersparse
+/// operands (the 244M-row transposed k-mer matrix) get an open-addressing
+/// table over the nonempty rows only, so the directory stays Θ(nonempty
+/// rows), never Θ(dimension). Every mode resolves the same slots.
 class RowDirectory {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  RowDirectory(Index nrows, std::span<const Index> row_ids) {
+  /// `row_ids` must outlive the directory.
+  RowDirectory(Index nrows, std::span<const Index> row_ids,
+               std::uint64_t lookups) {
     const std::size_t n = row_ids.size();
     if (n == 0) return;
+    if (lookups * static_cast<std::uint64_t>(std::bit_width(n - 1)) < n) {
+      sorted_ = row_ids;
+      return;
+    }
     if (static_cast<std::size_t>(nrows) <=
         std::max<std::size_t>(kFlatMin, 4 * n)) {
       flat_.assign(nrows, kMiss);
@@ -235,6 +247,12 @@ class RowDirectory {
 
   /// Directory slot of row `r`, or npos if the row is empty.
   [[nodiscard]] std::size_t lookup(Index r) const {
+    if (!sorted_.empty()) {
+      const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), r);
+      return it != sorted_.end() && *it == r
+                 ? static_cast<std::size_t>(it - sorted_.begin())
+                 : npos;
+    }
     if (!flat_.empty()) {
       const std::uint32_t s = flat_[r];
       return s == kMiss ? npos : s;
@@ -253,6 +271,7 @@ class RowDirectory {
   static constexpr std::uint32_t kMiss = static_cast<std::uint32_t>(-1);
   static constexpr Index kEmptyKey = static_cast<Index>(-1);
   static constexpr std::size_t kFlatMin = 1u << 16;
+  std::span<const Index> sorted_;     // B's row ids (few lookups)
   std::vector<std::uint32_t> flat_;   // dimension-indexed (small dims only)
   std::vector<Index> hash_keys_;      // open addressing (hypersparse dims)
   std::vector<std::uint32_t> hash_slots_;
@@ -486,7 +505,7 @@ template <SemiringLike SR, typename Epilogue, typename OnSymbolic>
   };
   if (nka == 0 || B.n_nonempty_rows() == 0) return empty_result();
 
-  const detail::RowDirectory dir(B.nrows(), B.row_ids());
+  const detail::RowDirectory dir(B.nrows(), B.row_ids(), A.nnz());
 
   // One directory pass over A's nonzeros: cache each nonzero's B-row slot
   // (so the symbolic and numeric passes do zero lookups) and accumulate

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <queue>
 #include <set>
 #include <string_view>
 
@@ -272,6 +273,165 @@ TEST(Neighbors, ZeroMReturnsNothing) {
   EXPECT_TRUE(gen.nearest(0, 0).empty());
 }
 
+namespace {
+
+/// Test-side copy of the substitute enumeration as it was first written: a
+/// std::priority_queue of states that each own their substitution list,
+/// compared by loss alone, every code rebuilt through KmerCodec::substitute,
+/// the popped neighbours sorted by (loss, code).
+class HeapReference {
+ public:
+  HeapReference(const pk::Alphabet& alphabet, const pk::KmerCodec& codec,
+                const pastis::align::Scoring& scoring, int max_loss)
+      : codec_(codec), max_loss_(max_loss) {
+    const int sigma = alphabet.size();
+    cand_.resize(static_cast<std::size_t>(sigma));
+    for (int orig = 0; orig < sigma; ++orig) {
+      const char oc = alphabet.representative(static_cast<std::uint8_t>(orig));
+      const int self = scoring.score_chars(oc, oc);
+      auto& list = cand_[static_cast<std::size_t>(orig)];
+      for (int sub = 0; sub < sigma; ++sub) {
+        if (sub == orig) continue;
+        const char sc = alphabet.representative(static_cast<std::uint8_t>(sub));
+        const int loss = std::max(0, self - scoring.score_chars(oc, sc));
+        if (loss <= max_loss_) {
+          list.push_back({loss, static_cast<std::uint8_t>(sub)});
+        }
+      }
+      std::sort(list.begin(), list.end(), [](const Cand& a, const Cand& b) {
+        return a.loss != b.loss ? a.loss < b.loss : a.residue < b.residue;
+      });
+    }
+  }
+
+  std::vector<pk::NeighborKmer> operator()(std::uint64_t code,
+                                           std::size_t m) const {
+    std::vector<pk::NeighborKmer> out;
+    if (m == 0) return out;
+    const auto residues = codec_.decode(code);
+    const int k = codec_.k();
+    struct Sub {
+      int pos;
+      int idx;
+    };
+    struct State {
+      int loss;
+      std::vector<Sub> subs;
+    };
+    auto sub_loss = [&](const Sub& s) {
+      return cand_[residues[static_cast<std::size_t>(s.pos)]]
+                  [static_cast<std::size_t>(s.idx)]
+                      .loss;
+    };
+    auto cmp = [](const State& a, const State& b) { return a.loss > b.loss; };
+    std::priority_queue<State, std::vector<State>, decltype(cmp)> heap(cmp);
+    for (int p = 0; p < k; ++p) {
+      if (!cand_[residues[static_cast<std::size_t>(p)]].empty()) {
+        State s{0, {{p, 0}}};
+        s.loss = sub_loss(s.subs.back());
+        heap.push(std::move(s));
+      }
+    }
+    while (!heap.empty() && out.size() < m) {
+      State s = heap.top();
+      heap.pop();
+      if (s.loss > max_loss_) break;
+      std::uint64_t v = code;
+      for (const Sub& sub : s.subs) {
+        const std::uint8_t orig = residues[static_cast<std::size_t>(sub.pos)];
+        v = codec_.substitute(
+            v, sub.pos, orig,
+            cand_[orig][static_cast<std::size_t>(sub.idx)].residue);
+      }
+      out.push_back({v, s.loss});
+      const Sub last = s.subs.back();
+      const std::uint8_t last_orig =
+          residues[static_cast<std::size_t>(last.pos)];
+      if (static_cast<std::size_t>(last.idx) + 1 < cand_[last_orig].size()) {
+        State nxt = s;
+        nxt.subs.back().idx = last.idx + 1;
+        nxt.loss = s.loss - sub_loss(last) + sub_loss(nxt.subs.back());
+        heap.push(std::move(nxt));
+      }
+      for (int p = last.pos + 1; p < k; ++p) {
+        if (cand_[residues[static_cast<std::size_t>(p)]].empty()) continue;
+        State nxt = s;
+        nxt.subs.push_back({p, 0});
+        nxt.loss = s.loss + sub_loss(nxt.subs.back());
+        heap.push(std::move(nxt));
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const pk::NeighborKmer& a, const pk::NeighborKmer& b) {
+                return a.loss != b.loss ? a.loss < b.loss : a.code < b.code;
+              });
+    return out;
+  }
+
+ private:
+  struct Cand {
+    int loss;
+    std::uint8_t residue;
+  };
+  const pk::KmerCodec& codec_;
+  int max_loss_;
+  std::vector<std::vector<Cand>> cand_;
+};
+
+}  // namespace
+
+TEST(Neighbors, MatchesHeapReference) {
+  // Which equal-loss neighbour takes the m-th slot is the heap's pop order,
+  // not code order, so every code and loss must equal the reference's.
+  pastis::gen::GenConfig g;
+  g.n_sequences = 40;
+  g.seed = 23;
+  g.mean_length = 100.0;
+  g.max_length = 300;
+  const auto seqs = pastis::gen::generate_proteins(g).seqs;
+  const auto scoring = pastis::align::Scoring::pastis_default();
+  struct Case {
+    pk::Alphabet::Kind alphabet;
+    int k;
+    int max_loss;
+  };
+  const std::array<Case, 4> cases = {
+      Case{pk::Alphabet::Kind::kProtein25, 6, 3},
+      Case{pk::Alphabet::Kind::kProtein25, 6, 1 << 20},
+      Case{pk::Alphabet::Kind::kProtein20, 4, 1 << 20},
+      Case{pk::Alphabet::Kind::kMurphy10, 3, 1 << 20}};
+  for (const auto& c : cases) {
+    const pk::Alphabet a(c.alphabet);
+    const pk::KmerCodec codec(a.size(), c.k);
+    const pk::NeighborGenerator gen(a, codec, scoring, c.max_loss);
+    const HeapReference ref(a, codec, scoring, c.max_loss);
+    std::set<std::uint64_t> codes;
+    for (const auto& s : seqs) {
+      for (const auto& h : pk::extract_kmers(s, a, codec)) codes.insert(h.code);
+    }
+    ASSERT_GT(codes.size(), 100u);
+    std::vector<pk::NeighborKmer> out;
+    for (const std::size_t m : {1u, 2u, 3u, 5u, 25u}) {
+      for (const std::uint64_t code : codes) {
+        const auto want = ref(code, m);
+        // The appending form leaves what `out` held before untouched.
+        out.assign(1, pk::NeighborKmer{~std::uint64_t{0}, -1});
+        gen.nearest(code, m, out);
+        ASSERT_EQ(out.size(), want.size() + 1)
+            << a.name() << " k " << c.k << " m " << m << " code " << code;
+        EXPECT_EQ(out.front().code, ~std::uint64_t{0});
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(out[i + 1].code, want[i].code)
+              << a.name() << " k " << c.k << " max loss " << c.max_loss
+              << " m " << m << " code " << code << " rank " << i;
+          ASSERT_EQ(out[i + 1].loss, want[i].loss)
+              << a.name() << " k " << c.k << " m " << m << " code " << code;
+        }
+      }
+    }
+  }
+}
+
 // ---- core::kmer_matrix_blocks, the one k-mer matrix producer ---------------
 
 namespace {
@@ -286,20 +446,41 @@ void keep_min(pc::KmerPos& acc, const pc::KmerPos& v) {
   pc::keep_min_pos(acc, v);
 }
 
-/// Every sequence's extract_sequence_kmers triples, flattened in sequence
-/// order. Row `empty_row` is skipped.
+/// Oracle of every sequence's k-mer matrix row, built without the library's
+/// extraction: every window of kmer::extract_kmers, the first position of
+/// each code, the HeapReference substitutes of each at that position, and
+/// duplicates resolved with keep_min_pos in a map. Flattened in sequence
+/// order (codes ascending within a row); row `empty_row` is skipped.
 std::vector<ps::Triple<pc::KmerPos>> flat_triples(
     const std::vector<std::string>& seqs, std::size_t empty_row,
     const pc::PastisConfig& cfg) {
   const pk::Alphabet alphabet(cfg.alphabet);
   const pk::KmerCodec codec(alphabet.size(), cfg.k);
-  const pk::NeighborGenerator neighbors(alphabet, codec, cfg.make_scoring(),
-                                        cfg.subs_max_loss);
+  const HeapReference subs(alphabet, codec, cfg.make_scoring(),
+                           cfg.subs_max_loss);
   std::vector<ps::Triple<pc::KmerPos>> all;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     if (i == empty_row) continue;
-    pc::extract_sequence_kmers(seqs[i], static_cast<ps::Index>(i), alphabet,
-                               codec, neighbors, cfg.subs_kmers, all);
+    std::map<std::uint64_t, std::uint32_t> first;
+    for (const auto& h : pk::extract_kmers(seqs[i], alphabet, codec)) {
+      first.emplace(h.code, h.pos);
+    }
+    std::map<ps::Index, pc::KmerPos> row;
+    const auto put = [&](std::uint64_t code, std::uint32_t pos) {
+      const auto [it, fresh] =
+          row.emplace(static_cast<ps::Index>(code), pc::KmerPos{pos});
+      if (!fresh) pc::keep_min_pos(it->second, pc::KmerPos{pos});
+    };
+    for (const auto& [code, pos] : first) {
+      put(code, pos);
+      for (const auto& nb :
+           subs(code, static_cast<std::size_t>(cfg.subs_kmers))) {
+        put(nb.code, pos);
+      }
+    }
+    for (const auto& [col, v] : row) {
+      all.push_back({static_cast<ps::Index>(i), col, v});
+    }
   }
   return all;
 }
@@ -341,6 +522,40 @@ std::vector<ps::SpMat<pc::KmerPos>> routed_blocks(
 }
 
 }  // namespace
+
+TEST(KmerMatrix, ExtractionRowsAreSortedDistinctAndMatchOracle) {
+  pastis::gen::GenConfig g;
+  g.n_sequences = 30;
+  g.seed = 41;
+  g.mean_length = 120.0;
+  g.max_length = 400;
+  auto seqs = pastis::gen::generate_proteins(g).seqs;
+  seqs[2] = "AAAAAAASAAAAAAGAAAAAA";  // substitutes collide with exact k-mers
+  seqs[5] = "MKV";                    // shorter than k: an empty row
+  for (const int subs : {0, 1, 2, 5}) {
+    pc::PastisConfig cfg;
+    cfg.subs_kmers = subs;
+    const auto want = flat_triples(seqs, seqs.size(), cfg);
+    const pk::Alphabet alphabet(cfg.alphabet);
+    const pk::KmerCodec codec(alphabet.size(), cfg.k);
+    const pk::NeighborGenerator neighbors(alphabet, codec, cfg.make_scoring(),
+                                          cfg.subs_max_loss);
+    std::vector<ps::Triple<pc::KmerPos>> got;
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      const std::size_t before = got.size();
+      pc::extract_sequence_kmers(seqs[i], static_cast<ps::Index>(i), alphabet,
+                                 codec, neighbors, subs, got);
+      for (std::size_t o = before; o < got.size(); ++o) {
+        EXPECT_EQ(got[o].row, i);
+        if (o > before) {
+          EXPECT_LT(got[o - 1].col, got[o].col)
+              << "subs " << subs << " row " << i << " not code-sorted";
+        }
+      }
+    }
+    EXPECT_TRUE(got == want) << "subs " << subs;
+  }
+}
 
 TEST(KmerMatrix, BlocksMatchRoutedTriples) {
   pastis::gen::GenConfig g;

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sparse/matrix.hpp"
@@ -222,6 +223,46 @@ TEST(SpMatDirectBuild, TransposedMatchesTripleRebuild) {
   EXPECT_TRUE(h.transposed() == transpose_ref(h));
   const IntMat e(8, 9);
   EXPECT_TRUE(e.transposed() == transpose_ref(e));
+}
+
+TEST(SpMatDirectBuild, TransposedAcrossRadixPassCounts) {
+  // Column counts on both sides of the radix transpose's one-, two- and
+  // three-pass widths (2^14, 2^28) and the largest 32-bit shape, each with
+  // columns at both ends: hypersparse, single-column and empty matrices.
+  const std::array<ps::Index, 8> widths = {
+      1u,           (1u << 14) - 1, 1u << 14,       (1u << 14) + 1,
+      (1u << 28) - 1, (1u << 28) + 1, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  pastis::util::Xoshiro256 rng(91);
+  for (const ps::Index ncols : widths) {
+    SCOPED_TRACE("ncols " + std::to_string(ncols));
+    // A few shared columns (several rows per output row), the two ends and
+    // random ones; duplicates add up.
+    const std::array<ps::Index, 4> shared = {
+        0, ncols - 1, static_cast<ps::Index>(rng.below(ncols)),
+        static_cast<ps::Index>(rng.below(ncols))};
+    Triples t;
+    for (ps::Index r = 0; r < 300; r += 1 + static_cast<ps::Index>(rng.below(3))) {
+      for (int e = 0; e < 6; ++e) {
+        const ps::Index c =
+            rng.chance(0.5) ? shared[rng.below(shared.size())]
+                            : static_cast<ps::Index>(rng.below(ncols));
+        t.push_back({r, c, static_cast<int>(rng.below(9)) + 1});
+      }
+    }
+    const auto h = IntMat::from_triples(300, ncols, t,
+                                        [](int& a, const int& b) { a += b; });
+    EXPECT_TRUE(h.transposed() == transpose_ref(h));
+    EXPECT_TRUE(h.transposed().transposed() == h);
+    Triples one;
+    for (ps::Index r = 0; r < 300; r += 7) one.push_back({r, ncols - 1, 1});
+    const auto single = IntMat::from_triples(300, ncols, one);
+    EXPECT_TRUE(single.transposed() == transpose_ref(single));
+    EXPECT_EQ(single.transposed().n_nonempty_rows(), 1u);
+    EXPECT_TRUE(single.transposed().transposed() == single);
+    const IntMat e(300, ncols);
+    EXPECT_TRUE(e.transposed() == transpose_ref(e));
+    EXPECT_TRUE(e.transposed().transposed() == e);
+  }
 }
 
 TEST(SpMatDirectBuild, PrunedMatchesTripleRebuild) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -297,29 +299,35 @@ TEST(SpGemm, AddMergeCombinesParts) {
 }
 
 TEST(SpGemm, RowDirectoryFlatAndHashAgreeWithFindRow) {
-  // Small dimension → flat directory; huge dimension → hash fallback.
+  // Small dimension → flat directory; huge dimension → hash fallback; one
+  // lookup → a binary search of the row ids instead of either table.
   auto small = random_matrix(500, 10, 0.1, 60);
   std::vector<ps::Triple<int>> th = {{7, 0, 1}, {123456789, 0, 1},
                                      {4000000000u, 0, 1}};
   auto huge = IntMat::from_triples(4000000001u, 1, th);
-  {
-    ps::detail::RowDirectory dir(small.nrows(), small.row_ids());
-    for (ps::Index r = 0; r < small.nrows(); ++r) {
-      const auto expect = small.find_row(r);
-      EXPECT_EQ(dir.lookup(r) == ps::detail::RowDirectory::npos,
-                expect == IntMat::npos);
-      if (expect != IntMat::npos) {
-        EXPECT_EQ(dir.lookup(r), expect);
+  for (const std::uint64_t lookups : {std::uint64_t{1}, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("lookups " + std::to_string(lookups));
+    {
+      ps::detail::RowDirectory dir(small.nrows(), small.row_ids(), lookups);
+      for (ps::Index r = 0; r < small.nrows(); ++r) {
+        const auto expect = small.find_row(r);
+        EXPECT_EQ(dir.lookup(r) == ps::detail::RowDirectory::npos,
+                  expect == IntMat::npos);
+        if (expect != IntMat::npos) {
+          EXPECT_EQ(dir.lookup(r), expect);
+        }
       }
     }
-  }
-  {
-    ps::detail::RowDirectory dir(huge.nrows(), huge.row_ids());
-    EXPECT_EQ(dir.lookup(7), huge.find_row(7));
-    EXPECT_EQ(dir.lookup(123456789), huge.find_row(123456789));
-    EXPECT_EQ(dir.lookup(4000000000u), huge.find_row(4000000000u));
-    EXPECT_EQ(dir.lookup(8), ps::detail::RowDirectory::npos);
-    EXPECT_EQ(dir.lookup(3999999999u), ps::detail::RowDirectory::npos);
+    {
+      ps::detail::RowDirectory dir(huge.nrows(), huge.row_ids(), lookups);
+      EXPECT_EQ(dir.lookup(7), huge.find_row(7));
+      EXPECT_EQ(dir.lookup(123456789), huge.find_row(123456789));
+      EXPECT_EQ(dir.lookup(4000000000u), huge.find_row(4000000000u));
+      EXPECT_EQ(dir.lookup(0), ps::detail::RowDirectory::npos);
+      EXPECT_EQ(dir.lookup(8), ps::detail::RowDirectory::npos);
+      EXPECT_EQ(dir.lookup(3999999999u), ps::detail::RowDirectory::npos);
+      EXPECT_EQ(dir.lookup(4000000001u), ps::detail::RowDirectory::npos);
+    }
   }
 }
 
@@ -592,6 +600,91 @@ TEST(SpGemmFused, ZeroKeptRowsDropFromDirectory) {
   auto Eref =
       Cref.pruned([](ps::Index r, ps::Index, int) { return r % 2 == 0; });
   EXPECT_TRUE(Cf == Eref);
+}
+
+TEST(SpGemmFused, FewLookupsSearchRowIdsAndMatchSerialOracle) {
+  // B has 4096 nonempty rows of 2^30, so the directory binary-searches B's
+  // row ids while nnz(A) · ⌈log2 4096⌉ < 4096 (up to 341 nonzeros of A)
+  // and builds its table from 342 on: one- and three-row A on both sides,
+  // plain and fused (skip mask + column epilogue), every pool.
+  pastis::util::Xoshiro256 rng(81);
+  constexpr ps::Index kInner = 1u << 30;
+  std::set<ps::Index> ids;
+  while (ids.size() < 4096) {
+    ids.insert(static_cast<ps::Index>(rng.below(kInner)));
+  }
+  const std::vector<ps::Index> b_rows(ids.begin(), ids.end());
+  std::vector<ps::Triple<int>> tb;
+  for (const ps::Index r : b_rows) {
+    const int n = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < n; ++e) {
+      tb.push_back({r, static_cast<ps::Index>(rng.below(40)),
+                    static_cast<int>(rng.below(5)) + 1});
+    }
+  }
+  const auto B = IntMat::from_triples(kInner, 40, std::move(tb),
+                                      [](int& a, const int& b) { a += b; });
+  ASSERT_EQ(B.n_nonempty_rows(), 4096u);
+  auto even_cols = [](std::size_t, ps::Index, const ps::Index* cols,
+                      const int* vals, std::size_t n, ps::Index* out_cols,
+                      int* out_vals) -> std::size_t {
+    std::size_t kept = 0;
+    for (std::size_t o = 0; o < n; ++o) {
+      if (cols[o] % 2 == 0) {
+        out_cols[kept] = cols[o];
+        out_vals[kept++] = vals[o];
+      }
+    }
+    return kept;
+  };
+  pastis::util::ThreadPool pool1(1), pool2(2), pool8(8);
+  const std::array<pastis::util::ThreadPool*, 4> pools = {nullptr, &pool1,
+                                                          &pool2, &pool8};
+  for (const ps::Index a_rows : {1u, 3u}) {
+    for (const std::size_t nnz : {340u, 341u, 342u, 400u}) {
+      const std::string where = std::to_string(a_rows) + " rows, nnz " +
+                                std::to_string(nnz);
+      // Every other nonzero hits a row of B; the rest almost surely miss.
+      std::set<std::pair<ps::Index, ps::Index>> seen;
+      std::vector<ps::Triple<int>> ta;
+      while (ta.size() < nnz) {
+        const auto row = static_cast<ps::Index>(rng.below(a_rows));
+        const ps::Index col =
+            ta.size() % 2 == 0 ? b_rows[rng.below(b_rows.size())]
+                               : static_cast<ps::Index>(rng.below(kInner));
+        if (seen.insert({row, col}).second) {
+          ta.push_back({row, col, static_cast<int>(rng.below(5)) + 1});
+        }
+      }
+      const auto A = IntMat::from_triples(a_rows, kInner, std::move(ta));
+      std::vector<std::uint8_t> skip(a_rows, 0);
+      skip[a_rows / 2] = a_rows > 1;  // the middle row of three
+      const auto A_live =
+          A.pruned([&](ps::Index r, ps::Index, int) { return skip[r] == 0; });
+      ps::SpGemmStats s_all, s_live;
+      const auto C_all = ps::spgemm_hash<ps::PlusTimes<int>>(A, B, &s_all);
+      const auto C_live =
+          ps::spgemm_hash<ps::PlusTimes<int>>(A_live, B, &s_live);
+      ASSERT_GT(s_live.products, 0u) << where;
+      const auto C_even =
+          C_live.pruned([](ps::Index, ps::Index c, int) { return c % 2 == 0; });
+      for (auto* pool : pools) {
+        const std::string at =
+            where + ", pool " +
+            std::to_string(pool != nullptr ? pool->size() : 0);
+        ps::SpGemmStats s_plain, s_fused;
+        EXPECT_TRUE(ps::spgemm_hash2p<ps::PlusTimes<int>>(A, B, &s_plain,
+                                                          pool) == C_all)
+            << at;
+        expect_same_stats(s_plain, s_all, at);
+        EXPECT_TRUE(ps::spgemm_hash2p_fused<ps::PlusTimes<int>>(
+                        A, B, even_cols, no_cap, skip.data(), nullptr,
+                        &s_fused, pool) == C_even)
+            << at;
+        expect_same_stats(s_fused, s_live, at);
+      }
+    }
+  }
 }
 
 TEST(SpGemmFused, EmptyOperandsCallOnSymbolicOnceWithZeros) {
