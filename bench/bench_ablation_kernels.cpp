@@ -234,8 +234,7 @@ void BM_KmerExtraction(benchmark::State& state) {
   const kmer::Alphabet alphabet(kmer::Alphabet::Kind::kProtein25);
   const kmer::KmerCodec codec(alphabet.size(), 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kmer::extract_distinct_kmers(seqs[0], alphabet, codec));
+    benchmark::DoNotOptimize(kmer::extract_kmers(seqs[0], alphabet, codec));
   }
   state.counters["residues/s"] = benchmark::Counter(
       1e4 * static_cast<double>(state.iterations()),

@@ -96,6 +96,7 @@ class ShapeChecks {
   void summary() const {
     std::printf("shape checks: %d/%d hold\n", ok_, total_);
   }
+  [[nodiscard]] bool all_hold() const { return ok_ == total_; }
 
  private:
   int ok_ = 0;

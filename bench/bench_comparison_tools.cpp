@@ -12,8 +12,11 @@
 //     (more sensitive search). The absolute gap here is dataset-scaled; the
 //     ordering and the memory/IO contrasts are the reproduction targets.
 //
-// All three pipelines share the candidate rule and filters, so they return
-// identical graphs — the comparison is purely about resources.
+// The baselines run PASTIS's candidate rule and filter chunk pair by chunk
+// pair, so all three return identical graphs for full Smith-Waterman with
+// the cascade off, substitute k-mers included — the comparison is purely
+// about resources. Every shape check is deterministic (edge lists, modeled
+// bytes, modeled seconds), so each one gates the exit code.
 #include "bench_common.hpp"
 
 using namespace pastis;
@@ -101,7 +104,8 @@ int main(int argc, char** argv) {
   };
   sc.check(same(pastis_result.edges, e1) && same(pastis_result.edges, e2) &&
                same(pastis_result.edges, e3),
-           "all tools agree on the similarity graph (shared candidate rule)");
+           "all tools agree on the similarity graph (PASTIS's candidate "
+           "rule and filter in every baseline chunk pair)");
   sc.check(ps.peak_rank_bytes < rep2.peak_rank_bytes,
            "PASTIS per-rank memory below the replicated index "
            "(the §IV memory wall): " +
@@ -116,5 +120,5 @@ int main(int argc, char** argv) {
            "PASTIS sustains a higher alignment rate than the replicated-"
            "index baseline (GPU batch alignment + overlap)");
   sc.summary();
-  return 0;
+  return sc.all_hold() ? 0 : 1;
 }

@@ -6,9 +6,11 @@
 // reference index. Either way "the index data structures for at least one
 // set of the sequences are replicated on each compute node ... which limits
 // the largest problems that can be solved" — the exact memory wall the
-// paper contrasts PASTIS against. This baseline reproduces the candidate
-// rule of PASTIS (shared distinct k-mers >= threshold) so the output graph
-// is identical; what differs is the per-rank memory and IO accounting.
+// paper contrasts PASTIS against. Each rank runs one chunk_search
+// (baseline/chunk_search.hpp), PASTIS's own candidate rule and filter, so
+// the graph is identical to PASTIS's for full Smith-Waterman with the
+// cascade off, substitute k-mers included; what differs is the per-rank
+// memory and IO accounting.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,8 @@ struct ReplicatedIndexStats {
 };
 
 /// Self-search of `seqs` with `nprocs` ranks in the given mode. Returns the
-/// canonical similarity graph (identical to PASTIS's for the same config).
+/// canonical similarity graph: PASTIS's for the same config with full
+/// Smith-Waterman and the cascade off.
 [[nodiscard]] std::vector<io::SimilarityEdge> replicated_index_search(
     const std::vector<std::string>& seqs, const core::PastisConfig& cfg,
     const sim::MachineModel& model, int nprocs, ReplicationMode mode,

@@ -7,8 +7,10 @@
 // filesystem, with a final join pass per query chunk. The design trades
 // performance for commodity-cluster friendliness and fault tolerance — the
 // paper's §IV calls out the file-system pressure this creates on HPC
-// systems. Candidate rule and filters match PASTIS, so the graph is
-// identical; the interesting outputs are the IO volume and the makespan.
+// systems. Each package is one chunk_search (baseline/chunk_search.hpp),
+// PASTIS's own candidate rule and filter, so the graph is identical to
+// PASTIS's for full Smith-Waterman with the cascade off, substitute k-mers
+// included; the interesting outputs are the IO volume and the makespan.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,9 @@
 // enabled, each exact k-mer additionally contributes its m nearest
 // neighbours (at the same position), widening the discovery reach (§V).
 // kmer_matrix_blocks is its one producer: the pipeline's A and Aᵀ stripes
-// (kmer_matrix_stripes), the index's Aᵀ_ref shards and the engine's
-// A_query are all cut from its blocks.
+// (kmer_matrix_stripes), the index's Aᵀ_ref shards, the engine's A_query
+// and the baselines' chunk A and Aᵀ (baseline/chunk_search.cpp) are all
+// cut from its blocks.
 #pragma once
 
 #include <functional>

@@ -3,14 +3,16 @@
 // Three consumers drive the same machinery: the many-against-many pipeline
 // (core/pipeline.cpp, paper Fig. 4), the query-serving engine
 // (index/query_engine.cpp, the §III annotation use case) and the
-// replicated-index baseline (baseline/replicated_index.cpp). The first two
-// run their executor stages over one per-slot RankWork: each stages its
-// own candidates (overlap-semiring seeds vs cross-k-mer seeds plus
-// sketches), then both call the same screen_candidates() (the cascade
-// tiers) and align_and_filter() (flattened host alignment, the ANI/coverage
-// filter, per-rank device accounting), and each keeps only its own modeled
-// charging. The baseline runs align_and_filter on a one-rank RankWork per
-// replicated chunk.
+// baselines' chunk-pair search (baseline/chunk_search.cpp, run by the
+// replicated-index and work-package searches). The first two run their
+// executor stages over one per-slot RankWork: each stages its own
+// candidates (overlap-semiring seeds vs cross-k-mer seeds plus sketches),
+// then both call the same screen_candidates() (the cascade tiers) and
+// align_and_filter() (flattened host alignment, the ANI/coverage filter,
+// per-rank device accounting), and each keeps only its own modeled
+// charging. The chunk search runs discovery_spgemm and canonical_task
+// like the pipeline and align_and_filter on a one-rank RankWork per chunk
+// pair, with the cascade off.
 // Writing the stage logic once keeps all consumers bit-identical by
 // construction — the canonical task orientation, the tier loop, the filter
 // and the modeled device-time formula exist exactly once.
@@ -45,10 +47,11 @@ namespace pastis::core {
 /// (kmer_matrix_blocks checks). The sort is one integer sort of the
 /// sequence's packed (code, position) keys.
 /// Every producer of a sequence-by-k-mer matrix — the pipeline's A, the
-/// index's Aᵀ_ref shards, the engine's per-batch A_query — MUST go through
-/// core::kmer_matrix_blocks (core/kmer_matrix.hpp), which extracts with
-/// this function: the serving layer's bit-identity to the pipeline rests
-/// on the three sides extracting and deduplicating identically.
+/// index's Aᵀ_ref shards, the engine's per-batch A_query, the baselines'
+/// chunk matrices — MUST go through core::kmer_matrix_blocks
+/// (core/kmer_matrix.hpp), which extracts with this function: the serving
+/// layer's and the baselines' bit-identity to the pipeline rests on every
+/// side extracting and deduplicating identically.
 void extract_sequence_kmers(
     std::string_view seq, sparse::Index row, const kmer::Alphabet& alphabet,
     const kmer::KmerCodec& codec, const kmer::NeighborGenerator& neighbors,

@@ -64,8 +64,9 @@ std::vector<std::uint64_t> KmerIndex::sketch_of(std::string_view seq,
   std::vector<std::uint64_t> out(
       static_cast<std::size_t>(std::max(0, sketch_len)),
       ~std::uint64_t{0});
-  const auto hits = kmer::extract_distinct_kmers(seq, alphabet, codec);
-  for (const auto& h : hits) {
+  // Every window, repeats included: a slot's minimum over them is its
+  // minimum over the distinct codes.
+  for (const auto& h : kmer::extract_kmers(seq, alphabet, codec)) {
     for (int j = 0; j < sketch_len; ++j) {
       const auto v = util::splitmix64(h.code ^ sketch_slot_seed(j));
       auto& slot = out[static_cast<std::size_t>(j)];

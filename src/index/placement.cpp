@@ -70,6 +70,40 @@ std::vector<int> ShardPlacement::shards_of(int rank) const {
   return out;
 }
 
+namespace {
+
+/// Shard ids heaviest first, ties to the smaller id: the order of both the
+/// move pass and the replica deal.
+std::vector<int> heaviest_first(std::span<const std::uint64_t> shard_bytes) {
+  std::vector<int> order(shard_bytes.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const auto ba = shard_bytes[static_cast<std::size_t>(a)];
+    const auto bb = shard_bytes[static_cast<std::size_t>(b)];
+    return ba != bb ? ba > bb : a < b;
+  });
+  return order;
+}
+
+/// The least-loaded rank not holding the shard (ties to the smaller rank),
+/// or -1 when every rank holds it.
+int least_loaded_non_holder(const std::vector<std::uint64_t>& load,
+                            const std::vector<int>& holders) {
+  int to = -1;
+  for (int r = 0; r < static_cast<int>(load.size()); ++r) {
+    if (std::find(holders.begin(), holders.end(), r) != holders.end()) {
+      continue;
+    }
+    if (to < 0 || load[static_cast<std::size_t>(r)] <
+                      load[static_cast<std::size_t>(to)]) {
+      to = r;
+    }
+  }
+  return to;
+}
+
+}  // namespace
+
 ShardPlacement ShardPlacement::balance(
     std::span<const std::uint64_t> shard_bytes, int n_ranks,
     int replication) {
@@ -80,72 +114,24 @@ ShardPlacement ShardPlacement::balance(
     throw std::invalid_argument(
         "ShardPlacement: replication must be in [1, n_ranks]");
   }
-  ShardPlacement pl;
-  pl.n_ranks = n_ranks;
+  // A round-robin deal in shard order, one copy per shard, evened out by
+  // rebalance's move pass.
+  ShardPlacement seed;
+  seed.n_ranks = n_ranks;
+  for (int s = 0; s < static_cast<int>(shard_bytes.size()); ++s) {
+    seed.primary.push_back(s % n_ranks);
+    seed.replicas.push_back({s % n_ranks});
+  }
+  ShardPlacement pl = rebalance(seed, shard_bytes).placement;
   pl.replication = replication;
-  const auto n = static_cast<int>(shard_bytes.size());
-  pl.primary.resize(static_cast<std::size_t>(n));
-  pl.rank_resident_bytes.assign(static_cast<std::size_t>(n_ranks), 0);
-
-  // Round-robin seed in shard order.
-  for (int s = 0; s < n; ++s) {
-    const int r = s % n_ranks;
-    pl.primary[static_cast<std::size_t>(s)] = r;
-    pl.rank_resident_bytes[static_cast<std::size_t>(r)] +=
-        shard_bytes[static_cast<std::size_t>(s)];
-  }
-
-  // Greedy rebalance: heaviest shards first (ties -> smaller shard id),
-  // each moved to the currently least-loaded rank (ties -> smaller rank)
-  // when the move strictly lowers the donor's load above the target's
-  // post-move load — i.e. when it reduces the pairwise peak.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const auto ba = shard_bytes[static_cast<std::size_t>(a)];
-    const auto bb = shard_bytes[static_cast<std::size_t>(b)];
-    return ba != bb ? ba > bb : a < b;
-  });
-  for (const int s : order) {
-    const auto b = shard_bytes[static_cast<std::size_t>(s)];
-    const int from = pl.primary[static_cast<std::size_t>(s)];
-    int to = 0;
-    for (int r = 1; r < n_ranks; ++r) {
-      if (pl.rank_resident_bytes[static_cast<std::size_t>(r)] <
-          pl.rank_resident_bytes[static_cast<std::size_t>(to)]) {
-        to = r;
-      }
-    }
-    if (to != from &&
-        pl.rank_resident_bytes[static_cast<std::size_t>(to)] + b <
-            pl.rank_resident_bytes[static_cast<std::size_t>(from)]) {
-      pl.rank_resident_bytes[static_cast<std::size_t>(from)] -= b;
-      pl.rank_resident_bytes[static_cast<std::size_t>(to)] += b;
-      pl.primary[static_cast<std::size_t>(s)] = to;
-    }
-  }
 
   // Availability replicas: heaviest shards first, each extra copy on the
   // least-loaded rank not already holding the shard.
-  pl.replicas.resize(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    pl.replicas[static_cast<std::size_t>(s)] = {
-        pl.primary[static_cast<std::size_t>(s)]};
-  }
+  const std::vector<int> order = heaviest_first(shard_bytes);
   for (int copy = 1; copy < replication; ++copy) {
     for (const int s : order) {
       auto& holders = pl.replicas[static_cast<std::size_t>(s)];
-      int to = -1;
-      for (int r = 0; r < n_ranks; ++r) {
-        if (std::find(holders.begin(), holders.end(), r) != holders.end()) {
-          continue;
-        }
-        if (to < 0 ||
-            pl.rank_resident_bytes[static_cast<std::size_t>(r)] <
-                pl.rank_resident_bytes[static_cast<std::size_t>(to)]) {
-          to = r;
-        }
-      }
+      const int to = least_loaded_non_holder(pl.rank_resident_bytes, holders);
       holders.push_back(to);
       pl.rank_resident_bytes[static_cast<std::size_t>(to)] +=
           shard_bytes[static_cast<std::size_t>(s)];
@@ -164,13 +150,10 @@ RebalanceResult ShardPlacement::rebalance(
   }
   RebalanceResult res;
   ShardPlacement& pl = res.placement;
-  pl.n_ranks = current.n_ranks;
-  pl.replication = current.replication;
-  pl.primary = current.primary;
-  pl.replicas = current.replicas;
+  pl = current;
 
   // Rank loads recomputed against the DRIFTED byte counts (every holder —
-  // primary and replicas — pays residency, same accounting as balance()).
+  // primary and replicas — pays residency).
   pl.rank_resident_bytes.assign(static_cast<std::size_t>(pl.n_ranks), 0);
   const int n = pl.n_shards();
   for (int s = 0; s < n; ++s) {
@@ -180,32 +163,17 @@ RebalanceResult ShardPlacement::rebalance(
     }
   }
 
-  // The same greedy pass as balance(), but starting FROM the current
-  // assignment, and restricted to target ranks not already holding the
-  // shard (moving onto a replica holder would collapse two copies).
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const auto ba = shard_bytes[static_cast<std::size_t>(a)];
-    const auto bb = shard_bytes[static_cast<std::size_t>(b)];
-    return ba != bb ? ba > bb : a < b;
-  });
-  for (const int s : order) {
+  // Greedy move pass: heaviest shards first, each primary moved to the
+  // least-loaded rank not already holding the shard (moving onto a replica
+  // holder would collapse two copies) when the move strictly lowers the
+  // donor's load above the target's post-move load — i.e. when it reduces
+  // the pairwise peak.
+  for (const int s : heaviest_first(shard_bytes)) {
     const auto si = static_cast<std::size_t>(s);
     const auto b = shard_bytes[si];
     const int from = pl.primary[si];
     auto& holders = pl.replicas[si];
-    int to = -1;
-    for (int r = 0; r < pl.n_ranks; ++r) {
-      if (std::find(holders.begin(), holders.end(), r) != holders.end()) {
-        continue;
-      }
-      if (to < 0 ||
-          pl.rank_resident_bytes[static_cast<std::size_t>(r)] <
-              pl.rank_resident_bytes[static_cast<std::size_t>(to)]) {
-        to = r;
-      }
-    }
+    const int to = least_loaded_non_holder(pl.rank_resident_bytes, holders);
     if (to < 0) continue;  // every rank holds a copy; nowhere to move
     if (pl.rank_resident_bytes[static_cast<std::size_t>(to)] + b <
         pl.rank_resident_bytes[static_cast<std::size_t>(from)]) {

@@ -1,7 +1,5 @@
 #include "kmer/extract.hpp"
 
-#include <algorithm>
-
 namespace pastis::kmer {
 
 std::vector<KmerHit> extract_kmers(std::string_view seq,
@@ -40,28 +38,6 @@ std::vector<KmerHit> extract_kmers(std::string_view seq,
           {code, static_cast<std::uint32_t>(i + 1 - static_cast<std::size_t>(k))});
     }
   }
-  return hits;
-}
-
-std::vector<KmerHit> extract_distinct_kmers(std::string_view seq,
-                                            const Alphabet& alphabet,
-                                            const KmerCodec& codec) {
-  std::vector<KmerHit> hits = extract_kmers(seq, alphabet, codec);
-  // Keep the first position of each code: stable because extract_kmers
-  // emits positions in increasing order.
-  std::stable_sort(hits.begin(), hits.end(),
-                   [](const KmerHit& a, const KmerHit& b) {
-                     return a.code < b.code;
-                   });
-  hits.erase(std::unique(hits.begin(), hits.end(),
-                         [](const KmerHit& a, const KmerHit& b) {
-                           return a.code == b.code;
-                         }),
-             hits.end());
-  // Back to position order for deterministic downstream iteration.
-  std::sort(hits.begin(), hits.end(), [](const KmerHit& a, const KmerHit& b) {
-    return a.pos < b.pos;
-  });
   return hits;
 }
 

@@ -23,10 +23,4 @@ struct KmerHit {
                                                  const Alphabet& alphabet,
                                                  const KmerCodec& codec);
 
-/// Distinct-code hits: if a k-mer occurs several times only the *first*
-/// occurrence is kept (PASTIS stores one position per (sequence, k-mer)
-/// nonzero; the overlap semiring pairs these seed positions).
-[[nodiscard]] std::vector<KmerHit> extract_distinct_kmers(
-    std::string_view seq, const Alphabet& alphabet, const KmerCodec& codec);
-
 }  // namespace pastis::kmer

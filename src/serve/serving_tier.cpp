@@ -14,7 +14,6 @@ namespace {
   if (opt.cache_capacity_bytes == 0) return nullptr;
   ResultCache::Options copt;
   copt.capacity_bytes = opt.cache_capacity_bytes;
-  copt.n_shards = opt.cache_shards;
   copt.telemetry = cfg.telemetry;
   return std::make_unique<ResultCache>(copt);
 }

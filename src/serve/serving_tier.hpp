@@ -49,7 +49,6 @@ struct TierOptions {
   index::QueryEngine::Options engine;
   /// Result-cache capacity; 0 disables the cache entirely.
   std::uint64_t cache_capacity_bytes = 0;
-  int cache_shards = 8;
   /// Compact when delta bytes reach this ratio of base bytes (the LSM
   /// size-ratio trigger); <= 0 disables compaction.
   double compaction_trigger_ratio = 0.0;

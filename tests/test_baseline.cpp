@@ -1,9 +1,12 @@
 // Baseline comparators: brute force, MMseqs2-style replicated index,
-// DIAMOND-style work packages. All share PASTIS's candidate rule and
-// filters, so graphs must be identical — what differs is memory and IO.
+// DIAMOND-style work packages. The last two run PASTIS's candidate rule and
+// filter, so their graphs are identical to PASTIS's for full Smith-Waterman
+// with the cascade off, substitute k-mers included — what differs is
+// memory and IO.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "baseline/bruteforce.hpp"
 #include "baseline/replicated_index.hpp"
@@ -64,23 +67,30 @@ TEST(BruteForce, SerialAndPooledAgree) {
 }
 
 TEST(ReplicatedIndex, BothModesMatchPastis) {
-  const pc::PastisConfig cfg;
-  pc::SimilaritySearch pastis_search(cfg, pastis::sim::MachineModel{}, 4);
-  const auto pastis_edges = edge_map(pastis_search.run(dataset()).edges);
+  for (const int subs : {0, 2}) {
+    SCOPED_TRACE("subs_kmers = " + std::to_string(subs));
+    pc::PastisConfig cfg;
+    cfg.subs_kmers = subs;
+    pc::SimilaritySearch pastis_search(cfg, pastis::sim::MachineModel{}, 4);
+    const auto pastis_result = pastis_search.run(dataset());
+    const auto pastis_edges = edge_map(pastis_result.edges);
 
-  pb::ReplicatedIndexStats s1, s2;
-  const auto m1 = pb::replicated_index_search(
-      dataset(), cfg, pastis::sim::MachineModel{}, 4,
-      pb::ReplicationMode::kReferenceChunked, &s1);
-  const auto m2 = pb::replicated_index_search(
-      dataset(), cfg, pastis::sim::MachineModel{}, 4,
-      pb::ReplicationMode::kQueryChunked, &s2);
+    pb::ReplicatedIndexStats s1, s2;
+    const auto m1 = pb::replicated_index_search(
+        dataset(), cfg, pastis::sim::MachineModel{}, 4,
+        pb::ReplicationMode::kReferenceChunked, &s1);
+    const auto m2 = pb::replicated_index_search(
+        dataset(), cfg, pastis::sim::MachineModel{}, 4,
+        pb::ReplicationMode::kQueryChunked, &s2);
 
-  EXPECT_EQ(edge_map(m1), pastis_edges);
-  EXPECT_EQ(edge_map(m2), pastis_edges);
-  EXPECT_EQ(s1.similar_pairs, pastis_edges.size());
-  EXPECT_GT(s1.io_bytes, 0u);
-  EXPECT_GT(s1.modeled_seconds, 0.0);
+    EXPECT_EQ(edge_map(m1), pastis_edges);
+    EXPECT_EQ(edge_map(m2), pastis_edges);
+    EXPECT_EQ(s1.similar_pairs, pastis_edges.size());
+    EXPECT_EQ(s1.aligned_pairs, pastis_result.stats.aligned_pairs);
+    EXPECT_EQ(s2.aligned_pairs, pastis_result.stats.aligned_pairs);
+    EXPECT_GT(s1.io_bytes, 0u);
+    EXPECT_GT(s1.modeled_seconds, 0.0);
+  }
 }
 
 TEST(ReplicatedIndex, RankCountInvariance) {
@@ -133,20 +143,24 @@ TEST(ReplicatedIndex, PastisUsesLessMemoryPerRank) {
 
 struct ChunkCase {
   int qc, rc, workers;
+  int subs_kmers = 0;
 };
 
 class WorkPackageSweep : public ::testing::TestWithParam<ChunkCase> {};
 
 TEST_P(WorkPackageSweep, ChunkingDoesNotChangeTheGraph) {
   const auto c = GetParam();
-  const pc::PastisConfig cfg;
+  pc::PastisConfig cfg;
+  cfg.subs_kmers = c.subs_kmers;
   pb::WorkPackageStats stats;
   const auto edges = pb::work_package_search(
       dataset(), cfg, pastis::sim::MachineModel{}, c.qc, c.rc, c.workers,
       &stats);
 
   pc::SimilaritySearch pastis_search(cfg, pastis::sim::MachineModel{}, 1);
-  EXPECT_EQ(edge_map(edges), edge_map(pastis_search.run(dataset()).edges));
+  const auto pastis_result = pastis_search.run(dataset());
+  EXPECT_EQ(edge_map(edges), edge_map(pastis_result.edges));
+  EXPECT_EQ(stats.aligned_pairs, pastis_result.stats.aligned_pairs);
   EXPECT_EQ(stats.packages, c.qc * c.rc);
   EXPECT_GT(stats.io_bytes, 0u);
   EXPECT_GT(stats.modeled_seconds, 0.0);
@@ -156,7 +170,42 @@ INSTANTIATE_TEST_SUITE_P(Chunkings, WorkPackageSweep,
                          ::testing::Values(ChunkCase{1, 1, 1},
                                            ChunkCase{2, 3, 4},
                                            ChunkCase{4, 4, 8},
-                                           ChunkCase{5, 2, 3}));
+                                           ChunkCase{5, 2, 3},
+                                           ChunkCase{2, 3, 4, 2}));
+
+TEST(Baselines, ResourceModelsArePinned) {
+  // The memory, IO and time models are what the baselines report beyond
+  // the shared graph; pin them (default config, no substitute k-mers).
+  const pc::PastisConfig cfg;
+  const pastis::sim::MachineModel model;
+  struct RankCase {
+    pb::ReplicationMode mode;
+    std::uint64_t peak_rank_bytes;
+    double modeled_seconds;
+  };
+  for (const RankCase c :
+       {RankCase{pb::ReplicationMode::kReferenceChunked, 138435,
+                 0.0070125033730158732},
+        RankCase{pb::ReplicationMode::kQueryChunked, 383538,
+                 0.0069716852777777774}}) {
+    pb::ReplicatedIndexStats s;
+    (void)pb::replicated_index_search(dataset(), cfg, model, 4, c.mode, &s);
+    EXPECT_EQ(s.candidates, 1434u);
+    EXPECT_EQ(s.aligned_pairs, 1392u);
+    EXPECT_EQ(s.similar_pairs, 975u);
+    EXPECT_EQ(s.cells, 12480521u);
+    EXPECT_EQ(s.peak_rank_bytes, c.peak_rank_bytes);
+    EXPECT_EQ(s.io_bytes, 181900u);
+    EXPECT_DOUBLE_EQ(s.modeled_seconds, c.modeled_seconds);
+  }
+  pb::WorkPackageStats w;
+  (void)pb::work_package_search(dataset(), cfg, model, 2, 3, 4, &w);
+  EXPECT_EQ(w.candidates, 1434u);
+  EXPECT_EQ(w.aligned_pairs, 1392u);
+  EXPECT_EQ(w.cells, 12480521u);
+  EXPECT_EQ(w.io_bytes, 205098u);
+  EXPECT_DOUBLE_EQ(w.modeled_seconds, 0.017326390587301586);
+}
 
 TEST(WorkPackage, IoGrowsWithChunking) {
   // §IV: DIAMOND's work packages pressure the filesystem; finer chunking

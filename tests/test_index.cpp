@@ -127,6 +127,58 @@ TEST(KmerIndex, ShardsTileTheKmerSpaceAndKeepAllPostings) {
   }
 }
 
+TEST(KmerIndex, SketchValuesArePinned) {
+  // Sketches are persisted (index v4), so their values are a file format
+  // and must never change. A generated protein, a repeat-heavy sequence,
+  // and one with ambiguity residues (valid in Protein25, window breakers
+  // in Protein20).
+  using Kind = pastis::kmer::Alphabet::Kind;
+  const std::string generated =
+      "QRMARYNMEDTEEAQFDRQLNLAKKESTKQIFDLEPHGNNKEVFGRCCNLQPDI";
+  const std::string repeats =
+      "MKVMKVMKVMKVMKVMKVMKVMKVMKVMKVAAAAAAAAAAAAAAAAAAAAGWGWGWGWGW";
+  const std::string ambiguous =
+      "MKTAYIAKQRXQISFVKSHFSRQBLEERLGLIEVZQAPILSRVGDGTQDNLSGAEK*AVQVKVKALPD"
+      "AQ";
+  struct Case {
+    const std::string* seq;
+    Kind alphabet;
+    int k;
+    std::array<std::uint64_t, 8> sketch;
+  };
+  const Case cases[] = {
+      {&generated, Kind::kProtein25, 6,
+       {0x052e4bf159e70a82ULL, 0x03002fa36cc6d598ULL, 0x064f6c221191b366ULL,
+        0x0289bbd4a1427049ULL, 0x0f6efcb63e1c4a73ULL, 0x03eafcbc39aeddaaULL,
+        0x02aa6201d72604a9ULL, 0x083396c79175f178ULL}},
+      {&repeats, Kind::kProtein25, 6,
+       {0x1053bcb0f5294337ULL, 0x136ae6d57e13a5fbULL, 0x04d5064a2a05e379ULL,
+        0x02a15cd8cdf6050eULL, 0x037ca0e301e6ec1fULL, 0x0e87e74b0f40e47aULL,
+        0x0c0e49f470c49543ULL, 0x015294138d6c68f7ULL}},
+      {&ambiguous, Kind::kProtein25, 6,
+       {0x0421d7b98708812bULL, 0x00c3719383b7e501ULL, 0x00716014f5215cf0ULL,
+        0x036f6c0a8e612213ULL, 0x0296326fa09bee97ULL, 0x030fed7ca4c1651dULL,
+        0x00332fa3342910c9ULL, 0x01be199255702128ULL}},
+      {&ambiguous, Kind::kProtein20, 4,
+       {0x002b684166fe5fa4ULL, 0x06d55a596ecd3af2ULL, 0x000661342fe56b77ULL,
+        0x0482d31a901d6314ULL, 0x03b233e54048a917ULL, 0x0620efdf3e4b4fb7ULL,
+        0x0551163275090646ULL, 0x01293bc3c0c5063bULL}},
+  };
+  for (const Case& c : cases) {
+    const pastis::kmer::Alphabet alphabet(c.alphabet);
+    const pastis::kmer::KmerCodec codec(alphabet.size(), c.k);
+    const auto got = pidx::KmerIndex::sketch_of(*c.seq, alphabet, codec, 8);
+    EXPECT_EQ(got, std::vector<std::uint64_t>(c.sketch.begin(),
+                                              c.sketch.end()))
+        << *c.seq << " k=" << c.k;
+  }
+  // No valid window: every slot keeps the all-ones sentinel.
+  const pastis::kmer::Alphabet p25(Kind::kProtein25);
+  const pastis::kmer::KmerCodec k6(p25.size(), 6);
+  EXPECT_EQ(pidx::KmerIndex::sketch_of("MKV", p25, k6, 8),
+            std::vector<std::uint64_t>(8, ~std::uint64_t{0}));
+}
+
 TEST(IndexIo, SaveLoadRoundTripIsBitIdentical) {
   const auto refs = make_refs(100, 5);
   pc::PastisConfig cfg;

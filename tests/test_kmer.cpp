@@ -184,11 +184,14 @@ TEST(Extract, RollingEncodeMatchesDirect) {
 TEST(Extract, DistinctKeepsFirstPosition) {
   const pk::Alphabet a(pk::Alphabet::Kind::kProtein20);
   const pk::KmerCodec codec(a.size(), 3);
+  const pk::NeighborGenerator gen(a, codec,
+                                  pastis::align::Scoring::pastis_default());
   // "MKV" appears at positions 0 and 6.
-  const auto hits = pk::extract_distinct_kmers("MKVAAAMKV", a, codec);
+  std::vector<pastis::sparse::Triple<pastis::core::KmerPos>> row;
+  pastis::core::extract_sequence_kmers("MKVAAAMKV", 0, a, codec, gen, 0, row);
   std::map<std::uint64_t, std::uint32_t> by_code;
-  for (const auto& h : hits) {
-    EXPECT_TRUE(by_code.emplace(h.code, h.pos).second) << "duplicate code";
+  for (const auto& t : row) {
+    EXPECT_TRUE(by_code.emplace(t.col, t.val.pos).second) << "duplicate code";
   }
   std::vector<std::uint8_t> mkv = {a.encode('M'), a.encode('K'), a.encode('V')};
   EXPECT_EQ(by_code.at(codec.encode(mkv)), 0u);
