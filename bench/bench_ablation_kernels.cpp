@@ -63,21 +63,6 @@ void BM_SmithWatermanLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_SmithWatermanLanes)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
-void BM_SmithWatermanScoreOnly(benchmark::State& state) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto seqs = random_proteins(2, len, 43);
-  const auto scoring = align::Scoring::pastis_default();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::smith_waterman_score(seqs[0], seqs[1], scoring));
-  }
-  state.counters["CUPS"] = benchmark::Counter(
-      static_cast<double>(len) * static_cast<double>(len) *
-          static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SmithWatermanScoreOnly)->Arg(128)->Arg(512);
-
 // CUPS of the banded kernels counts the cells inside the band (the
 // kernels' own `cells`), so it compares directly with the full kernels.
 void BM_BandedSW(benchmark::State& state) {

@@ -77,5 +77,5 @@ int main(int argc, char** argv) {
   for (const auto& st : stats) same &= st.similar_pairs == first.similar_pairs;
   sc.check(same, "identical result graph for every block count");
   sc.summary();
-  return 0;
+  return sc.all_hold() ? 0 : 1;
 }

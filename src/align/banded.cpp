@@ -292,18 +292,7 @@ __attribute__((target("avx2"))) void banded_avx2(
     }
   }
 
-  for (std::size_t k = 0; k < count; ++k) {
-    AlignResult& res = out[k];
-    res.score = best[k];
-    if (best[k] > 0) {
-      res.beg_q = best_pos[k] & 0xFFFFu;
-      res.beg_r = best_pos[k] >> 16;
-      res.end_q = best_end[k] & 0xFFFFu;
-      res.end_r = best_end[k] >> 16;
-      res.matches = best_cnt[k] & 0xFFFFu;
-      res.align_len = best_cnt[k] >> 16;
-    }
-  }
+  lane_dp::decode_best(best, best_end, best_pos, best_cnt, count, out);
 }
 
 #endif  // __x86_64__

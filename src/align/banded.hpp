@@ -3,6 +3,9 @@
 // sensitivity for an O(band·len) kernel and is provided as the cheaper
 // alternative alignment mode (PASTIS exposes several alignment modes through
 // SeqAn; the full-matrix ADEPT kernel remains the production default).
+// Its scalar body is the library's only scalar Smith-Waterman recurrence:
+// smith_waterman runs it with a band that holds every cell, and both lane
+// kernels are tested against it.
 #pragma once
 
 #include <span>

@@ -19,33 +19,20 @@ int band_diagonal(const AlignTask& task) {
 
 }  // namespace
 
-AlignResult BatchAligner::run_full_sw(std::string_view q, std::string_view r,
-                                      const AlignTask&) const {
-  return smith_waterman(q, r, scoring_);
-}
-
-AlignResult BatchAligner::run_banded(std::string_view q, std::string_view r,
-                                     const AlignTask& task) const {
-  return banded_smith_waterman(q, r, scoring_, band_diagonal(task),
-                               config_.band_half_width);
-}
-
-AlignResult BatchAligner::run_xdrop(std::string_view q, std::string_view r,
-                                    const AlignTask& task) const {
-  return xdrop_extend(q, r, task.seed_q, task.seed_r, config_.seed_len,
-                      scoring_, config_.xdrop);
-}
-
-const BatchAligner::KernelFn BatchAligner::kKernelTable[3] = {
-    &BatchAligner::run_full_sw,  // AlignKind::kFullSW
-    &BatchAligner::run_banded,   // AlignKind::kBanded
-    &BatchAligner::run_xdrop,    // AlignKind::kXDrop
-};
-
 AlignResult BatchAligner::align_pair(std::string_view q, std::string_view r,
                                      const AlignTask& task,
                                      AlignKind kind) const {
-  return (this->*kKernelTable[static_cast<int>(kind)])(q, r, task);
+  switch (kind) {
+    case AlignKind::kFullSW:
+      return smith_waterman(q, r, scoring_);
+    case AlignKind::kBanded:
+      return banded_smith_waterman(q, r, scoring_, band_diagonal(task),
+                                   config_.band_half_width);
+    case AlignKind::kXDrop:
+      return xdrop_extend(q, r, task.seed_q, task.seed_r, config_.seed_len,
+                          scoring_, config_.xdrop);
+  }
+  throw std::invalid_argument("align_pair: unknown AlignKind");
 }
 
 void BatchAligner::assign_lanes(const SeqAccessor& seq_of,
@@ -74,20 +61,14 @@ BatchStats BatchAligner::stats_for(const SeqAccessor& seq_of,
                                    std::span<const AlignResult> results,
                                    LaneScratch& scratch) const {
   assign_lanes(seq_of, tasks, scratch);
-  return stats_with(results, scratch.lanes, scratch.device_cells,
-                    scratch.device_pairs);
-}
-
-BatchStats BatchAligner::stats_with(
-    std::span<const AlignResult> results, std::span<const int> lanes,
-    std::vector<std::uint64_t>& device_cells,
-    std::vector<std::uint64_t>& device_pairs) const {
   const int devices = std::max(1, config_.devices);
+  std::vector<std::uint64_t>& device_cells = scratch.device_cells;
+  std::vector<std::uint64_t>& device_pairs = scratch.device_pairs;
   device_cells.assign(static_cast<std::size_t>(devices), 0);
   device_pairs.assign(static_cast<std::size_t>(devices), 0);
   BatchStats stats;
   for (std::size_t t = 0; t < results.size(); ++t) {
-    const int lane = lanes[t];
+    const int lane = scratch.lanes[t];
     device_cells[lane] += results[t].cells;
     ++device_pairs[lane];
     stats.cells += results[t].cells;

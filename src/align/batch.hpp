@@ -106,9 +106,10 @@ class BatchAligner {
                       config_.kind);
   }
 
-  /// One pair through the table-driven kernel dispatch with an explicit
-  /// kind: the scalar kernels, with the same scoring, band and x-drop knobs
-  /// as the batch paths. align::tier1_keep probes one pair through it;
+  /// One pair through the scalar kernel of `kind` — the one kernel switch:
+  /// smith_waterman, banded_smith_waterman around seed_r - seed_q at the
+  /// config's half-width, or xdrop_extend from the seed with the config's
+  /// seed_len and xdrop. align::tier1_keep probes one pair through it;
   /// the data plane probes whole batches through align_tasks, and reuses a
   /// probe as the tier-2 result when the kinds agree.
   [[nodiscard]] AlignResult align_pair(std::string_view q, std::string_view r,
@@ -135,23 +136,6 @@ class BatchAligner {
   [[nodiscard]] const Scoring& scoring() const { return scoring_; }
 
  private:
-  /// One kernel entry per AlignKind, indexed by the enum value — the single
-  /// dispatch point shared by every batch path and every cascade tier.
-  using KernelFn = AlignResult (BatchAligner::*)(std::string_view,
-                                                 std::string_view,
-                                                 const AlignTask&) const;
-  static const KernelFn kKernelTable[3];
-  [[nodiscard]] AlignResult run_full_sw(std::string_view q, std::string_view r,
-                                        const AlignTask& task) const;
-  [[nodiscard]] AlignResult run_banded(std::string_view q, std::string_view r,
-                                       const AlignTask& task) const;
-  [[nodiscard]] AlignResult run_xdrop(std::string_view q, std::string_view r,
-                                      const AlignTask& task) const;
-  [[nodiscard]] BatchStats stats_with(
-      std::span<const AlignResult> results, std::span<const int> lanes,
-      std::vector<std::uint64_t>& device_cells,
-      std::vector<std::uint64_t>& device_pairs) const;
-
   Scoring scoring_;
   Config config_;
 };

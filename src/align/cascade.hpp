@@ -156,8 +156,8 @@ struct UngappedExtension {
                                 std::size_t len_r, const CascadeOptions& opt,
                                 TierStats& ts);
 
-/// Tier-1 screen of one candidate pair: the probe kernel (tier1_kind) via
-/// the aligner's table-driven dispatch, then tier1_accept.
+/// Tier-1 screen of one candidate pair: the probe kernel (tier1_kind)
+/// through BatchAligner::align_pair, then tier1_accept.
 [[nodiscard]] bool tier1_keep(std::string_view q, std::string_view r,
                               const AlignTask& task,
                               const BatchAligner& aligner,

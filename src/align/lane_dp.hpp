@@ -1,7 +1,8 @@
 // Machinery shared by the inter-pair lane kernels (smith_waterman_lanes,
 // banded_smith_waterman_lanes): the dispatch rule, the AVX2 vector types,
-// the score table and the per-cell Gotoh update, so both kernels run one
-// recurrence with one tie-break. Internal to align/; callers use the
+// the score table, the per-cell Gotoh update and the decoder of the packed
+// best-cell words, so both kernels run one recurrence with one tie-break
+// and unpack their results one way. Internal to align/; callers use the
 // *_lanes functions.
 #pragma once
 
@@ -49,6 +50,27 @@ inline constexpr std::uint32_t kLen1 = 1u << 16;  // ++len in a cnt word
 /// path words of each, pos = beg_q | beg_r << 16 and cnt = matches |
 /// len << 16.
 inline constexpr std::size_t kColumn = 6 * kLanePairs;
+
+/// Writes lane k's best cell to out[k] for every k < count: the score
+/// `best`, and while it is positive the windows, matches and columns
+/// unpacked from its end word (i | j << 16) and its pos and cnt words. A
+/// lane whose best stayed 0 keeps out[k]'s other fields.
+__attribute__((target("avx2"), always_inline)) inline void decode_best(
+    v8i best, v8u end, v8u pos, v8u cnt, std::size_t count,
+    AlignResult* out) {
+  for (std::size_t k = 0; k < count; ++k) {
+    AlignResult& res = out[k];
+    res.score = best[k];
+    if (best[k] > 0) {
+      res.beg_q = pos[k] & 0xFFFFu;
+      res.beg_r = pos[k] >> 16;
+      res.end_q = end[k] & 0xFFFFu;
+      res.end_r = end[k] >> 16;
+      res.matches = cnt[k] & 0xFFFFu;
+      res.align_len = cnt[k] >> 16;
+    }
+  }
+}
 
 /// `columns` DP columns of 32-byte aligned storage in `buf`, every one a
 /// boundary cell (H = 0, F = -inf, empty paths).

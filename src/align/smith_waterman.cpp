@@ -2,145 +2,23 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "align/banded.hpp"
 #include "align/lane_dp.hpp"
 
 namespace pastis::align {
 
-namespace {
-
-/// Path statistics carried alongside each DP state so identity/coverage can
-/// be computed without a traceback matrix.
-struct PathStat {
-  std::uint32_t beg_q = 0;
-  std::uint32_t beg_r = 0;
-  std::uint32_t matches = 0;
-  std::uint32_t len = 0;
-};
-
-std::vector<std::uint8_t> encode_seq(std::string_view s) {
-  std::vector<std::uint8_t> out(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) out[i] = Scoring::encode(s[i]);
-  return out;
-}
-
-}  // namespace
-
 AlignResult smith_waterman(std::string_view query, std::string_view reference,
                            const Scoring& scoring) {
-  AlignResult res;
-  const std::size_t m = query.size();
-  const std::size_t n = reference.size();
-  res.cells = static_cast<std::uint64_t>(m) * n;
-  if (m == 0 || n == 0) return res;
-
-  const auto q = encode_seq(query);
-  const auto r = encode_seq(reference);
-  const int go = scoring.gap_open() + scoring.gap_extend();  // first residue
-  const int ge = scoring.gap_extend();                       // each further
-
-  constexpr int kNegInf = -(1 << 28);
-  std::vector<int> h_prev(n + 1, 0), h_cur(n + 1, 0);
-  std::vector<int> f_prev(n + 1, kNegInf), f_cur(n + 1, kNegInf);
-  std::vector<PathStat> sh_prev(n + 1), sh_cur(n + 1);
-  std::vector<PathStat> sf_prev(n + 1), sf_cur(n + 1);
-
-  int best = 0;
-  std::uint32_t best_i = 0, best_j = 0;
-  PathStat best_stat;
-
-  for (std::size_t i = 1; i <= m; ++i) {
-    h_cur[0] = 0;
-    int e_score = kNegInf;
-    PathStat e_stat;
-    const std::uint8_t qi = q[i - 1];
-
-    for (std::size_t j = 1; j <= n; ++j) {
-      // E: gap consuming the reference (left transitions within this row).
-      const int e_open = h_cur[j - 1] - go;
-      const int e_ext = e_score - ge;
-      if (e_open >= e_ext) {
-        e_score = e_open;
-        e_stat = sh_cur[j - 1];
-      } else {
-        e_score = e_ext;
-      }
-      ++e_stat.len;
-
-      // F: gap consuming the query (up transitions from the previous row).
-      const int f_open = h_prev[j] - go;
-      const int f_ext = f_prev[j] - ge;
-      PathStat f_stat;
-      int f_score;
-      if (f_open >= f_ext) {
-        f_score = f_open;
-        f_stat = sh_prev[j];
-      } else {
-        f_score = f_ext;
-        f_stat = sf_prev[j];
-      }
-      ++f_stat.len;
-      f_cur[j] = f_score;
-      sf_cur[j] = f_stat;
-
-      // Diagonal: substitution (or fresh start if the previous H was 0).
-      const bool is_match = qi == r[j - 1];
-      const int diag =
-          h_prev[j - 1] + scoring.score(qi, r[j - 1]);
-      PathStat d_stat;
-      if (h_prev[j - 1] > 0) {
-        d_stat = sh_prev[j - 1];
-      } else {
-        d_stat.beg_q = static_cast<std::uint32_t>(i - 1);
-        d_stat.beg_r = static_cast<std::uint32_t>(j - 1);
-      }
-      d_stat.matches += is_match ? 1u : 0u;
-      ++d_stat.len;
-
-      // H: deterministic tie-break diag > up (F) > left (E) > restart.
-      int h = diag;
-      PathStat s = d_stat;
-      if (f_score > h) {
-        h = f_score;
-        s = f_stat;
-      }
-      if (e_score > h) {
-        h = e_score;
-        s = e_stat;
-      }
-      if (h <= 0) {
-        h = 0;
-        s = PathStat{};
-      }
-      h_cur[j] = h;
-      sh_cur[j] = s;
-
-      if (h > best) {
-        best = h;
-        best_i = static_cast<std::uint32_t>(i);
-        best_j = static_cast<std::uint32_t>(j);
-        best_stat = s;
-      }
-    }
-    std::swap(h_prev, h_cur);
-    std::swap(f_prev, f_cur);
-    std::swap(sh_prev, sh_cur);
-    std::swap(sf_prev, sf_cur);
-  }
-
-  res.score = best;
-  if (best > 0) {
-    res.beg_q = best_stat.beg_q;
-    res.beg_r = best_stat.beg_r;
-    res.end_q = best_i;
-    res.end_r = best_j;
-    res.matches = best_stat.matches;
-    res.align_len = best_stat.len;
-  }
-  return res;
+  // Every cell has |j - i| < max(|q|, |r|), so this band holds them all.
+  const std::size_t half_width = std::max(query.size(), reference.size());
+  return banded_smith_waterman(
+      query, reference, scoring, 0,
+      static_cast<int>(std::min<std::size_t>(half_width, INT_MAX)));
 }
 
 namespace {
@@ -244,18 +122,7 @@ __attribute__((target("avx2"))) void smith_waterman_avx2(
     }
   }
 
-  for (std::size_t k = 0; k < count; ++k) {
-    AlignResult& res = out[k];
-    res.score = best[k];
-    if (best[k] > 0) {
-      res.beg_q = best_pos[k] & 0xFFFFu;
-      res.beg_r = best_pos[k] >> 16;
-      res.end_q = best_end[k] & 0xFFFFu;
-      res.end_r = best_end[k] >> 16;
-      res.matches = best_cnt[k] & 0xFFFFu;
-      res.align_len = best_cnt[k] >> 16;
-    }
-  }
+  lane_dp::decode_best(best, best_end, best_pos, best_cnt, count, out);
 }
 
 #endif  // __x86_64__
@@ -292,39 +159,6 @@ void smith_waterman_lanes(std::span<const std::string_view> queries,
                       lane_out.data());
   for (std::size_t l = 0; l < lanes; ++l) out[slot[l]] = lane_out[l];
 #endif
-}
-
-int smith_waterman_score(std::string_view query, std::string_view reference,
-                         const Scoring& scoring) {
-  const std::size_t m = query.size();
-  const std::size_t n = reference.size();
-  if (m == 0 || n == 0) return 0;
-
-  const auto q = encode_seq(query);
-  const auto r = encode_seq(reference);
-  const int go = scoring.gap_open() + scoring.gap_extend();
-  const int ge = scoring.gap_extend();
-
-  constexpr int kNegInf = -(1 << 28);
-  std::vector<int> h_prev(n + 1, 0), h_cur(n + 1, 0);
-  std::vector<int> f_row(n + 1, kNegInf);
-
-  int best = 0;
-  for (std::size_t i = 1; i <= m; ++i) {
-    int e_score = kNegInf;
-    h_cur[0] = 0;
-    const std::uint8_t qi = q[i - 1];
-    for (std::size_t j = 1; j <= n; ++j) {
-      e_score = std::max(h_cur[j - 1] - go, e_score - ge);
-      f_row[j] = std::max(h_prev[j] - go, f_row[j] - ge);
-      const int diag = h_prev[j - 1] + scoring.score(qi, r[j - 1]);
-      int h = std::max({0, diag, f_row[j], e_score});
-      h_cur[j] = h;
-      best = std::max(best, h);
-    }
-    std::swap(h_prev, h_cur);
-  }
-  return best;
 }
 
 }  // namespace pastis::align

@@ -3,9 +3,11 @@
 // This is the CPU-exact equivalent of the ADEPT GPU kernel the paper runs:
 // the full dynamic-programming matrix is computed (no heuristics), which is
 // what makes "cell updates per second" a meaningful metric (§VII). Besides
-// the score we carry per-cell path statistics (begin coordinates, matches,
-// alignment columns) through the recurrence in O(n) memory so that identity
-// (ANI) and coverage can be thresholded without a traceback matrix.
+// the score, the recurrence carries per-cell path statistics (begin
+// coordinates, matches, alignment columns) in O(n) memory so that identity
+// (ANI) and coverage can be thresholded without a traceback matrix. The
+// scalar recurrence exists once, in banded_smith_waterman (banded.hpp):
+// smith_waterman runs it with a band that holds every cell.
 #pragma once
 
 #include <cstddef>
@@ -55,8 +57,10 @@ struct AlignResult {
 
 /// Full Smith-Waterman/Gotoh. Sequences are ASCII amino-acid strings.
 /// Deterministic tie-breaking (diagonal > up > left > restart) makes results
-/// identical across any parallel decomposition. This scalar kernel is the
-/// portable path and the oracle the lane kernel below is tested against.
+/// identical across any parallel decomposition. Runs banded_smith_waterman
+/// around diagonal 0 at half-width max(|q|, |r|), a band that holds every
+/// cell, so `cells` is |q|·|r|. This scalar kernel is the portable path and
+/// the oracle the lane kernel below is tested against.
 [[nodiscard]] AlignResult smith_waterman(std::string_view query,
                                          std::string_view reference,
                                          const Scoring& scoring);
@@ -75,11 +79,5 @@ inline constexpr std::size_t kLanePairs = 8;
 void smith_waterman_lanes(std::span<const std::string_view> queries,
                           std::span<const std::string_view> references,
                           const Scoring& scoring, std::span<AlignResult> out);
-
-/// Score-only variant (no path statistics). Kept as the score-only
-/// reference for tests and the kernel ablation bench.
-[[nodiscard]] int smith_waterman_score(std::string_view query,
-                                       std::string_view reference,
-                                       const Scoring& scoring);
 
 }  // namespace pastis::align

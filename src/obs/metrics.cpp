@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace pastis::obs {
 
 namespace {
@@ -19,35 +21,6 @@ void append_json_number(std::ostringstream& os, double v) {
   n.precision(17);
   n << v;
   os << n.str();
-}
-
-void append_json_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace

@@ -5,36 +5,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace pastis::obs {
 
 namespace {
 
-void append_json_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
+/// Trace-event `ts` and `dur` must be numbers: non-finite values export as 0.
 void append_number(std::ostringstream& os, double v) {
   if (!std::isfinite(v)) {
     os << 0;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/banded.hpp"
@@ -232,16 +233,6 @@ TEST(SmithWaterman, GapCostsAffine) {
   EXPECT_EQ(res.score, 8 * 11 - (go + ge));
 }
 
-TEST(SmithWaterman, ScoreVariantAgreesWithFull) {
-  pastis::util::Xoshiro256 rng(5);
-  for (int t = 0; t < 30; ++t) {
-    const auto q = random_protein(rng, 10 + rng.below(80));
-    const auto r = random_protein(rng, 10 + rng.below(80));
-    EXPECT_EQ(pa::smith_waterman(q, r, scoring()).score,
-              pa::smith_waterman_score(q, r, scoring()));
-  }
-}
-
 class SwRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SwRandomSweep, MatchesReferenceDp) {
@@ -279,15 +270,34 @@ TEST(SmithWaterman, MutatedCopyScoresHighIdentity) {
 }
 
 TEST(Banded, FullWidthEqualsUnbanded) {
+  // Half-width max(|q|, |r|), the band smith_waterman runs around diagonal
+  // 0, holds every cell; |q| + |r| is wider still. Both equal
+  // smith_waterman in every field, `cells` = |q|·|r| included.
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"", ""}, {"", "MKV"}, {"MKV", ""}, {"W", "W"},
+      {"W", "P"}, {"A", "MKVLAETGWT"}, {"MKVLAETGWT", "W"}};
   pastis::util::Xoshiro256 rng(31);
   for (int t = 0; t < 10; ++t) {
-    const auto q = random_protein(rng, 20 + rng.below(60));
-    const auto r = random_protein(rng, 20 + rng.below(60));
+    auto q = random_protein(rng, 20 + rng.below(60));
+    auto r = random_protein(rng, 20 + rng.below(60));
+    pairs.emplace_back(std::move(q), std::move(r));
+  }
+  for (int t = 0; t < 6; ++t) {
+    auto q = random_protein(rng, 20 + rng.below(120));
+    auto r = mutated(rng, q);
+    pairs.emplace_back(std::move(q), std::move(r));
+  }
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto& [q, r] = pairs[p];
     const auto full = pa::smith_waterman(q, r, scoring());
-    const auto band = pa::banded_smith_waterman(
-        q, r, scoring(), 0, static_cast<int>(q.size() + r.size()));
-    EXPECT_EQ(band.score, full.score);
-    EXPECT_EQ(band.matches, full.matches);
+    EXPECT_EQ(full.cells, q.size() * r.size()) << "pair " << p;
+    for (const std::size_t w :
+         {std::max(q.size(), r.size()), q.size() + r.size()}) {
+      SCOPED_TRACE("w=" + std::to_string(w));
+      expect_same_result(pa::banded_smith_waterman(q, r, scoring(), 0,
+                                                   static_cast<int>(w)),
+                         full, p);
+    }
   }
 }
 
@@ -331,6 +341,45 @@ TEST(XDrop, StopsAtScoreDrop) {
 TEST(XDrop, MalformedSeedReturnsEmpty) {
   const auto res = pa::xdrop_extend("AAA", "AAA", 2, 0, 6, scoring(), 10);
   EXPECT_EQ(res.score, 0);
+}
+
+TEST(Batch, AlignPairRunsEachKernelWithConfigKnobs) {
+  // Knobs off their defaults, so a dispatch that dropped one would differ.
+  pa::BatchAligner::Config cfg;
+  cfg.band_half_width = 7;
+  cfg.xdrop = 13;
+  cfg.seed_len = 5;
+  const pa::BatchAligner aligner(scoring(), cfg);
+  pastis::util::Xoshiro256 rng(103);
+  for (std::size_t t = 0; t < 24; ++t) {
+    // A core shared exactly at random offsets, so seeds are real k-mer
+    // matches and seed diagonals fall on either side of the band's reach.
+    // Every other seed ends the core, so an x-drop run with another
+    // seed_len differs.
+    const auto core = random_protein(rng, 10 + rng.below(60));
+    const auto left_q = random_protein(rng, rng.below(80));
+    const auto left_r = random_protein(rng, rng.below(80));
+    const auto q = left_q + core + random_protein(rng, rng.below(40));
+    const auto r = left_r + core + mutated(rng, random_protein(rng, 30));
+    const auto offset = static_cast<std::uint32_t>(
+        t % 2 == 0 ? rng.below(5) : core.size() - cfg.seed_len);
+    const pa::AlignTask task{
+        0, 1, static_cast<std::uint32_t>(left_q.size()) + offset,
+        static_cast<std::uint32_t>(left_r.size()) + offset};
+    expect_same_result(aligner.align_pair(q, r, task, pa::AlignKind::kFullSW),
+                       pa::smith_waterman(q, r, scoring()), t);
+    expect_same_result(
+        aligner.align_pair(q, r, task, pa::AlignKind::kBanded),
+        pa::banded_smith_waterman(
+            q, r, scoring(),
+            static_cast<int>(task.seed_r) - static_cast<int>(task.seed_q),
+            cfg.band_half_width),
+        t);
+    expect_same_result(aligner.align_pair(q, r, task, pa::AlignKind::kXDrop),
+                       pa::xdrop_extend(q, r, task.seed_q, task.seed_r,
+                                        cfg.seed_len, scoring(), cfg.xdrop),
+                       t);
+  }
 }
 
 TEST(Batch, ResultsMatchIndividualCalls) {
@@ -482,9 +531,18 @@ TEST(LaneKernel, LongPairTakesScalarPath) {
   expect_lanes_match_scalar({long_q, long_q.substr(65540 - 6),
                              edge_q, edge_q.substr(65529 - 6),
                              "MKVLAETGWT", "MKVLAETGWT"});
+  // The lanes never run this pair, so no lane test compares it: every
+  // field of the scalar result is pinned.
   const auto res = pa::smith_waterman(long_q, long_q.substr(65540 - 6),
                                       scoring());
+  EXPECT_EQ(res.score, 34);
+  EXPECT_EQ(res.beg_q, 65534u);
   EXPECT_EQ(res.end_q, 65540u);
+  EXPECT_EQ(res.beg_r, 0u);
+  EXPECT_EQ(res.end_r, 6u);
+  EXPECT_EQ(res.matches, 6u);
+  EXPECT_EQ(res.align_len, 6u);
+  EXPECT_EQ(res.cells, 65540u * 6u);
 }
 
 TEST(Batch, BandedModeUsesSeeds) {

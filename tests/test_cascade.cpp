@@ -1,6 +1,6 @@
 // Sensitivity-cascade tests: the tier-0 ungapped diagonal extension unit
 // behaviour (empty seed lists, clamping at sequence edges, orientation
-// parity), the table-driven kernel dispatch, the data-plane stages against
+// parity), align_pair's kernel switch, the data-plane stages against
 // a per-pair oracle (flattened tier-1 probes, probes reused as tier-2
 // results), bit-identity of the disabled, exact-preset and fast+banded
 // cascades across pool sizes, pipeline depths and serving grid sides, the
@@ -234,7 +234,7 @@ TEST(Cascade, FingerprintSeparatesPresets) {
   EXPECT_NE(tweaked.fingerprint(), fast.fingerprint());
 }
 
-// ---- table-driven kernel dispatch (satellite: one dispatch path) -----------
+// ---- align_pair's kernel switch ---------------------------------------------
 
 TEST(Cascade, AlignPairKindOverrideMatchesConfiguredKind) {
   const auto data = test_dataset(24, 3);
