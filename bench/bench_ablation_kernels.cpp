@@ -6,6 +6,7 @@
 // sim/machine_model.hpp.
 #include <benchmark/benchmark.h>
 
+#include "align/lane_dp.hpp"
 #include "pastis.hpp"
 
 using namespace pastis;
@@ -39,7 +40,8 @@ void BM_SmithWatermanFull(benchmark::State& state) {
 BENCHMARK(BM_SmithWatermanFull)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 // The inter-pair lane kernel on one full group of kLanePairs equal-length
-// pairs (the shape align_tasks' length ordering produces). CUPS counts
+// pairs (the shape align_tasks' length ordering produces), in the build
+// this host runs, named by the label (avx2, avx512 or scalar). CUPS counts
 // the group's cells, so it compares directly with BM_SmithWatermanFull.
 void BM_SmithWatermanLanes(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
@@ -60,6 +62,7 @@ void BM_SmithWatermanLanes(benchmark::State& state) {
           static_cast<double>(align::kLanePairs) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
+  state.SetLabel(align::lane_dp::isa_name(align::lane_dp::host_isa()));
 }
 BENCHMARK(BM_SmithWatermanLanes)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
@@ -83,7 +86,7 @@ void BM_BandedSW(benchmark::State& state) {
 BENCHMARK(BM_BandedSW)->Args({512, 16})->Args({512, 64})->Args({512, 256});
 
 // The banded lane kernel on one full group of kLanePairs equal-length pairs
-// with BM_BandedSW's shapes.
+// with BM_BandedSW's shapes, in the build this host runs (the label).
 void BM_BandedLanes(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   const int half_width = static_cast<int>(state.range(1));
@@ -105,6 +108,7 @@ void BM_BandedLanes(benchmark::State& state) {
   }
   state.counters["CUPS"] =
       benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
+  state.SetLabel(align::lane_dp::isa_name(align::lane_dp::host_isa()));
 }
 BENCHMARK(BM_BandedLanes)->Args({512, 16})->Args({512, 64})->Args({512, 256});
 

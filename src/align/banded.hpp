@@ -34,10 +34,11 @@ namespace pastis::align {
                                                 int half_width);
 
 /// banded_smith_waterman on up to kLanePairs pairs at once, one pair per
-/// 32-bit lane of an AVX2 vector, all with one `half_width`. out[k] equals
+/// 32-bit lane of a 256-bit vector, all with one `half_width`, in the lane
+/// build smith_waterman_lanes runs. out[k] equals
 /// banded_smith_waterman(queries[k], references[k], scoring,
 /// diag_centers[k], half_width) in every field, `cells` included. A pair
-/// runs in the lane kernel when the host supports AVX2, |q| + |r| < 65536
+/// runs in the lane kernel when the host has AVX2, |q| + |r| < 65536
 /// and diag_center >= -half_width; every other pair (the row-1 stop above
 /// among them) runs through banded_smith_waterman. Lanes are padded to the
 /// group's most rows and widest band, so pairs with similar |q| waste

@@ -8,9 +8,10 @@
 // balancing rule (assign_lanes). Alignment *results* are
 // computed exactly on the host by align_tasks: full and banded
 // Smith-Waterman run through 8-lane inter-pair kernels
-// (smith_waterman_lanes, banded_smith_waterman_lanes: AVX2, pairs grouped
-// by length, bit-identical to the scalar kernels, which take every pair
-// the lanes cannot); x-drop runs per pair.
+// (smith_waterman_lanes, banded_smith_waterman_lanes: 256-bit vectors in
+// an AVX-512VL/BW or AVX2 build picked by CPUID, pairs grouped by length,
+// bit-identical to the scalar kernels, which take every pair the lanes
+// cannot); x-drop runs per pair.
 // Alignment *time* is charged to the device model (cells / GCUPS, priced
 // by core::modeled_align_seconds from the cells and pairs counted here),
 // which is how every paper-facing number stays hardware-independent.

@@ -69,9 +69,10 @@ struct AlignResult {
 inline constexpr std::size_t kLanePairs = 8;
 
 /// Full Smith-Waterman on up to kLanePairs pairs at once, one pair per
-/// 32-bit lane of an AVX2 vector (inter-pair SIMD, Nguyen & Lavenier).
+/// 32-bit lane of a 256-bit vector (inter-pair SIMD, Nguyen & Lavenier),
+/// in the lane build the host's CPUID picks: AVX-512VL/BW, else AVX2.
 /// out[k] equals smith_waterman(queries[k], references[k], scoring) in every
-/// field. A pair runs in the lane kernel when the host supports AVX2 and
+/// field. A pair runs in the lane kernel when the host has AVX2 and
 /// |q| + |r| < 65536 (path counters are packed two per 32-bit lane);
 /// every other pair runs through smith_waterman. Lanes are padded to the
 /// largest |q| x |r| of the call, so pairs of similar shape waste least.

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "align/lane_dp.hpp"
 #include "kmer/extract.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -203,8 +204,13 @@ void align_and_filter(RankWork& work,
     }
   } else {
     work.results.assign(work.flat_tasks.size(), align::AlignResult{});
+    obs::Span span(cfg.telemetry.tracer, "align.batch");
     aligner.align_tasks(seq_of, work.flat_tasks, aligner.config().kind,
                         work.results, pool);
+    const bool avx512 =
+        align::lane_dp::host_isa() == align::lane_dp::Isa::kAvx512;
+    span.arg("pairs", static_cast<double>(work.flat_tasks.size()));
+    span.arg("avx512", avx512 ? 1.0 : 0.0);
   }
 
   util::parallel_for(pool, np, [&](std::size_t ri) {

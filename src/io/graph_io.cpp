@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 namespace pastis::io {
 
@@ -25,8 +26,18 @@ std::vector<SimilarityEdge> read_similarity_graph(const std::string& path) {
   std::vector<SimilarityEdge> edges;
   SimilarityEdge e;
   double ani = 0.0, cov = 0.0;
-  while (std::fscanf(f, "%u\t%u\t%lf\t%lf\t%d\n", &e.seq_a, &e.seq_b, &ani,
-                     &cov, &e.score) == 5) {
+  // Only the end of the file stops the read: a malformed or truncated line
+  // must not pass for the end of the graph.
+  for (;;) {
+    const int got = std::fscanf(f, "%u\t%u\t%lf\t%lf\t%d\n", &e.seq_a,
+                                &e.seq_b, &ani, &cov, &e.score);
+    if (got == EOF) break;
+    if (got != 5) {
+      std::fclose(f);
+      throw std::runtime_error("similarity graph: malformed line " +
+                               std::to_string(edges.size() + 1) + " in " +
+                               path);
+    }
     e.ani = static_cast<float>(ani);
     e.cov = static_cast<float>(cov);
     edges.push_back(e);
@@ -70,7 +81,17 @@ std::vector<std::uint32_t> read_cluster_assignments(const std::string& path) {
   }
   std::vector<std::uint32_t> assignment;
   std::uint32_t seq = 0, cl = 0;
-  while (std::fscanf(f, "%u\t%u\n", &seq, &cl) == 2) {
+  // Only the end of the file stops the read: a malformed or truncated line
+  // must not pass for the end of the clustering.
+  for (;;) {
+    const int got = std::fscanf(f, "%u\t%u\n", &seq, &cl);
+    if (got == EOF) break;
+    if (got != 2) {
+      std::fclose(f);
+      throw std::runtime_error("cluster assignments: malformed line " +
+                               std::to_string(assignment.size() + 1) +
+                               " in " + path);
+    }
     if (seq != assignment.size()) {
       std::fclose(f);
       throw std::runtime_error("cluster assignments: seq ids must be "
@@ -78,15 +99,7 @@ std::vector<std::uint32_t> read_cluster_assignments(const std::string& path) {
     }
     assignment.push_back(cl);
   }
-  // A malformed line stops fscanf before EOF; a silently truncated
-  // assignment must not pass for the complete clustering.
-  const bool clean_eof = std::feof(f) != 0;
   std::fclose(f);
-  if (!clean_eof) {
-    throw std::runtime_error("cluster assignments: malformed line " +
-                             std::to_string(assignment.size()) + " in " +
-                             path);
-  }
   return assignment;
 }
 

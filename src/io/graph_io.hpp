@@ -26,7 +26,9 @@ struct SimilarityEdge {
 void write_similarity_graph(const std::string& path,
                             const std::vector<SimilarityEdge>& edges);
 
-/// Reads a TSV similarity graph back.
+/// Reads a TSV similarity graph back. Throws std::runtime_error, naming the
+/// 1-based line, at the first line that does not hold all five fields,
+/// a truncated last line included.
 [[nodiscard]] std::vector<SimilarityEdge> read_similarity_graph(
     const std::string& path);
 
@@ -42,8 +44,9 @@ void sort_edges(std::vector<SimilarityEdge>& edges);
 void write_cluster_assignments(const std::string& path,
                                const std::vector<std::uint32_t>& assignment);
 
-/// Reads an assignment TSV back (inverse of write; throws on gaps or
-/// out-of-order seq ids).
+/// Reads an assignment TSV back (inverse of write). Throws
+/// std::runtime_error on gaps or out-of-order seq ids, and, naming the
+/// 1-based line, on a malformed or truncated line.
 [[nodiscard]] std::vector<std::uint32_t> read_cluster_assignments(
     const std::string& path);
 

@@ -1,23 +1,26 @@
 // Alignment kernel tests: Smith-Waterman against an independent reference
-// DP, banded/x-drop variants, the AVX2 lane kernels (full and banded)
-// field by field against the scalar kernels, and the ADEPT-style batch
-// driver.
+// DP, banded/x-drop variants, the lane kernels (full and banded, in every
+// vector build the host runs: AVX2 and AVX-512VL/BW) field by field against
+// the scalar kernels, and the ADEPT-style batch driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "align/banded.hpp"
 #include "align/batch.hpp"
+#include "align/lane_dp.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/xdrop.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pa = pastis::align;
+using pa::lane_dp::Isa;
 
 namespace {
 
@@ -82,14 +85,34 @@ void expect_same_result(const pa::AlignResult& got, const pa::AlignResult& want,
   EXPECT_EQ(got.cells, want.cells) << "pair " << pair;
 }
 
-/// Aligns seqs[2k] against seqs[2k + 1] for every k through
-/// BatchAligner::align_tasks (full SW, so the lane kernel) and checks every
-/// field against the scalar smith_waterman, inline and on a pool.
-void expect_lanes_match_scalar(const std::vector<std::string>& seqs) {
+/// Aligns seqs[2k] against seqs[2k + 1] for every k with `isa`'s build of
+/// the full lane kernel, in consecutive groups of kLanePairs (the last one
+/// partial), and checks every field against the scalar smith_waterman. For
+/// the host's own build it also runs BatchAligner::align_tasks (full SW, so
+/// smith_waterman_lanes), inline and on a pool.
+void expect_lanes_match_scalar(Isa isa, const std::vector<std::string>& seqs) {
   std::vector<pa::AlignTask> tasks;
   for (std::uint32_t i = 0; i + 1 < seqs.size(); i += 2) {
     tasks.push_back({i, i + 1, 0, 0});
   }
+  std::vector<pa::AlignResult> want;
+  for (const auto& t : tasks) {
+    want.push_back(pa::smith_waterman(seqs[t.q_id], seqs[t.r_id], scoring()));
+  }
+  for (std::size_t first = 0; first < tasks.size(); first += pa::kLanePairs) {
+    const std::size_t count = std::min(pa::kLanePairs, tasks.size() - first);
+    std::vector<std::string_view> qs, rs;
+    for (std::size_t t = first; t < first + count; ++t) {
+      qs.push_back(seqs[tasks[t].q_id]);
+      rs.push_back(seqs[tasks[t].r_id]);
+    }
+    std::vector<pa::AlignResult> out(count);
+    pa::lane_dp::full_group(isa, qs, rs, scoring(), out);
+    for (std::size_t k = 0; k < count; ++k) {
+      expect_same_result(out[k], want[first + k], first + k);
+    }
+  }
+  if (isa != pa::lane_dp::host_isa()) return;
   auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
   const pa::BatchAligner aligner(scoring(), {});
   pastis::util::ThreadPool pool(3);
@@ -98,10 +121,7 @@ void expect_lanes_match_scalar(const std::vector<std::string>& seqs) {
     std::vector<pa::AlignResult> results(tasks.size());
     aligner.align_tasks(seq_of, tasks, pa::AlignKind::kFullSW, results, p);
     for (std::size_t t = 0; t < tasks.size(); ++t) {
-      expect_same_result(results[t],
-                         pa::smith_waterman(seqs[tasks[t].q_id],
-                                            seqs[tasks[t].r_id], scoring()),
-                         t);
+      expect_same_result(results[t], want[t], t);
     }
   }
 }
@@ -112,10 +132,11 @@ struct BandPair {
   int diag = 0;
 };
 
-/// Runs `pairs` through banded_smith_waterman_lanes in consecutive groups
-/// of kLanePairs (the last one partial) and checks every field against the
-/// scalar banded_smith_waterman.
-void expect_banded_lanes_match_scalar(const std::vector<BandPair>& pairs,
+/// Runs `pairs` through `isa`'s build of the banded lane kernel in
+/// consecutive groups of kLanePairs (the last one partial) and checks every
+/// field against the scalar banded_smith_waterman.
+void expect_banded_lanes_match_scalar(Isa isa,
+                                      const std::vector<BandPair>& pairs,
                                       int half_width) {
   for (std::size_t first = 0; first < pairs.size(); first += pa::kLanePairs) {
     const std::size_t count = std::min(pa::kLanePairs, pairs.size() - first);
@@ -127,7 +148,7 @@ void expect_banded_lanes_match_scalar(const std::vector<BandPair>& pairs,
       diags.push_back(pairs[k].diag);
     }
     std::vector<pa::AlignResult> out(count);
-    pa::banded_smith_waterman_lanes(qs, rs, scoring(), diags, half_width, out);
+    pa::lane_dp::banded_group(isa, qs, rs, scoring(), diags, half_width, out);
     for (std::size_t k = 0; k < count; ++k) {
       const BandPair& p = pairs[first + k];
       SCOPED_TRACE("w=" + std::to_string(half_width) + " d=" +
@@ -150,7 +171,34 @@ int any_diag(pastis::util::Xoshiro256& rng, const BandPair& p, int w) {
   return lo + static_cast<int>(rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
 }
 
+/// Runs a lane-kernel test once per vector build; a build this host cannot
+/// run is skipped, so an AVX-512 host tests the AVX2 build too.
+class LaneBuild : public ::testing::TestWithParam<Isa> {
+ protected:
+  void SetUp() override {
+    if (isa() > pa::lane_dp::host_isa()) {
+      GTEST_SKIP() << "this host cannot run the "
+                   << pa::lane_dp::isa_name(isa()) << " build";
+    }
+  }
+  [[nodiscard]] Isa isa() const { return GetParam(); }
+};
+
+class LaneKernel : public LaneBuild {};
+class BandedLanes : public LaneBuild {};
+
+std::string build_name(const ::testing::TestParamInfo<Isa>& info) {
+  return pa::lane_dp::isa_name(info.param);
+}
+
 }  // namespace
+
+INSTANTIATE_TEST_SUITE_P(, LaneKernel,
+                         ::testing::Values(Isa::kAvx2, Isa::kAvx512),
+                         build_name);
+INSTANTIATE_TEST_SUITE_P(, BandedLanes,
+                         ::testing::Values(Isa::kAvx2, Isa::kAvx512),
+                         build_name);
 
 TEST(Scoring, Blosum62KnownValues) {
   const auto& sc = scoring();
@@ -460,15 +508,15 @@ TEST(Batch, PoolExecutionMatchesInline) {
   }
 }
 
-TEST(LaneKernel, EmptySequences) {
+TEST_P(LaneKernel, EmptySequences) {
   pastis::util::Xoshiro256 rng(67);
   const auto a = random_protein(rng, 30);
   // Empty query, empty reference, both empty, beside ordinary pairs.
-  expect_lanes_match_scalar({"", a, a, "", "", "", a, mutated(rng, a)});
-  expect_lanes_match_scalar({"", ""});
+  expect_lanes_match_scalar(isa(), {"", a, a, "", "", "", a, mutated(rng, a)});
+  expect_lanes_match_scalar(isa(), {"", ""});
 }
 
-TEST(LaneKernel, PartialGroupsAndMixedLengths) {
+TEST_P(LaneKernel, PartialGroupsAndMixedLengths) {
   pastis::util::Xoshiro256 rng(71);
   // Every partial group size 1-7, then groups mixing lengths 5-400.
   for (std::size_t pairs = 1; pairs < pa::kLanePairs; ++pairs) {
@@ -479,7 +527,7 @@ TEST(LaneKernel, PartialGroupsAndMixedLengths) {
       seqs.push_back(rng.chance(0.5) ? mutated(rng, q)
                                      : random_protein(rng, 5 + rng.below(120)));
     }
-    expect_lanes_match_scalar(seqs);
+    expect_lanes_match_scalar(isa(), seqs);
   }
   std::vector<std::string> seqs;
   for (int k = 0; k < 45; ++k) {
@@ -488,10 +536,10 @@ TEST(LaneKernel, PartialGroupsAndMixedLengths) {
     seqs.push_back(k % 3 == 0 ? random_protein(rng, 5 + rng.below(396))
                               : mutated(rng, q));
   }
-  expect_lanes_match_scalar(seqs);
+  expect_lanes_match_scalar(isa(), seqs);
 }
 
-TEST(LaneKernel, TieHeavyLowComplexity) {
+TEST_P(LaneKernel, TieHeavyLowComplexity) {
   // Homopolymers and periodic repeats score many cells equally, so the
   // diag > up > left > restart order and the strict row-major best decide
   // every path statistic.
@@ -499,7 +547,7 @@ TEST(LaneKernel, TieHeavyLowComplexity) {
   std::string periodic, shifted;
   for (int k = 0; k < 40; ++k) periodic += "ACG";
   for (int k = 0; k < 33; ++k) shifted += "CGA";
-  expect_lanes_match_scalar({
+  expect_lanes_match_scalar(isa(), {
       poly, poly,
       poly, std::string(50, 'A') + "WW" + std::string(70, 'A'),
       std::string(60, 'A') + std::string(60, 'A'), std::string(90, 'A'),
@@ -512,25 +560,25 @@ TEST(LaneKernel, TieHeavyLowComplexity) {
   });
 }
 
-TEST(LaneKernel, ZeroScorePairs) {
+TEST_P(LaneKernel, ZeroScorePairs) {
   // BLOSUM62 scores P/W and D/W negative: no cell is ever positive.
-  expect_lanes_match_scalar({"PPPPPPPP", "WWWWWWWWWWWW", "DDDD", "WWW",
-                             "W", "P", "PDPDPD", "WWWWW"});
+  expect_lanes_match_scalar(isa(), {"PPPPPPPP", "WWWWWWWWWWWW", "DDDD",
+                                    "WWW", "W", "P", "PDPDPD", "WWWWW"});
   const auto res = pa::smith_waterman("PPPPPPPP", "WWWWWWWWWWWW", scoring());
   EXPECT_EQ(res.score, 0);
   EXPECT_EQ(res.align_len, 0u);
 }
 
-TEST(LaneKernel, LongPairTakesScalarPath) {
+TEST_P(LaneKernel, LongPairTakesScalarPath) {
   // |q| + |r| >= 65536 overflows the lane kernel's 16-bit path counters:
   // here the optimum ends at query position 65540. The pair beside it sits
   // exactly at the limit (|q| + |r| = 65535) and stays in the lane group.
   pastis::util::Xoshiro256 rng(73);
   const auto long_q = random_protein(rng, 65540);
   const auto edge_q = random_protein(rng, 65529);
-  expect_lanes_match_scalar({long_q, long_q.substr(65540 - 6),
-                             edge_q, edge_q.substr(65529 - 6),
-                             "MKVLAETGWT", "MKVLAETGWT"});
+  expect_lanes_match_scalar(isa(), {long_q, long_q.substr(65540 - 6),
+                                    edge_q, edge_q.substr(65529 - 6),
+                                    "MKVLAETGWT", "MKVLAETGWT"});
   // The lanes never run this pair, so no lane test compares it: every
   // field of the scalar result is pinned.
   const auto res = pa::smith_waterman(long_q, long_q.substr(65540 - 6),
@@ -543,6 +591,29 @@ TEST(LaneKernel, LongPairTakesScalarPath) {
   EXPECT_EQ(res.matches, 6u);
   EXPECT_EQ(res.align_len, 6u);
   EXPECT_EQ(res.cells, 65540u * 6u);
+}
+
+TEST(LaneDispatch, HostRunsEveryBuildUpToItsOwnAndRefusesWider) {
+  const std::vector<std::string_view> qs = {"MKVLAETGWT"};
+  const std::vector<std::string_view> rs = {"MKVLAETGWT"};
+  const std::vector<int> diags = {0};
+  const auto want = pa::smith_waterman(qs[0], rs[0], scoring());
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    SCOPED_TRACE(pa::lane_dp::isa_name(isa));
+    std::vector<pa::AlignResult> out(1);
+    if (isa <= pa::lane_dp::host_isa()) {
+      pa::lane_dp::full_group(isa, qs, rs, scoring(), out);
+      expect_same_result(out[0], want, 0);
+      pa::lane_dp::banded_group(isa, qs, rs, scoring(), diags, 16, out);
+      expect_same_result(out[0], want, 0);
+    } else {
+      EXPECT_THROW(pa::lane_dp::full_group(isa, qs, rs, scoring(), out),
+                   std::invalid_argument);
+      EXPECT_THROW(
+          pa::lane_dp::banded_group(isa, qs, rs, scoring(), diags, 16, out),
+          std::invalid_argument);
+    }
+  }
 }
 
 TEST(Batch, BandedModeUsesSeeds) {
@@ -561,7 +632,7 @@ TEST(Batch, BandedModeUsesSeeds) {
   EXPECT_EQ(res[0].score, 6 * 11);
 }
 
-TEST(BandedLanes, PartialGroupsAndMixedLengths) {
+TEST_P(BandedLanes, PartialGroupsAndMixedLengths) {
   pastis::util::Xoshiro256 rng(79);
   // Every group size 1-8 at several widths, diagonals anywhere.
   for (const int w : {1, 3, 16, 32}) {
@@ -576,7 +647,7 @@ TEST(BandedLanes, PartialGroupsAndMixedLengths) {
                                  : any_diag(rng, p, w);
         group.push_back(p);
       }
-      expect_banded_lanes_match_scalar(group, w);
+      expect_banded_lanes_match_scalar(isa(), group, w);
     }
   }
   // Homolog pairs of lengths 5-400 near their seed diagonal, the shape the
@@ -590,10 +661,10 @@ TEST(BandedLanes, PartialGroupsAndMixedLengths) {
     p.diag = static_cast<int>(rng.below(41)) - 20;
     pairs.push_back(p);
   }
-  expect_banded_lanes_match_scalar(pairs, 32);
+  expect_banded_lanes_match_scalar(isa(), pairs, 32);
 }
 
-TEST(BandedLanes, BandsOffAndClampedAtBothEnds) {
+TEST_P(BandedLanes, BandsOffAndClampedAtBothEnds) {
   pastis::util::Xoshiro256 rng(83);
   const auto q = random_protein(rng, 60);
   const auto r = mutated(rng, random_protein(rng, 20) + q);
@@ -607,18 +678,18 @@ TEST(BandedLanes, BandsOffAndClampedAtBothEnds) {
                       n + w - 1, n + w, n + w + 3}) {
     pairs.push_back({q, r, d});
   }
-  expect_banded_lanes_match_scalar(pairs, w);
+  expect_banded_lanes_match_scalar(isa(), pairs, w);
   // Bands wider than the matrix, clamped at both j = 1 and j = |r|, and a
   // tall query whose band leaves the matrix long before its last row.
   const auto tall = random_protein(rng, 240);
-  expect_banded_lanes_match_scalar(
-      {{q.substr(0, 30), r.substr(0, 18), 0},
-       {q.substr(0, 30), r.substr(0, 18), 5},
-       {q.substr(0, 30), r.substr(0, 18), -5},
-       {q.substr(0, 12), r, 3},
-       {tall, tall.substr(100, 50), -100},
-       {tall, tall.substr(0, 50), 0}},
-      40);
+  expect_banded_lanes_match_scalar(isa(),
+                                   {{q.substr(0, 30), r.substr(0, 18), 0},
+                                    {q.substr(0, 30), r.substr(0, 18), 5},
+                                    {q.substr(0, 30), r.substr(0, 18), -5},
+                                    {q.substr(0, 12), r, 3},
+                                    {tall, tall.substr(100, 50), -100},
+                                    {tall, tall.substr(0, 50), 0}},
+                                   40);
   // Groups mixing every case above with ordinary pairs, in shuffled lanes.
   std::vector<BandPair> mixed = pairs;
   for (int k = 0; k < 20; ++k) {
@@ -631,14 +702,15 @@ TEST(BandedLanes, BandsOffAndClampedAtBothEnds) {
   for (std::size_t i = mixed.size(); i > 1; --i) {
     std::swap(mixed[i - 1], mixed[rng.below(i)]);
   }
-  expect_banded_lanes_match_scalar(mixed, w);
+  expect_banded_lanes_match_scalar(isa(), mixed, w);
 }
 
-TEST(BandedLanes, ZeroAndFullWidth) {
+TEST_P(BandedLanes, ZeroAndFullWidth) {
   pastis::util::Xoshiro256 rng(89);
+  // One full group and a partial one.
   std::vector<BandPair> pairs;
   int widest = 0;
-  for (int k = 0; k < 11; ++k) {
+  for (std::size_t k = 0; k < pa::kLanePairs + 3; ++k) {
     BandPair p;
     p.q = random_protein(rng, 10 + rng.below(90));
     p.r = rng.chance(0.5) ? mutated(rng, p.q)
@@ -648,10 +720,10 @@ TEST(BandedLanes, ZeroAndFullWidth) {
     pairs.push_back(p);
   }
   // w = 0: a single diagonal.
-  expect_banded_lanes_match_scalar(pairs, 0);
+  expect_banded_lanes_match_scalar(isa(), pairs, 0);
   // w >= |q| + |r| covers every cell: equal to smith_waterman too.
   for (const int w : {widest, 1 << 30}) {
-    expect_banded_lanes_match_scalar(pairs, w);
+    expect_banded_lanes_match_scalar(isa(), pairs, w);
     std::vector<std::string_view> qs, rs;
     std::vector<int> diags;
     for (std::size_t k = 0; k < pa::kLanePairs; ++k) {
@@ -660,7 +732,7 @@ TEST(BandedLanes, ZeroAndFullWidth) {
       diags.push_back(pairs[k].diag);
     }
     std::vector<pa::AlignResult> out(pa::kLanePairs);
-    pa::banded_smith_waterman_lanes(qs, rs, scoring(), diags, w, out);
+    pa::lane_dp::banded_group(isa(), qs, rs, scoring(), diags, w, out);
     for (std::size_t k = 0; k < pa::kLanePairs; ++k) {
       expect_same_result(out[k],
                          pa::smith_waterman(pairs[k].q, pairs[k].r, scoring()),
@@ -669,7 +741,7 @@ TEST(BandedLanes, ZeroAndFullWidth) {
   }
 }
 
-TEST(BandedLanes, TieHeavyRepeatsAndZeroScores) {
+TEST_P(BandedLanes, TieHeavyRepeatsAndZeroScores) {
   // Homopolymers and periodic repeats tie many cells, so the diag > up >
   // left > restart order and the strict row-major best decide every path
   // statistic; P/W and D/W pairs never score a positive cell.
@@ -679,6 +751,7 @@ TEST(BandedLanes, TieHeavyRepeatsAndZeroScores) {
   for (int k = 0; k < 33; ++k) shifted += "CGA";
   for (const int w : {0, 2, 5, 32}) {
     expect_banded_lanes_match_scalar(
+        isa(),
         {{poly, poly, 0},
          {poly, std::string(50, 'A') + "WW" + std::string(70, 'A'), 2},
          {std::string(90, 'A'), poly, -3},
@@ -700,7 +773,7 @@ TEST(BandedLanes, TieHeavyRepeatsAndZeroScores) {
   EXPECT_GT(res.cells, 0u);
 }
 
-TEST(BandedLanes, LongPairTakesScalarPath) {
+TEST_P(BandedLanes, LongPairTakesScalarPath) {
   // |q| + |r| >= 65536 overflows the 16-bit path counters: here the
   // optimum ends at reference position 65540. The pair beside it sits
   // exactly at the limit (|q| + |r| = 65535) and stays in the lane group.
@@ -708,6 +781,7 @@ TEST(BandedLanes, LongPairTakesScalarPath) {
   const auto long_r = random_protein(rng, 65540);
   const auto edge_r = random_protein(rng, 65529);
   expect_banded_lanes_match_scalar(
+      isa(),
       {{long_r.substr(65540 - 6), long_r, 65540 - 6},
        {edge_r.substr(65529 - 6), edge_r, 65529 - 6},
        {"MKVLAETGWT", "MKVLAETGWT", 0}},

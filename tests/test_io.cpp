@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "io/fasta.hpp"
 #include "io/graph_io.hpp"
@@ -141,6 +143,50 @@ TEST(GraphIo, WriteReadRoundTrip) {
   }
 }
 
+TEST(GraphIo, MalformedOrTruncatedLinesThrowWithTheirLine) {
+  TempDir dir;
+  const auto expect_line_error = [&](const std::string& name,
+                                     const std::string& text,
+                                     const std::string& line) {
+    const auto path = dir.file(name);
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    try {
+      (void)pio::read_similarity_graph(path);
+      ADD_FAILURE() << name << " read without an error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line " + line), std::string::npos)
+          << name << ": " << e.what();
+    }
+  };
+  // Line 2 is malformed; the reader used to stop there and return 1 edge.
+  expect_line_error("bad.tsv",
+                    "0\t1\t0.5\t0.9\t40\n1\tx\t0.5\t0.9\t40\n"
+                    "2\t3\t0.5\t0.9\t40\n",
+                    "2");
+  // The last line is cut after its third field.
+  expect_line_error("cut.tsv", "0\t1\t0.5\t0.9\t40\n1\t2\t0.5", "2");
+  expect_line_error("first.tsv", "edge list\n", "1");
+
+  // A complete last line without its newline still reads, and so does an
+  // empty file.
+  const auto tail = dir.file("tail.tsv");
+  {
+    std::ofstream out(tail);
+    out << "0\t1\t0.5\t0.9\t40\n1\t2\t0.25\t0.75\t-3";
+  }
+  const auto edges = pio::read_similarity_graph(tail);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_EQ(edges[1].seq_b, 2u);
+  EXPECT_EQ(edges[1].score, -3);
+  EXPECT_FLOAT_EQ(edges[1].ani, 0.25f);
+  const auto empty = dir.file("empty.tsv");
+  pio::write_similarity_graph(empty, {});
+  EXPECT_TRUE(pio::read_similarity_graph(empty).empty());
+}
+
 TEST(GraphIo, SortEdgesCanonical) {
   std::vector<pio::SimilarityEdge> edges = {
       {3, 4, 0, 0, 0}, {1, 2, 0, 0, 0}, {1, 1, 0, 0, 0}, {0, 9, 0, 0, 0}};
@@ -198,6 +244,21 @@ TEST(ClusterIo, MalformedLinesThrowInsteadOfTruncating) {
     out << "0\t0\n2\t1\n";  // seq id 1 missing
   }
   EXPECT_THROW((void)pio::read_cluster_assignments(gap), std::runtime_error);
+
+  // The last line is cut after its seq id; the reader used to return the
+  // first assignment alone.
+  const auto cut = dir.file("cut.tsv");
+  {
+    std::ofstream out(cut);
+    out << "0\t0\n1";
+  }
+  try {
+    (void)pio::read_cluster_assignments(cut);
+    ADD_FAILURE() << "a truncated last line read without an error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GraphIo, EdgeBytesPlausible) {

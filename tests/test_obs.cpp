@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "align/cascade.hpp"
+#include "align/lane_dp.hpp"
 #include "core/config.hpp"
 #include "core/pipeline.hpp"
 #include "exec/timeline.hpp"
@@ -558,4 +559,51 @@ TEST(Telemetry, PipelineRunsTheTierScreensInItsScreenStage) {
   ASSERT_GT(run.stats.cascade.tier0.pairs_in, 0u);
   expect_screen_stage_graph(tr, "pipeline",
                             static_cast<std::size_t>(cfg.n_blocks()));
+}
+
+TEST(Telemetry, AlignBatchSpansCountTheAlignedPairsInsideTheAlignStage) {
+  pastis::core::PastisConfig cfg;
+  cfg.block_rows = cfg.block_cols = 2;
+  cfg.pipeline_depth = 2;
+  pastis::util::ThreadPool pool(3);
+  const auto seqs = obs_refs(150, 61);
+  const auto base = pastis::core::SimilaritySearch(cfg, {}, 4, &pool).run(seqs);
+  pobs::Tracer tr;
+  cfg.telemetry = pobs::Telemetry{nullptr, &tr};
+  const auto run = pastis::core::SimilaritySearch(cfg, {}, 4, &pool).run(seqs);
+  EXPECT_EQ(run.edges, base.edges);
+  ASSERT_GT(run.stats.aligned_pairs, 0u);
+
+  // One align.batch span per block, each inside that block's
+  // pipeline.align span, whose `pairs` sum to the aligned pairs and whose
+  // `avx512` names the lane build.
+  const double avx512 = pastis::align::lane_dp::host_isa() ==
+                                pastis::align::lane_dp::Isa::kAvx512
+                            ? 1.0
+                            : 0.0;
+  const auto doc = pj::parse(tr.to_json());
+  const auto spans = complete_events(doc);
+  std::size_t batches = 0;
+  double pairs = 0.0;
+  for (const auto& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "X" ||
+        e.at("name").as_string() != "align.batch") {
+      continue;
+    }
+    ++batches;
+    pairs += e.at("args").at("pairs").as_number();
+    EXPECT_EQ(e.at("args").at("avx512").as_number(), avx512);
+    const double ts = e.at("ts").as_number();
+    const double end = ts + e.at("dur").as_number();
+    const int tid = static_cast<int>(e.at("tid").as_number());
+    bool inside = false;
+    for (const auto& s : spans) {
+      // The tolerance absorbs the rounding of ts + dur.
+      inside = inside || (s.name == "pipeline.align" && s.tid == tid &&
+                          s.ts <= ts && end <= s.ts + s.dur + 1e-3);
+    }
+    EXPECT_TRUE(inside) << "align.batch at " << ts << " us";
+  }
+  EXPECT_EQ(batches, static_cast<std::size_t>(cfg.n_blocks()));
+  EXPECT_EQ(pairs, static_cast<double>(run.stats.aligned_pairs));
 }
